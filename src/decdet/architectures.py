@@ -45,9 +45,14 @@ below take the sup over (gamma, d0, d1, t), with d0 = d1 forced for Tree.
 The sup over t runs on a 401-point grid spanning gamma's closed LLR
 support, then a golden-section polish of the best bracket, plus a bisection
 for each crossing of the two branch curves, since the max-min optimum often
-sits where the branches equalize.  Ties between quantizers break toward
-the lexicographically smallest canonical map, so parallel and serial
-sweeps report identical strategies.
+sits where the branches equalize.  Within one gamma every evaluation of
+all deltas at a threshold (both golden sections, the daisy crossing
+bisection and the final sweep over the candidate thresholds) goes through
+one memo keyed on t, so a threshold they share is solved once.  The
+crossing bisection of delta k's two branch curves evaluates only delta k's
+two branch points, not the whole delta list.  Ties between quantizers
+break toward the lexicographically smallest canonical map, so parallel and
+serial sweeps report identical strategies.
 """
 
 from __future__ import annotations
@@ -240,15 +245,14 @@ class _Cand:
     mean1: float
 
 
+def _cand(m: HypothesisModel, q: Quantizer) -> _Cand:
+    im = induce(m, q)
+    zmin, zmax = im.llr_support()
+    return _Cand(q=q, im=im, zmin=zmin, zmax=zmax, mean0=im.llr_mean(0), mean1=im.llr_mean(1))
+
+
 def _candidates(m: HypothesisModel, d: int, mode: str) -> list[_Cand]:
-    cands = []
-    for q in enumerate_quantizers(m, d, mode):
-        im = induce(m, q)
-        zmin, zmax = im.llr_support()
-        cands.append(
-            _Cand(q=q, im=im, zmin=zmin, zmax=zmax, mean0=im.llr_mean(0), mean1=im.llr_mean(1))
-        )
-    return cands
+    return [_cand(m, q) for q in enumerate_quantizers(m, d, mode)]
 
 
 def _decay_from_rates(l0: float, l1: float, t: float, mean0: float, mean1: float) -> DecayRateVector:
@@ -302,12 +306,25 @@ def _first_argmax(values: Sequence[float]) -> int:
     return best
 
 
-def _point_eval(g: _Cand, deltas: list[_Cand], r: float, t: float) -> _PointEval:
+def _gamma_decay(g: _Cand, r: float, t: float) -> tuple[DecayRateVector, float, float]:
+    # First-stage decay rates at threshold t and the two branch thresholds.
     l0 = rate_function(g.im, 0, t).value
     l1 = rate_function(g.im, 1, t).value
     e = _decay_from_rates(l0, l1, t, g.mean0, g.mean1)
     a0 = r / (1.0 - r) * (e.e10 - e.e00)
     a1 = -r / (1.0 - r) * (e.e01 - e.e11)
+    return e, a0, a1
+
+
+def _tree_diff(g: _Cand, dc: _Cand, r: float, t: float) -> float:
+    # bv0 - bv1 of the single second-stage candidate dc; equals
+    # _point_eval(g, deltas, r, t).bv0[k] - .bv1[k] for dc = deltas[k].
+    e, a0, a1 = _gamma_decay(g, r, t)
+    return _branch_point(dc, a0, e.e00, e.e10, r) - _branch_point(dc, a1, e.e01, e.e11, r)
+
+
+def _point_eval(g: _Cand, deltas: list[_Cand], r: float, t: float) -> _PointEval:
+    e, a0, a1 = _gamma_decay(g, r, t)
     bv0 = [_branch_point(dc, a0, e.e00, e.e10, r) for dc in deltas]
     bv1 = [_branch_point(dc, a1, e.e01, e.e11, r) for dc in deltas]
     i0, i1 = _first_argmax(bv0), _first_argmax(bv1)
@@ -418,6 +435,17 @@ def _search_staged(m: HypothesisModel, r: float, d: int, mode: str) -> tuple[dic
         daisy_curve = np.minimum(sup0, sup1)
         tree_curve = np.minimum(bv0, bv1).max(axis=0)
 
+        # Every full evaluation at one gamma goes through this memo, so a
+        # threshold the two golden sections, the daisy crossing bisection
+        # and the final sweep share is solved once.
+        memo: dict[float, _PointEval] = {}
+
+        def point(t: float) -> _PointEval:
+            p = memo.get(t)
+            if p is None:
+                p = memo[t] = _point_eval(g, deltas, r, t)
+            return p
+
         tcands: list[float] = []
         for curve, which in ((daisy_curve, "daisy"), (tree_curve, "tree")):
             i = int(np.argmax(curve))
@@ -425,31 +453,23 @@ def _search_staged(m: HypothesisModel, r: float, d: int, mode: str) -> tuple[dic
             tcands.append(float(ts[i]))
             if hi > lo:
                 if which == "daisy":
-                    t_ref, _ = golden_section_min(
-                        lambda t: -_point_eval(g, deltas, r, t).daisy, lo, hi, _REFINE_TOL
-                    )
+                    t_ref, _ = golden_section_min(lambda t: -point(t).daisy, lo, hi, _REFINE_TOL)
                 else:
-                    t_ref, _ = golden_section_min(
-                        lambda t: -_point_eval(g, deltas, r, t).tree, lo, hi, _REFINE_TOL
-                    )
+                    t_ref, _ = golden_section_min(lambda t: -point(t).tree, lo, hi, _REFINE_TOL)
                 tcands.append(float(t_ref))
         # The max-min optimum often sits where the branch curves cross.
         for lo, hi in _sign_change_ts(ts, sup0 - sup1):
             def diff_daisy(t: float) -> float:
-                p = _point_eval(g, deltas, r, t)
+                p = point(t)
                 return max(p.bv0) - max(p.bv1)
 
             tcands.append(_bisect_crossing(diff_daisy, lo, hi))
         for k, dc in enumerate(deltas):
             for lo, hi in _sign_change_ts(ts, bv0[k] - bv1[k]):
-                def diff_tree(t: float, k: int = k) -> float:
-                    p = _point_eval(g, deltas, r, t)
-                    return p.bv0[k] - p.bv1[k]
-
-                tcands.append(_bisect_crossing(diff_tree, lo, hi))
+                tcands.append(_bisect_crossing(lambda t, dc=dc: _tree_diff(g, dc, r, t), lo, hi))
 
         for t in sorted(set(tcands)):
-            p = _point_eval(g, deltas, r, t)
+            p = point(t)
             dkey = (g.q.map, deltas[p.i_daisy0].q.map, deltas[p.i_daisy1].q.map, p.t)
             best_daisy.offer(p.daisy, dkey, g, p)
             tkey = (g.q.map, deltas[p.i_tree].q.map, deltas[p.i_tree].q.map, p.t)
@@ -458,7 +478,8 @@ def _search_staged(m: HypothesisModel, r: float, d: int, mode: str) -> tuple[dic
     out = []
     for best, kind in ((best_daisy, "DaisyRestricted"), (best_tree, "Tree")):
         g, p = best.gamma, best.point
-        assert g is not None and p is not None
+        if g is None or p is None:
+            raise ValueError(f"{kind} search found no finite candidate threshold")
         if kind == "DaisyRestricted":
             d0, d1 = deltas[p.i_daisy0].q, deltas[p.i_daisy1].q
             branch0, branch1 = p.bv0[p.i_daisy0], p.bv1[p.i_daisy1]
@@ -587,7 +608,8 @@ def exponent_parallel(
         v = _parallel_value(induce(m, q), formulation)
         if v < best_v:
             best_v, best_q = v, q
-    assert best_q is not None
+    if best_q is None:
+        raise ValueError("no candidate quantizer gives a finite exponent")
     if messages_per_sensor == 2:
         gamma, delta = split_product_quantizer(best_q, d)
         strategy = {
@@ -735,42 +757,22 @@ def reevaluate_exponent(m: HypothesisModel, report: ExponentReport) -> float:
     validate_model(m)
     strat = report.strategy
     kind = report.architecture
-    d_of = lambda labels: max(labels) + 1 if labels else 1
+
+    def quantizer(key: str) -> Quantizer:
+        labels = strat[key]
+        return Quantizer(map=tuple(labels), message_alphabet_size=max(labels) + 1 if labels else 1)
 
     if kind in ("Parallel1",) + _ONE_MESSAGE_KINDS:
-        q = Quantizer(map=tuple(strat["gamma"]), message_alphabet_size=d_of(strat["gamma"]))
-        return _parallel_value(induce(m, q), report.formulation)
+        return _parallel_value(induce(m, quantizer("gamma")), report.formulation)
     if kind in ("Parallel2",) + _TWO_MESSAGE_KINDS:
-        gamma = Quantizer(map=tuple(strat["gamma"]), message_alphabet_size=d_of(strat["gamma"]))
-        delta = Quantizer(map=tuple(strat["delta0"]), message_alphabet_size=d_of(strat["delta0"]))
-        return _parallel_value(induce(m, product_quantizer(gamma, delta)), report.formulation)
+        joint = product_quantizer(quantizer("gamma"), quantizer("delta0"))
+        return _parallel_value(induce(m, joint), report.formulation)
     if kind in _STAGED_KINDS:
         r = report.r
-        assert r is not None
-        gq = Quantizer(map=tuple(strat["gamma"]), message_alphabet_size=d_of(strat["gamma"]))
-        gim = induce(m, gq)
-        g = _Cand(
-            q=gq,
-            im=gim,
-            zmin=gim.llr_support()[0],
-            zmax=gim.llr_support()[1],
-            mean0=gim.llr_mean(0),
-            mean1=gim.llr_mean(1),
-        )
-        dd = []
-        for key in ("delta0", "delta1"):
-            q = Quantizer(map=tuple(strat[key]), message_alphabet_size=d_of(strat[key]))
-            im = induce(m, q)
-            dd.append(
-                _Cand(
-                    q=q,
-                    im=im,
-                    zmin=im.llr_support()[0],
-                    zmax=im.llr_support()[1],
-                    mean0=im.llr_mean(0),
-                    mean1=im.llr_mean(1),
-                )
-            )
+        if r is None:
+            raise ValueError(f"{kind} report carries no stage fraction r")
+        g = _cand(m, quantizer("gamma"))
+        dd = [_cand(m, quantizer("delta0")), _cand(m, quantizer("delta1"))]
         p = _point_eval(g, dd, r, float(strat["t"]))
         return -min(p.bv0[0], p.bv1[1])
     raise ValueError(f"cannot reevaluate architecture kind {kind!r}")

@@ -34,6 +34,7 @@ argmax along with the value so results can be reproduced exactly.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,6 @@ import numpy as np
 from .model import InducedModel
 
 __all__ = [
-    "LogMgf",
     "RateFunctionValue",
     "log_mgf",
     "log_mgf_derivs",
@@ -55,20 +55,6 @@ ARG_TOL = 1e-10
 _NEWTON_CAP = 100
 # Relative slack when comparing t against the endpoints of the LLR support.
 _EDGE_RTOL = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class LogMgf:
-    """Callable view of L_j(s) for one induced model and hypothesis."""
-
-    source: InducedModel
-    hypothesis: int
-
-    def __call__(self, s: float) -> float:
-        return log_mgf(self.source, self.hypothesis, s)
-
-    def derivs(self, s: float) -> tuple[float, float, float]:
-        return log_mgf_derivs(self.source, self.hypothesis, s)
 
 
 @dataclass(frozen=True)
@@ -169,17 +155,39 @@ def _support_edges(im: InducedModel, j: int) -> tuple[float, float, float, float
     return zmin, zmax, mass_lo, mass_hi
 
 
+# Per-model constants of rate_function, keyed weakly on the (immutable,
+# identity-hashed) InducedModel so the memo never outlives its model.
+_RATE_CONSTANTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _rate_constants(im: InducedModel, j: int) -> tuple:
+    # (zmin, zmax, mass_lo, mass_hi, llr list, log q_j list), built once per
+    # (model, hypothesis).
+    per_model = _RATE_CONSTANTS.get(im)
+    if per_model is None:
+        per_model = _RATE_CONSTANTS[im] = {}
+    consts = per_model.get(j)
+    if consts is None:
+        lqs = [
+            math.log(v) if v > 0.0 else -math.inf
+            for v in (im.q1 if j == 1 else im.q0).tolist()
+        ]
+        consts = per_model[j] = (*_support_edges(im, j), im.llr.tolist(), lqs)
+    return consts
+
+
 def rate_function(im: InducedModel, j: int, t: float) -> RateFunctionValue:
     """Conjugate R_j(t) = sup_s {s t - L_j(s)}, solved to 1e-10 in s.
 
     Newton iteration on the monotone L'(s) = t with a maintained bracket
     and bisection fallback; endpoint and out-of-support conventions as in
     the module docstring.  The inner loop runs on plain floats: message
-    alphabets are tiny, so array dispatch would dominate the solve.
+    alphabets are tiny, so array dispatch would dominate the solve.  The
+    support edges and the float lists are computed once per (im, j).
     """
     if j not in (0, 1):
         raise ValueError("hypothesis must be 0 or 1")
-    zmin, zmax, mass_lo, mass_hi = _support_edges(im, j)
+    zmin, zmax, mass_lo, mass_hi, zs, lqs = _rate_constants(im, j)
     if zmax - zmin == 0.0:
         # Single atom; for a valid model it sits at llr 0.
         at = 0.0 if abs(t - zmin) <= _EDGE_RTOL * max(1.0, abs(zmin)) else math.inf
@@ -196,12 +204,6 @@ def rate_function(im: InducedModel, j: int, t: float) -> RateFunctionValue:
     if t <= zmin + tol_lo:
         value = -math.log(mass_lo) if mass_lo > 0.0 else math.inf
         return RateFunctionValue(t=t, value=value, argmax_s=-math.inf)
-
-    zs = im.llr.tolist()
-    lqs = [
-        math.log(v) if v > 0.0 else -math.inf
-        for v in (im.q1 if j == 1 else im.q0).tolist()
-    ]
 
     def derivs(s: float) -> tuple[float, float, float]:
         avals = [lq + s * zv for lq, zv in zip(lqs, zs)]

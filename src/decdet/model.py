@@ -251,12 +251,9 @@ def _all_canonical_maps(k: int, d: int):
 def _llr_tie_groups(m: HypothesisModel) -> list[list[int]]:
     # Group symbols by equal LLR after sorting; zero-mass symbols keep the
     # spot their (0/0) ratio would occupy and are placed in their own group.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        llr = np.where(
-            (m.pmf0 > 0.0) & (m.pmf1 > 0.0),
-            np.log(m.pmf1, where=m.pmf1 > 0) - np.log(m.pmf0, where=m.pmf0 > 0),
-            0.0,
-        )
+    log1 = np.log(m.pmf1, out=np.zeros_like(m.pmf1), where=m.pmf1 > 0)
+    log0 = np.log(m.pmf0, out=np.zeros_like(m.pmf0), where=m.pmf0 > 0)
+    llr = np.where((m.pmf0 > 0.0) & (m.pmf1 > 0.0), log1 - log0, 0.0)
     order = sorted(range(m.alphabet_size), key=lambda x: (llr[x], x))
     groups: list[list[int]] = []
     for x in order:

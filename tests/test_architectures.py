@@ -1,6 +1,7 @@
 """Architecture exponent searches and the staged-chain decay calculus."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -29,6 +30,7 @@ from decdet import (
     reevaluate_exponent,
     validate_model,
 )
+from decdet.architectures import _candidates, _point_eval, _tree_diff
 from conftest import random_model
 
 
@@ -303,3 +305,142 @@ def test_symmetric_rate_condition_fails_on_table(table_model):
     assert res["max_gap"] > 1e-3
     # No shortcut to cross-check when the condition fails.
     assert res["consistent"] is None
+
+
+# Full staged reports (seed, K, d, r, mode) -> (DaisyRestricted, Tree), recorded
+# before the threshold memo and the single-delta crossing bisection were
+# added.  Those are pure work-saving changes, so every bit must stay put.
+_PINNED_STAGED = [
+    (
+        (110, 3, 2, 0.6, "llr_monotone"),
+        {"architecture": "DaisyRestricted",
+         "formulation": "Bayesian",
+         "r": 0.6,
+         "exponent": -0.08984934294675445,
+         "strategy": {"gamma": [0, 1, 1],
+                      "delta0": [0, 0, 1],
+                      "delta1": [0, 1, 1],
+                      "t": -0.00309079135443019},
+         "decay_rates": {"e01": 0.11713278244351708,
+                         "e10": 0.12022357379794739,
+                         "e00": 0.0,
+                         "e11": 0.0},
+         "branch_values": {"branch0": 0.08984934294675445, "branch1": 0.08984934295419164},
+         "note": ""},
+        {"architecture": "Tree",
+         "formulation": "Bayesian",
+         "r": 0.6,
+         "exponent": -0.08950430689206705,
+         "strategy": {"gamma": [0, 1, 1],
+                      "delta0": [0, 1, 1],
+                      "delta1": [0, 1, 1],
+                      "t": -0.004830124681166123},
+         "decay_rates": {"e01": 0.11629798306756926,
+                         "e10": 0.12112810774873539,
+                         "e00": 0.0,
+                         "e11": 0.0},
+         "branch_values": {"branch0": 0.08950430689765172, "branch1": 0.08950430689206705},
+         "note": ""},
+    ),
+    (
+        (124, 4, 3, 0.6, "llr_monotone"),
+        {"architecture": "DaisyRestricted",
+         "formulation": "Bayesian",
+         "r": 0.6,
+         "exponent": -0.059592648308201726,
+         "strategy": {"gamma": [0, 1, 2, 2],
+                      "delta0": [0, 1, 2, 0],
+                      "delta1": [0, 1, 2, 2],
+                      "t": 0.00184842480494205},
+         "decay_rates": {"e01": 0.07986567601620218,
+                         "e10": 0.07801725121126023,
+                         "e00": 0.0,
+                         "e11": 0.0},
+         "branch_values": {"branch0": 0.059592648308201726, "branch1": 0.059592648314912205},
+         "note": ""},
+        {"architecture": "Tree",
+         "formulation": "Bayesian",
+         "r": 0.6,
+         "exponent": -0.059592512815162105,
+         "strategy": {"gamma": [0, 1, 2, 2],
+                      "delta0": [0, 1, 2, 2],
+                      "delta1": [0, 1, 2, 2],
+                      "t": 0.001847777251279627},
+         "decay_rates": {"e01": 0.07986534438422048,
+                         "e10": 0.07801756713294085,
+                         "e00": 0.0,
+                         "e11": 0.0},
+         "branch_values": {"branch0": 0.05959251281934883, "branch1": 0.059592512815162105},
+         "note": ""},
+    ),
+    (
+        (103, 3, 2, 0.6, "all"),
+        {"architecture": "DaisyRestricted",
+         "formulation": "Bayesian",
+         "r": 0.6,
+         "exponent": -0.03895337801820536,
+         "strategy": {"gamma": [0, 0, 1],
+                      "delta0": [0, 0, 1],
+                      "delta1": [0, 0, 1],
+                      "t": -0.009305862782265441},
+         "decay_rates": {"e01": 0.047465211710352555,
+                         "e10": 0.05677107449261803,
+                         "e00": 0.0,
+                         "e11": 0.0},
+         "branch_values": {"branch0": 0.038953378025574636, "branch1": 0.03895337801820536},
+         "note": ""},
+        {"architecture": "Tree",
+         "formulation": "Bayesian",
+         "r": 0.6,
+         "exponent": -0.03895337801820536,
+         "strategy": {"gamma": [0, 0, 1],
+                      "delta0": [0, 0, 1],
+                      "delta1": [0, 0, 1],
+                      "t": -0.009305862782265441},
+         "decay_rates": {"e01": 0.047465211710352555,
+                         "e10": 0.05677107449261803,
+                         "e00": 0.0,
+                         "e11": 0.0},
+         "branch_values": {"branch0": 0.038953378025574636, "branch1": 0.03895337801820536},
+         "note": ""},
+    ),
+]
+
+
+@pytest.mark.parametrize("case,daisy,tree", _PINNED_STAGED)
+def test_staged_reports_are_bit_identical(case, daisy, tree):
+    seed, k, d, r, mode = case
+    m = random_model(np.random.default_rng(seed), k=k)
+    assert exponent_daisy_restricted(m, r=r, d=d, mode=mode).to_dict() == daisy
+    assert exponent_tree(m, r=r, d=d, mode=mode).to_dict() == tree
+
+
+def test_single_delta_crossing_difference_is_exact(table_model):
+    m4 = random_model(np.random.default_rng(124), k=4)
+    for m, d, r in ((table_model, 2, 0.5), (m4, 3, 0.6)):
+        cands = _candidates(m, d, "llr_monotone")
+        for g in cands:
+            for t in np.linspace(g.zmin, g.zmax, 9).tolist():
+                p = _point_eval(g, cands, r, t)
+                for k, dc in enumerate(cands):
+                    assert _tree_diff(g, dc, r, t) == p.bv0[k] - p.bv1[k]
+
+
+def test_rate_function_repeats_are_exact(table_model):
+    q = Quantizer(map=(0, 1, 2), message_alphabet_size=3)
+    im = induce(table_model, q)
+    zmin, zmax = im.llr_support()
+    ts = (0.0, zmin + 0.3 * (zmax - zmin), 0.5, zmin, zmax, zmin - 1.0, zmax + 1.0)
+    for j in (0, 1):
+        for t in ts:
+            first = rate_function(im, j, t)
+            assert rate_function(im, j, t) == first
+            assert rate_function(im, j, t) == first
+            # A freshly induced model starts with an empty constants memo.
+            assert rate_function(induce(table_model, q), j, t) == first
+
+
+def test_reevaluate_staged_report_needs_stage_fraction(table_model):
+    rep = dataclasses.replace(exponent_daisy_restricted(table_model, r=0.5), r=None)
+    with pytest.raises(ValueError):
+        reevaluate_exponent(table_model, rep)

@@ -5,7 +5,9 @@ two-term evaluations, dense grid suprema, and central finite differences.
 """
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from decdet import (
     rate_function_grid,
     validate_model,
 )
+from decdet.exponents import _RATE_CONSTANTS
 from conftest import random_model
 
 
@@ -215,3 +218,13 @@ def test_degenerate_model_has_zero_exponent():
     assert c == 0.0
     assert rate_function(im, 0, 0.0).value == 0.0
     assert math.isinf(rate_function(im, 0, 0.5).value)
+
+
+def test_rate_constants_memo_does_not_keep_models_alive(table_model):
+    im = _gamma2(table_model)
+    rate_function(im, 0, 0.0)
+    assert im in _RATE_CONSTANTS
+    ref = weakref.ref(im)
+    del im
+    gc.collect()
+    assert ref() is None

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -215,3 +216,17 @@ def test_likelihood_ratio_reduction_is_identity_induction():
     im = likelihood_ratio_reduction(m)
     assert im.alphabet_size == 3
     np.testing.assert_allclose(im.llr, np.log(np.asarray(m.pmf1) / np.asarray(m.pmf0)))
+
+
+def test_enumerate_quantizers_emits_no_warning():
+    # A symbol with zero mass under both hypotheses exercises the masked
+    # logs in the LLR tie grouping.
+    models = [
+        validate_model(HypothesisModel(pmf0=(0.8, 0.15, 0.05), pmf1=(0.05, 0.15, 0.8))),
+        validate_model(HypothesisModel(pmf0=(0.5, 0.0, 0.5), pmf1=(0.2, 0.0, 0.8))),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in models:
+            for mode in ("llr_monotone", "all"):
+                assert enumerate_quantizers(m, 2, mode)
