@@ -52,14 +52,18 @@ one memo keyed on t, so a threshold they share is solved once.  The
 crossing bisection of delta k's two branch curves evaluates only delta k's
 two branch points, not the whole delta list.  Ties between quantizers
 break toward the lexicographically smallest canonical map, so parallel and
-serial sweeps report identical strategies.
+serial sweeps report identical strategies.  The two staged optima of one
+(model, r, d, mode) are searched together and kept in an LRU cache keyed on
+the model's pmf bytes, so equal models share one search and the composite
+checks do not repeat it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -83,7 +87,6 @@ from .model import (
 
 __all__ = [
     "KINDS",
-    "ArchitectureSpec",
     "DecayRateVector",
     "ExponentReport",
     "InfeasibleRate",
@@ -141,34 +144,6 @@ def _norm_formulation(formulation: str) -> str:
     if key in ("neymanpearson", "np"):
         return "NeymanPearson"
     raise UnsupportedFormulation(f"unknown formulation: {formulation!r}")
-
-
-@dataclass(frozen=True)
-class ArchitectureSpec:
-    """Which network to evaluate, plus its stage fraction and message size.
-
-    ``r`` is the asymptotic fraction of sensors in the first stage and is
-    meaningful only for the staged kinds (DaisyRestricted, Tree); all
-    feedback-equivalent kinds reduce to parallel optima and take no r.
-    """
-
-    kind: str
-    r: float | None = None
-    message_alphabet_size: int = 2
-    formulation: str = "Bayesian"
-
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown architecture kind: {self.kind!r}")
-        staged = self.kind in _STAGED_KINDS
-        if staged:
-            if self.r is None or not (0.0 < self.r < 1.0):
-                raise ValueError(f"{self.kind} needs a stage fraction r in (0, 1)")
-        elif self.r is not None:
-            raise ValueError(f"{self.kind} takes no stage fraction r")
-        if self.message_alphabet_size < 2:
-            raise ValueError("message alphabet size must be at least 2")
-        object.__setattr__(self, "formulation", _norm_formulation(self.formulation))
 
 
 @dataclass(frozen=True)
@@ -392,28 +367,45 @@ class _Best:
             self.value, self.key, self.gamma, self.point = value, key, gamma, point
 
 
-_SEARCH_CACHE: dict = {}
-_SEARCH_CACHE_CAP = 128
+@dataclass(frozen=True)
+class _StagedOptimum:
+    """Best strategy of one staged objective; ``value`` is minus its exponent.
+
+    ``at_edge`` flags a threshold on the edge of gamma's LLR support.
+    """
+
+    kind: str
+    value: float
+    gamma: Quantizer
+    delta0: Quantizer
+    delta1: Quantizer
+    t: float
+    decay: DecayRateVector
+    branch0: float
+    branch1: float
+    at_edge: bool
 
 
-def _search_staged(m: HypothesisModel, r: float, d: int, mode: str) -> tuple[dict, dict]:
-    """Joint search for the DaisyRestricted and Tree optima.
+def _search_staged(m: HypothesisModel, r: float, d: int, mode: str) -> tuple[_StagedOptimum, _StagedOptimum]:
+    """Joint search for the DaisyRestricted and Tree optima, in that order.
 
-    Returns one result dict per objective; both are computed in one pass
-    because they share every branch-value matrix, and because evaluating
-    the daisy objective at the tree's best threshold (and vice versa) keeps
-    the reported pair consistent: the daisy value can never fall below the
-    tree value at any threshold either search visited.  Results are
-    memoized on the model bytes so the composite checks do not repeat the
-    search.
+    Both are computed in one pass because they share every branch-value
+    matrix, and because evaluating the daisy objective at the tree's best
+    threshold (and vice versa) keeps the reported pair consistent: the
+    daisy value can never fall below the tree value at any threshold either
+    search visited.  The model is validated here, before the cache lookup.
     """
     validate_model(m)
     if not 0.0 < r < 1.0:
         raise ValueError("stage fraction r must lie in (0, 1)")
-    cache_key = (m.pmf0.tobytes(), m.pmf1.tobytes(), float(r), int(d), mode)
-    hit = _SEARCH_CACHE.get(cache_key)
-    if hit is not None:
-        return dict(hit[0]), dict(hit[1])
+    return _staged_optima(m.pmf0.tobytes(), m.pmf1.tobytes(), float(r), int(d), mode)
+
+
+@functools.lru_cache(maxsize=128)
+def _staged_optima(pmf0: bytes, pmf1: bytes, r: float, d: int, mode: str) -> tuple[_StagedOptimum, _StagedOptimum]:
+    # Keyed on the pmf bytes, not the model object, so equal models share
+    # one search; the model is rebuilt bit for bit from them.
+    m = HypothesisModel(pmf0=np.frombuffer(pmf0), pmf1=np.frombuffer(pmf1))
     cands = _candidates(m, d, mode)
     deltas = cands
     best_daisy, best_tree = _Best(), _Best()
@@ -480,53 +472,48 @@ def _search_staged(m: HypothesisModel, r: float, d: int, mode: str) -> tuple[dic
         g, p = best.gamma, best.point
         if g is None or p is None:
             raise ValueError(f"{kind} search found no finite candidate threshold")
-        if kind == "DaisyRestricted":
-            d0, d1 = deltas[p.i_daisy0].q, deltas[p.i_daisy1].q
-            branch0, branch1 = p.bv0[p.i_daisy0], p.bv1[p.i_daisy1]
-        else:
-            d0 = d1 = deltas[p.i_tree].q
-            branch0, branch1 = p.bv0[p.i_tree], p.bv1[p.i_tree]
+        i0, i1 = (p.i_daisy0, p.i_daisy1) if kind == "DaisyRestricted" else (p.i_tree, p.i_tree)
         scale = max(1.0, abs(g.zmin), abs(g.zmax))
         at_edge = min(abs(p.t - g.zmin), abs(p.t - g.zmax)) <= _BOUNDARY_RTOL * scale
         out.append(
-            {
-                "kind": kind,
-                "value": best.value,
-                "gamma": g.q,
-                "delta0": d0,
-                "delta1": d1,
-                "t": p.t,
-                "decay": p.decay,
-                "branch0": branch0,
-                "branch1": branch1,
-                "at_edge": at_edge,
-            }
+            _StagedOptimum(
+                kind=kind,
+                value=best.value,
+                gamma=g.q,
+                delta0=deltas[i0].q,
+                delta1=deltas[i1].q,
+                t=p.t,
+                decay=p.decay,
+                branch0=p.bv0[i0],
+                branch1=p.bv1[i1],
+                at_edge=at_edge,
+            )
         )
-    if len(_SEARCH_CACHE) >= _SEARCH_CACHE_CAP:
-        _SEARCH_CACHE.pop(next(iter(_SEARCH_CACHE)))
-    _SEARCH_CACHE[cache_key] = (dict(out[0]), dict(out[1]))
     return out[0], out[1]
 
 
-def _staged_report(res: dict, r: float, note_extra: str = "") -> ExponentReport:
-    note = "optimum sits at the edge of the threshold range" if res["at_edge"] else ""
-    if note_extra:
-        note = f"{note}; {note_extra}" if note else note_extra
-    e = res["decay"]
+def _strategy_dict(
+    gamma: Quantizer, delta0: Quantizer | None = None, delta1: Quantizer | None = None, t: float | None = None
+) -> dict:
+    """The JSON form of a strategy that ``ExponentReport.strategy`` holds."""
+
+    def labels(q: Quantizer | None) -> list[int] | None:
+        return None if q is None else list(q.map)
+
+    return {"gamma": labels(gamma), "delta0": labels(delta0), "delta1": labels(delta1), "t": t}
+
+
+def _staged_report(res: _StagedOptimum, r: float) -> ExponentReport:
+    e = res.decay
     return ExponentReport(
-        architecture=res["kind"],
+        architecture=res.kind,
         formulation="Bayesian",
         r=r,
-        exponent=-res["value"] + 0.0,
-        strategy={
-            "gamma": list(res["gamma"].map),
-            "delta0": list(res["delta0"].map),
-            "delta1": list(res["delta1"].map),
-            "t": res["t"],
-        },
+        exponent=-res.value + 0.0,
+        strategy=_strategy_dict(res.gamma, res.delta0, res.delta1, res.t),
         decay_rates={"e01": e.e01, "e10": e.e10, "e00": e.e00, "e11": e.e11},
-        branch_values={"branch0": res["branch0"], "branch1": res["branch1"]},
-        note=note,
+        branch_values={"branch0": res.branch0, "branch1": res.branch1},
+        note="optimum sits at the edge of the threshold range" if res.at_edge else "",
     )
 
 
@@ -612,14 +599,9 @@ def exponent_parallel(
         raise ValueError("no candidate quantizer gives a finite exponent")
     if messages_per_sensor == 2:
         gamma, delta = split_product_quantizer(best_q, d)
-        strategy = {
-            "gamma": list(gamma.map),
-            "delta0": list(delta.map),
-            "delta1": list(delta.map),
-            "t": None,
-        }
+        strategy = _strategy_dict(gamma, delta, delta)
     else:
-        strategy = {"gamma": list(best_q.map), "delta0": None, "delta1": None, "t": None}
+        strategy = _strategy_dict(best_q)
     return ExponentReport(
         architecture="Parallel1" if messages_per_sensor == 1 else "Parallel2",
         formulation=formulation,
@@ -759,8 +741,7 @@ def reevaluate_exponent(m: HypothesisModel, report: ExponentReport) -> float:
     kind = report.architecture
 
     def quantizer(key: str) -> Quantizer:
-        labels = strat[key]
-        return Quantizer(map=tuple(labels), message_alphabet_size=max(labels) + 1 if labels else 1)
+        return Quantizer.from_labels(strat.get(key))
 
     if kind in ("Parallel1",) + _ONE_MESSAGE_KINDS:
         return _parallel_value(induce(m, quantizer("gamma")), report.formulation)
@@ -768,12 +749,14 @@ def reevaluate_exponent(m: HypothesisModel, report: ExponentReport) -> float:
         joint = product_quantizer(quantizer("gamma"), quantizer("delta0"))
         return _parallel_value(induce(m, joint), report.formulation)
     if kind in _STAGED_KINDS:
-        r = report.r
+        r, t = report.r, strat.get("t")
         if r is None:
             raise ValueError(f"{kind} report carries no stage fraction r")
+        if t is None:
+            raise ValueError(f"{kind} report carries no aggregator threshold t")
         g = _cand(m, quantizer("gamma"))
         dd = [_cand(m, quantizer("delta0")), _cand(m, quantizer("delta1"))]
-        p = _point_eval(g, dd, r, float(strat["t"]))
+        p = _point_eval(g, dd, r, float(t))
         return -min(p.bv0[0], p.bv1[1])
     raise ValueError(f"cannot reevaluate architecture kind {kind!r}")
 
@@ -795,7 +778,7 @@ def check_symmetric_rate_condition(
     common_value, daisy_exponent, tree_exponent, consistent.
     """
     daisy_res, tree_res = _search_staged(m, r, d, mode)
-    witness: Quantizer = tree_res["delta0"]
+    witness = tree_res.delta0
     im = induce(m, witness)
     zmin, zmax = im.llr_support()
     half = min(-zmin, zmax)
@@ -811,16 +794,16 @@ def check_symmetric_rate_condition(
         shortcut = max(_point_eval(g, cands, r, 0.0).tree for g in cands)
         common_value = -shortcut
         consistent = (
-            abs(common_value - (-daisy_res["value"])) <= 1e-7
-            and abs(common_value - (-tree_res["value"])) <= 1e-7
+            abs(common_value - (-daisy_res.value)) <= 1e-7
+            and abs(common_value - (-tree_res.value)) <= 1e-7
         )
     return {
         "applies": applies,
         "witness": list(witness.map),
         "max_gap": max_gap,
         "common_value": common_value,
-        "daisy_exponent": -daisy_res["value"] + 0.0,
-        "tree_exponent": -tree_res["value"] + 0.0,
+        "daisy_exponent": -daisy_res.value + 0.0,
+        "tree_exponent": -tree_res.value + 0.0,
         "consistent": consistent,
     }
 
@@ -842,8 +825,8 @@ def check_ordering(
     """
     validate_model(m)
     daisy_res, tree_res = _search_staged(m, r, d, mode)
-    e_tree = -tree_res["value"] + 0.0
-    e_daisy = -daisy_res["value"] + 0.0
+    e_tree = -tree_res.value + 0.0
+    e_daisy = -daisy_res.value + 0.0
     e_par = exponent_parallel(m, d=d, messages_per_sensor=1, formulation="Bayesian", mode=mode).exponent
     tv = 0.5 * float(np.abs(m.pmf0 - m.pmf1).sum())
     degenerate = tv <= 1e-9

@@ -111,9 +111,7 @@ def _parse_map(text: str, name: str) -> Quantizer:
         labels = tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
         raise ValueError(f"{name} must be comma-separated integer labels") from exc
-    if not labels:
-        raise ValueError(f"{name} must be nonempty")
-    return Quantizer(map=labels, message_alphabet_size=max(labels) + 1)
+    return Quantizer.from_labels(labels)
 
 
 def _compute_report(m: HypothesisModel, kind: str, args) -> arch.ExponentReport:
@@ -170,18 +168,13 @@ def _strategy_from_args(m: HypothesisModel, args) -> ev.Strategy:
         # architecture, which keeps the common workflow to one command.
         report = _compute_report(m, kind, args)
         return ev.strategy_from_report(report, t=args.t, fusion_threshold=args.fusion_threshold)
-    gamma = _parse_map(args.quantizer, "--quantizer")
-    delta0 = _parse_map(args.delta0, "--delta0") if args.delta0 else None
-    delta1 = _parse_map(args.delta1, "--delta1") if args.delta1 else None
-    staged = kind in ("DaisyRestricted", "Tree", "DaisyFull")
-    needs_t = staged or kind in ("SequentialFeedback2", "FullFeedback2", "RestrictedFeedback2")
-    return ev.Strategy(
-        kind=kind,
-        gamma=gamma,
-        delta0=delta0,
-        delta1=delta1,
-        t=(args.t if args.t is not None else 0.0) if needs_t else None,
-        r=args.r if staged else None,
+    return ev.Strategy.for_kind(
+        kind,
+        _parse_map(args.quantizer, "--quantizer"),
+        delta0=_parse_map(args.delta0, "--delta0") if args.delta0 else None,
+        delta1=_parse_map(args.delta1, "--delta1") if args.delta1 else None,
+        t=args.t,
+        r=args.r,
         fusion_threshold=args.fusion_threshold,
     )
 

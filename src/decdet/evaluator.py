@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -65,8 +65,9 @@ _CHUNK_CELLS = 1 << 22
 _MAX_CHUNK_TRIALS = 8192
 
 _PARALLEL_EXACT = ("Parallel1", "Parallel2", "OneMsgSequential")
-_DAISY_EXACT = ("DaisyRestricted", "Tree", "DaisyFull")
+_TWO_STAGE = ("DaisyRestricted", "Tree", "DaisyFull")
 _ADAPTIVE_MC_ONLY = ("SequentialFeedback2", "FullFeedback2", "RestrictedFeedback2")
+_NEEDS_T = _ADAPTIVE_MC_ONLY + _TWO_STAGE
 
 
 class TooLarge(ValueError):
@@ -105,15 +106,40 @@ class Strategy:
                 raise ValueError(f"{self.kind} needs a second-stage quantizer delta0")
             if self.delta1 is None:
                 object.__setattr__(self, "delta1", self.delta0)
-        needs_t = self.kind in _ADAPTIVE_MC_ONLY + ("DaisyRestricted", "Tree", "DaisyFull")
-        if needs_t and self.t is None:
+        if self.kind in _NEEDS_T and self.t is None:
             raise ValueError(f"{self.kind} needs an aggregator threshold t")
-        staged = self.kind in ("DaisyRestricted", "Tree", "DaisyFull")
-        if staged:
+        if self.kind in _TWO_STAGE:
             if self.r is None or not (0.0 < self.r < 1.0):
                 raise ValueError(f"{self.kind} needs a stage fraction r in (0, 1)")
         elif self.r is not None:
             raise ValueError(f"{self.kind} takes no stage fraction r")
+
+    @classmethod
+    def for_kind(
+        cls,
+        kind: str,
+        gamma: Quantizer,
+        delta0: Quantizer | None = None,
+        delta1: Quantizer | None = None,
+        t: float | None = None,
+        r: float | None = None,
+        fusion_threshold: float = 0.0,
+    ) -> Strategy:
+        """Strategy of ``kind`` keeping only the fields that kind uses.
+
+        ``t`` defaults to 0 for the kinds with an aggregator threshold and
+        is dropped for the rest; ``r`` is dropped for the kinds without
+        stages.  :func:`strategy_from_report` and the CLI build through here.
+        """
+        return cls(
+            kind=kind,
+            gamma=gamma,
+            delta0=delta0,
+            delta1=delta1,
+            t=(0.0 if t is None else t) if kind in _NEEDS_T else None,
+            r=r if kind in _TWO_STAGE else None,
+            fusion_threshold=fusion_threshold,
+        )
 
 
 @dataclass(frozen=True)
@@ -211,7 +237,6 @@ def _estimate_from_logs(n: int, log_pe0: float, log_pe1: float, method: str) -> 
 
 def _parallel_joint(strategy: Strategy) -> Quantizer:
     if strategy.kind == "Parallel2":
-        assert strategy.delta0 is not None
         return product_quantizer(strategy.gamma, strategy.delta0)
     return strategy.gamma
 
@@ -238,6 +263,24 @@ def _stage_sizes(n: int, r: float) -> tuple[int, int]:
     return n1, n - n1
 
 
+def _two_stage_setup(
+    m: HypothesisModel, strategy: Strategy, n: int, what: str
+) -> tuple[int, int, InducedModel, list[InducedModel]]:
+    """Stage sizes and induced models of a two-stage strategy, budget-checked."""
+    n1, n2 = _stage_sizes(n, strategy.r)
+    im1 = induce(m, strategy.gamma)
+    ims2 = [induce(m, strategy.delta0), induce(m, strategy.delta1)]
+    k1 = im1.alphabet_size
+    k2 = max(im.alphabet_size for im in ims2)
+
+    def feasible(nn: int) -> bool:
+        m1, m2 = _stage_sizes(nn, strategy.r) if nn >= 2 else (1, 1)
+        return max(_num_classes(m1, k1), _num_classes(m2, k2)) <= CLASS_BUDGET
+
+    _check_budget(n, feasible, what)
+    return n1, n2, im1, ims2
+
+
 def exact_error_daisy(m: HypothesisModel, strategy: Strategy, n: int) -> ErrorEstimate:
     """Exact error probabilities of a two-stage chain strategy.
 
@@ -250,24 +293,9 @@ def exact_error_daisy(m: HypothesisModel, strategy: Strategy, n: int) -> ErrorEs
     with the matching second-stage tail.
     """
     validate_model(m)
-    if strategy.kind not in _DAISY_EXACT:
+    if strategy.kind not in _TWO_STAGE:
         raise ValueError(f"{strategy.kind} is not a two-stage strategy")
-    assert strategy.r is not None and strategy.t is not None
-    assert strategy.delta0 is not None and strategy.delta1 is not None
-    n1, n2 = _stage_sizes(n, strategy.r)
-    im1 = induce(m, strategy.gamma)
-    im2 = [induce(m, strategy.delta0), induce(m, strategy.delta1)]
-    k1 = im1.alphabet_size
-    k2 = max(im.alphabet_size for im in im2)
-
-    def feasible(nn: int) -> bool:
-        m1, m2 = _stage_sizes(nn, strategy.r) if nn >= 2 else (1, 1)
-        return max(_num_classes(m1, k1), _num_classes(m2, k2)) <= CLASS_BUDGET
-
-    if n < 2:
-        raise ValueError("a two-stage chain needs n >= 2")
-    _check_budget(n, feasible, "a two-stage strategy")
-
+    n1, n2, im1, im2 = _two_stage_setup(m, strategy, n, "a two-stage strategy")
     logp0_1, logp1_1, sums1 = _class_table(im1, n1)
     umask = sums1 >= strategy.t * n1
     thr = strategy.fusion_threshold
@@ -313,7 +341,7 @@ def exact_error(m: HypothesisModel, strategy: Strategy, n: int) -> ErrorEstimate
     """Exact error probabilities for any strategy with a product-form transcript."""
     if strategy.kind in _PARALLEL_EXACT:
         return exact_error_parallel(m, strategy, n)
-    if strategy.kind in _DAISY_EXACT:
+    if strategy.kind in _TWO_STAGE:
         return exact_error_daisy(m, strategy, n)
     raise ValueError(
         f"{strategy.kind} adapts each sensor to the realized feedback, so its "
@@ -345,14 +373,13 @@ def _sample_symbols(rng: np.random.Generator, pmf: np.ndarray, rows: int, n: int
 def _transcript_llr(strategy: Strategy, m: HypothesisModel, obs: np.ndarray, tables: dict) -> np.ndarray:
     """Exact fusion-center LLR of each row's transcript."""
     kind = strategy.kind
-    if kind in ("Parallel1", "OneMsgSequential", "Parallel2"):
+    if kind in _PARALLEL_EXACT:
         return tables["joint"][obs].sum(axis=1)
 
     n = obs.shape[1]
     if kind in _ADAPTIVE_MC_ONLY:
         llr1 = tables["first"][obs]
         t = strategy.t
-        assert t is not None
         if kind == "SequentialFeedback2":
             prefix = np.cumsum(llr1, axis=1)
             u = np.zeros(obs.shape, dtype=bool)
@@ -382,17 +409,13 @@ def _transcript_llr(strategy: Strategy, m: HypothesisModel, obs: np.ndarray, tab
 def _build_tables(m: HypothesisModel, strategy: Strategy, n: int) -> dict:
     tables: dict = {}
     kind = strategy.kind
-    if kind in ("Parallel1", "OneMsgSequential"):
-        tables["joint"] = _symbol_llr_table(m, strategy.gamma)
-    elif kind == "Parallel2":
+    if kind in _PARALLEL_EXACT:
         tables["joint"] = _symbol_llr_table(m, _parallel_joint(strategy))
     elif kind in _ADAPTIVE_MC_ONLY:
-        assert strategy.delta0 is not None and strategy.delta1 is not None
         tables["first"] = _symbol_llr_table(m, strategy.gamma)
         tables["joint0"] = _symbol_llr_table(m, product_quantizer(strategy.gamma, strategy.delta0))
         tables["joint1"] = _symbol_llr_table(m, product_quantizer(strategy.gamma, strategy.delta1))
     else:
-        assert strategy.delta0 is not None and strategy.delta1 is not None
         tables["first"] = _symbol_llr_table(m, strategy.gamma)
         tables["second0"] = _symbol_llr_table(m, strategy.delta0)
         tables["second1"] = _symbol_llr_table(m, strategy.delta1)
@@ -434,7 +457,7 @@ def simulate(
     validate_model(m)
     if n < 1 or num_trials < 1:
         raise ValueError("n and num_trials must be positive")
-    if strategy.kind in ("DaisyRestricted", "Tree", "DaisyFull"):
+    if strategy.kind in _TWO_STAGE:
         _stage_sizes(n, strategy.r)  # type: ignore[arg-type]
     tables = _build_tables(m, strategy, n)
     chunk = _chunk_trials(n)
@@ -554,19 +577,7 @@ def llr_distribution_daisy(m: HypothesisModel, strategy: Strategy, n: int) -> In
     validate_model(m)
     if strategy.kind not in ("DaisyRestricted", "Tree"):
         raise ValueError("transcript atoms with an aggregator bit need a restricted chain")
-    assert strategy.r is not None and strategy.t is not None
-    assert strategy.delta0 is not None and strategy.delta1 is not None
-    n1, n2 = _stage_sizes(n, strategy.r)
-    im1 = induce(m, strategy.gamma)
-    k1 = im1.alphabet_size
-    ims2 = [induce(m, strategy.delta0), induce(m, strategy.delta1)]
-    k2 = max(im.alphabet_size for im in ims2)
-
-    def feasible(nn: int) -> bool:
-        m1, m2 = _stage_sizes(nn, strategy.r) if nn >= 2 else (1, 1)
-        return max(_num_classes(m1, k1), _num_classes(m2, k2)) <= CLASS_BUDGET
-
-    _check_budget(n, feasible, "a two-stage transcript")
+    n1, n2, im1, ims2 = _two_stage_setup(m, strategy, n, "a two-stage transcript")
     logp0_1, logp1_1, sums1 = _class_table(im1, n1)
     umask = sums1 >= strategy.t * n1
     q0_parts, q1_parts, llr_parts = [], [], []
@@ -594,28 +605,18 @@ def strategy_from_report(
     """Turn an exponent report's strategy block into a simulatable Strategy.
 
     The feedback kinds carry no threshold in their reports (their optimum
-    is threshold-free); pass ``t`` to choose one, default 0.
+    is threshold-free); pass ``t`` to choose one, default 0.  Raises
+    ValueError when the report's gamma is missing or its maps are not
+    integer label lists.
     """
     strat = report.strategy
-    kind = report.architecture
-
-    def as_q(labels: Iterable[int] | None) -> Quantizer | None:
-        if labels is None:
-            return None
-        labels = tuple(int(v) for v in labels)
-        return Quantizer(map=labels, message_alphabet_size=max(labels) + 1)
-
-    gamma = as_q(strat.get("gamma"))
-    assert gamma is not None
-    report_t = strat.get("t")
-    needs_t = kind in _ADAPTIVE_MC_ONLY + ("DaisyRestricted", "Tree", "DaisyFull")
-    chosen_t = t if t is not None else (report_t if report_t is not None else 0.0)
-    return Strategy(
-        kind=kind,
-        gamma=gamma,
-        delta0=as_q(strat.get("delta0")),
-        delta1=as_q(strat.get("delta1")),
-        t=chosen_t if needs_t else None,
+    d0, d1 = strat.get("delta0"), strat.get("delta1")
+    return Strategy.for_kind(
+        report.architecture,
+        Quantizer.from_labels(strat.get("gamma")),
+        delta0=None if d0 is None else Quantizer.from_labels(d0),
+        delta1=None if d1 is None else Quantizer.from_labels(d1),
+        t=t if t is not None else strat.get("t"),
         r=report.r,
         fusion_threshold=fusion_threshold,
     )

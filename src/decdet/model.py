@@ -12,9 +12,11 @@ they can be shared freely across threads or processes.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -113,6 +115,21 @@ class Quantizer:
         object.__setattr__(self, "map", tuple(relabel[v] for v in raw))
         object.__setattr__(self, "message_alphabet_size", d)
 
+    @classmethod
+    def from_labels(cls, labels: Iterable[int] | None) -> Quantizer:
+        """Canonical quantizer of a label list, sized to its largest label.
+
+        Raises ValueError unless ``labels`` is a nonempty sequence of
+        integers; a float label such as 1.5 is rejected, not truncated.
+        """
+        try:
+            vals = tuple(operator.index(v) for v in labels)  # type: ignore[union-attr]
+        except TypeError:
+            vals = ()
+        if not vals:
+            raise ValueError(f"quantizer labels must be a nonempty list of integers, got {labels!r}")
+        return cls(map=vals, message_alphabet_size=max(vals) + 1)
+
     @property
     def num_cells(self) -> int:
         return len(set(self.map))
@@ -124,7 +141,7 @@ class InducedModel:
 
     Messages carrying zero mass under both hypotheses are dropped; a message
     with mass under exactly one hypothesis cannot occur for a validated
-    model, and construction asserts as much.  ``llr[y]`` is
+    model, and :func:`induce` raises SupportMismatch on one.  ``llr[y]`` is
     ``log(q1[y] / q0[y])`` and every kept entry is finite.
     """
 
@@ -188,9 +205,10 @@ def induce(m: HypothesisModel, q: Quantizer) -> InducedModel:
     q0 = np.bincount(labels, weights=m.pmf0, minlength=q.message_alphabet_size)
     q1 = np.bincount(labels, weights=m.pmf1, minlength=q.message_alphabet_size)
     keep = (q0 > 0.0) | (q1 > 0.0)
-    # One-sided zeros are impossible once the model passed validate_model.
-    assert not np.any((q0[keep] == 0.0) != (q1[keep] == 0.0)), "one-sided zero-mass message"
     q0, q1 = q0[keep], q1[keep]
+    # One-sided zeros are impossible once the model passed validate_model.
+    if np.any((q0 == 0.0) != (q1 == 0.0)):
+        raise SupportMismatch("a message has zero mass under exactly one hypothesis")
     llr = np.log(q1) - np.log(q0)
     return InducedModel(q0=q0, q1=q1, llr=llr)
 

@@ -30,7 +30,7 @@ from decdet import (
     reevaluate_exponent,
     validate_model,
 )
-from decdet.architectures import _candidates, _point_eval, _tree_diff
+from decdet.architectures import _candidates, _point_eval, _search_staged, _staged_optima, _tree_diff
 from conftest import random_model
 
 
@@ -444,3 +444,35 @@ def test_reevaluate_staged_report_needs_stage_fraction(table_model):
     rep = dataclasses.replace(exponent_daisy_restricted(table_model, r=0.5), r=None)
     with pytest.raises(ValueError):
         reevaluate_exponent(table_model, rep)
+
+
+def _edited(report, drop=(), **changes):
+    strategy = {k: v for k, v in report.strategy.items() if k not in drop}
+    return dataclasses.replace(report, strategy={**strategy, **changes})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda m: _edited(exponent_parallel(m), gamma=None),
+        lambda m: _edited(exponent_daisy_restricted(m, r=0.5), gamma=None),
+        lambda m: _edited(exponent_parallel(m, messages_per_sensor=2), drop=("delta0",)),
+        lambda m: _edited(exponent_tree(m, r=0.5), t=None),
+        lambda m: _edited(exponent_parallel(m), gamma=[0, 0.5, 1]),
+    ],
+    ids=["parallel1-gamma-none", "daisy-gamma-none", "parallel2-no-delta0", "tree-t-none", "float-label"],
+)
+def test_reevaluate_rejects_incomplete_strategy(table_model, build):
+    with pytest.raises(ValueError):
+        reevaluate_exponent(table_model, build(table_model))
+
+
+def test_staged_search_is_shared_by_equal_models(table_model):
+    twin = HypothesisModel(pmf0=table_model.pmf0.copy(), pmf1=table_model.pmf1.copy())
+    first = _search_staged(table_model, 0.35, 2, "llr_monotone")
+    hits = _staged_optima.cache_info().hits
+    again = _search_staged(twin, 0.35, 2, "llr_monotone")
+    assert _staged_optima.cache_info().hits == hits + 1
+    assert again is first
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first[0].value = 0.0

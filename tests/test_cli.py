@@ -220,6 +220,32 @@ def test_simulate_optimizes_when_no_maps_given(capsys, model_file):
     assert out.startswith("n,p_e0")
 
 
+def test_simulate_explicit_maps_default_t_to_zero(capsys, model_file):
+    argv = [
+        "simulate",
+        "--model",
+        model_file,
+        "--arch",
+        "daisy-restricted",
+        "--r",
+        "0.5",
+        "--quantizer",
+        "0,0,1",
+        "--delta0",
+        "0,0,1",
+        "--delta1",
+        "0,1,1",
+        "--n-grid",
+        "6,12",
+        "--method",
+        "exact",
+    ]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert _run(capsys, argv + ["--t", "0"]) == (0, out, "")
+    assert _run(capsys, argv + ["--t", "-1"])[1] != out
+
+
 def test_simulate_too_large_exits_two(capsys, model_file):
     code, _, err = _run(
         capsys,

@@ -5,6 +5,7 @@ tuples; the library's type-class arithmetic must match it to float noise.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -289,3 +290,14 @@ def test_strategy_from_report_round_trip(table_model):
     with_t = strategy_from_report(rep, t=0.3, fusion_threshold=-0.1)
     assert with_t.t == 0.3
     assert with_t.fusion_threshold == -0.1
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("gamma", None), ("gamma", []), ("gamma", [0, 0.5, 1]), ("delta0", [0, "a", 1])],
+)
+def test_strategy_from_report_rejects_bad_maps(table_model, key, value):
+    rep = exponent_daisy_restricted(table_model, r=0.5)
+    bad = dataclasses.replace(rep, strategy={**rep.strategy, key: value})
+    with pytest.raises(ValueError):
+        strategy_from_report(bad)

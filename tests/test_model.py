@@ -45,9 +45,13 @@ def test_validate_rejects_negative_mass():
 
 
 def test_validate_rejects_one_sided_support():
+    m = HypothesisModel(pmf0=(1.0, 0.0), pmf1=(0.5, 0.5))
     with pytest.raises(SupportMismatch) as exc:
-        validate_model(HypothesisModel(pmf0=(1.0, 0.0), pmf1=(0.5, 0.5)))
+        validate_model(m)
     assert "mutually absolutely continuous" in str(exc.value)
+    # Induction of the unvalidated model must not hand back an infinite LLR.
+    with pytest.raises(SupportMismatch):
+        induce(m, identity_quantizer(m))
 
 
 def test_validate_rejects_length_mismatch():
@@ -108,6 +112,28 @@ def test_quantizer_relabeling_invariance(labels, perm):
 def test_quantizer_rejects_out_of_range_label():
     with pytest.raises(ValueError):
         Quantizer(map=(0, 2), message_alphabet_size=2)
+
+
+@pytest.mark.parametrize(
+    "labels,expected",
+    [
+        ([2, 2, 0], Quantizer(map=(0, 0, 1), message_alphabet_size=3)),
+        ((0, 1, 1), Quantizer(map=(0, 1, 1), message_alphabet_size=2)),
+        (np.array([3, 0, 3]), Quantizer(map=(0, 1, 0), message_alphabet_size=4)),
+        (None, ValueError),
+        ([], ValueError),
+        ([0, 1.5], ValueError),
+        (["0", "1"], ValueError),
+    ],
+)
+def test_quantizer_from_labels(labels, expected):
+    if expected is ValueError:
+        with pytest.raises(ValueError):
+            Quantizer.from_labels(labels)
+    else:
+        q = Quantizer.from_labels(labels)
+        assert q == expected
+        assert q.message_alphabet_size == expected.message_alphabet_size
 
 
 def test_product_and_split_share_partition():
