@@ -68,6 +68,8 @@ _PARALLEL_EXACT = ("Parallel1", "Parallel2", "OneMsgSequential")
 _TWO_STAGE = ("DaisyRestricted", "Tree", "DaisyFull")
 _ADAPTIVE_MC_ONLY = ("SequentialFeedback2", "FullFeedback2", "RestrictedFeedback2")
 _NEEDS_T = _ADAPTIVE_MC_ONLY + _TWO_STAGE
+# (log mass under H0, log mass under H1, LLR) per atom: a type class or a transcript atom.
+_LogAtoms = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class TooLarge(ValueError):
@@ -188,17 +190,26 @@ def _compositions(n: int, k: int) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def _num_classes(n: int, k: int) -> int:
-    return math.comb(n + k - 1, k - 1)
+def _stage_classes(n: int, k1: int, k2: int, r: float | None) -> int:
+    """Most type classes a stage enumerates at n: one stage of k1 messages,
+    or with ``r`` round(r * n) sensors of k1 and the rest of k2 (none when
+    that split leaves a stage empty)."""
+    if r is None:
+        return math.comb(n + k1 - 1, k1 - 1)
+    n1 = int(round(r * n))
+    if n1 < 1 or n1 > n - 1:
+        return 0
+    return max(math.comb(n1 + k1 - 1, k1 - 1), math.comb(n - n1 + k2 - 1, k2 - 1))
 
 
-def _check_budget(n: int, feasible: Callable[[int], bool], what: str) -> None:
-    if feasible(n):
+def _check_budget(n: int, what: str, k1: int, k2: int = 1, r: float | None = None) -> None:
+    """Raise TooLarge when a stage at n exceeds CLASS_BUDGET type classes."""
+    if _stage_classes(n, k1, k2, r) <= CLASS_BUDGET:
         return
     lo, hi = 0, n
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if feasible(mid):
+        if _stage_classes(mid, k1, k2, r) <= CLASS_BUDGET:
             lo = mid
         else:
             hi = mid
@@ -208,7 +219,7 @@ def _check_budget(n: int, feasible: Callable[[int], bool], what: str) -> None:
     )
 
 
-def _class_table(im: InducedModel, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _class_table(im: InducedModel, n: int) -> _LogAtoms:
     """(logp0, logp1, llr_sum) over all message type classes at blocklength n."""
     counts = _compositions(n, im.alphabet_size)
     logcoef = gammaln(n + 1) - gammaln(counts + 1.0).sum(axis=1)
@@ -241,17 +252,21 @@ def _parallel_joint(strategy: Strategy) -> Quantizer:
     return strategy.gamma
 
 
-def exact_error_parallel(m: HypothesisModel, strategy: Strategy, n: int) -> ErrorEstimate:
-    """Exact error probabilities of a parallel strategy by type-class sums."""
+def _parallel_table(m: HypothesisModel, strategy: Strategy, n: int, what: str) -> _LogAtoms:
+    """Class table of a parallel-form strategy's joint messages at n, budget-checked."""
     validate_model(m)
     if strategy.kind not in _PARALLEL_EXACT:
         raise ValueError(f"{strategy.kind} is not a parallel-form strategy")
     if n < 1:
         raise ValueError("blocklength n must be positive")
     im = induce(m, _parallel_joint(strategy))
-    k = im.alphabet_size
-    _check_budget(n, lambda nn: _num_classes(nn, k) <= CLASS_BUDGET, "a parallel strategy")
-    logp0, logp1, sums = _class_table(im, n)
+    _check_budget(n, what, im.alphabet_size)
+    return _class_table(im, n)
+
+
+def exact_error_parallel(m: HypothesisModel, strategy: Strategy, n: int) -> ErrorEstimate:
+    """Exact error probabilities of a parallel strategy by type-class sums."""
+    logp0, logp1, sums = _parallel_table(m, strategy, n, "a parallel strategy")
     decide1 = sums >= strategy.fusion_threshold
     return _estimate_from_logs(n, _lse(logp0[decide1]), _lse(logp1[~decide1]), "exact")
 
@@ -270,15 +285,36 @@ def _two_stage_setup(
     n1, n2 = _stage_sizes(n, strategy.r)
     im1 = induce(m, strategy.gamma)
     ims2 = [induce(m, strategy.delta0), induce(m, strategy.delta1)]
-    k1 = im1.alphabet_size
-    k2 = max(im.alphabet_size for im in ims2)
-
-    def feasible(nn: int) -> bool:
-        m1, m2 = _stage_sizes(nn, strategy.r) if nn >= 2 else (1, 1)
-        return max(_num_classes(m1, k1), _num_classes(m2, k2)) <= CLASS_BUDGET
-
-    _check_budget(n, feasible, what)
+    _check_budget(n, what, im1.alphabet_size, max(im.alphabet_size for im in ims2), strategy.r)
     return n1, n2, im1, ims2
+
+
+def _first_stage_split(im1: InducedModel, n1: int, t: float) -> list[tuple[int, _LogAtoms]]:
+    """(u, classes) for each value u of the aggregator bit U = 1{first-stage
+    LLR sum >= t * n1} that some first-stage type class selects, u = 0 first."""
+    logp0, logp1, sums = _class_table(im1, n1)
+    umask = sums >= t * n1
+    split = []
+    for u in (0, 1):
+        sel = umask if u else ~umask
+        if np.any(sel):
+            split.append((u, (logp0[sel], logp1[sel], sums[sel])))
+    return split
+
+
+def _restricted_atoms(im1: InducedModel, ims2: list[InducedModel], n1: int, n2: int, t: float) -> _LogAtoms:
+    """(log q0, log q1, llr) of a restricted chain's transcript atoms.
+
+    One atom per (U, second-stage type class) pair, u = 0 first; its LLR
+    is the exact log-odds of U plus the second-stage sum.
+    """
+    parts = []
+    for u, (lp0, lp1, _) in _first_stage_split(im1, n1, t):
+        lu0, lu1 = _lse(lp0), _lse(lp1)
+        logp0_2, logp1_2, sums2 = _class_table(ims2[u], n2)
+        parts.append((lu0 + logp0_2, lu1 + logp1_2, (lu1 - lu0) + sums2))
+    logq0, logq1, llr = (np.concatenate(col) for col in zip(*parts))
+    return logq0, logq1, llr
 
 
 def exact_error_daisy(m: HypothesisModel, strategy: Strategy, n: int) -> ErrorEstimate:
@@ -295,45 +331,32 @@ def exact_error_daisy(m: HypothesisModel, strategy: Strategy, n: int) -> ErrorEs
     validate_model(m)
     if strategy.kind not in _TWO_STAGE:
         raise ValueError(f"{strategy.kind} is not a two-stage strategy")
-    n1, n2, im1, im2 = _two_stage_setup(m, strategy, n, "a two-stage strategy")
-    logp0_1, logp1_1, sums1 = _class_table(im1, n1)
-    umask = sums1 >= strategy.t * n1
+    n1, n2, im1, ims2 = _two_stage_setup(m, strategy, n, "a two-stage strategy")
     thr = strategy.fusion_threshold
+    if strategy.kind != "DaisyFull":
+        logq0, logq1, llr = _restricted_atoms(im1, ims2, n1, n2, strategy.t)
+        decide1 = llr >= thr
+        return _estimate_from_logs(n, _lse(logq0[decide1]), _lse(logq1[~decide1]), "exact")
+
+    # Fusion sees the first-stage messages as well, so the decision couples
+    # the two stages; group second-stage classes into sorted tails and query
+    # one tail per first-stage class.
     lp0_err: list[np.ndarray] = []
     lp1_err: list[np.ndarray] = []
-
-    if strategy.kind == "DaisyFull":
-        # Fusion sees the first-stage messages as well, so the decision
-        # couples the two stages; group second-stage classes into sorted
-        # tails and query one tail per first-stage class.
-        for u in (0, 1):
-            sel = umask if u else ~umask
-            if not np.any(sel):
-                continue
-            logp0_2, logp1_2, sums2 = _class_table(im2[u], n2)
-            order = np.argsort(sums2, kind="stable")
-            s2 = sums2[order]
-            tail0 = np.full(s2.size + 1, -math.inf)
-            tail0[:-1] = np.logaddexp.accumulate(logp0_2[order][::-1])[::-1]
-            head1 = np.full(s2.size + 1, -math.inf)
-            head1[1:] = np.logaddexp.accumulate(logp1_2[order])
-            # Decide 1 iff first-stage sum + second-stage sum >= thr.
-            idx = np.searchsorted(s2, thr - sums1[sel], side="left")
-            lp0_err.append(logp0_1[sel] + tail0[idx])
-            lp1_err.append(logp1_1[sel] + head1[idx])
-    else:
-        for u in (0, 1):
-            sel = umask if u else ~umask
-            if not np.any(sel):
-                continue
-            lu0, lu1 = _lse(logp0_1[sel]), _lse(logp1_1[sel])
-            logp0_2, logp1_2, sums2 = _class_table(im2[u], n2)
-            decide1 = (lu1 - lu0) + sums2 >= thr
-            lp0_err.append(lu0 + logp0_2[decide1])
-            lp1_err.append(lu1 + logp1_2[~decide1])
-
-    log_pe0 = _lse(np.concatenate(lp0_err)) if lp0_err else -math.inf
-    log_pe1 = _lse(np.concatenate(lp1_err)) if lp1_err else -math.inf
+    for u, (logp0_1, logp1_1, sums1) in _first_stage_split(im1, n1, strategy.t):
+        logp0_2, logp1_2, sums2 = _class_table(ims2[u], n2)
+        order = np.argsort(sums2, kind="stable")
+        s2 = sums2[order]
+        tail0 = np.full(s2.size + 1, -math.inf)
+        tail0[:-1] = np.logaddexp.accumulate(logp0_2[order][::-1])[::-1]
+        head1 = np.full(s2.size + 1, -math.inf)
+        head1[1:] = np.logaddexp.accumulate(logp1_2[order])
+        # Decide 1 iff first-stage sum + second-stage sum >= thr.
+        idx = np.searchsorted(s2, thr - sums1, side="left")
+        lp0_err.append(logp0_1 + tail0[idx])
+        lp1_err.append(logp1_1 + head1[idx])
+    log_pe0 = _lse(np.concatenate(lp0_err))
+    log_pe1 = _lse(np.concatenate(lp1_err))
     return _estimate_from_logs(n, log_pe0, log_pe1, "exact")
 
 
@@ -370,73 +393,60 @@ def _sample_symbols(rng: np.random.Generator, pmf: np.ndarray, rows: int, n: int
     return np.minimum(np.searchsorted(cdf, u, side="right"), pmf.size - 1)
 
 
-def _transcript_llr(strategy: Strategy, m: HypothesisModel, obs: np.ndarray, tables: dict) -> np.ndarray:
-    """Exact fusion-center LLR of each row's transcript."""
-    kind = strategy.kind
+def _transcript_llr_fn(m: HypothesisModel, strategy: Strategy, n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Map from sampled observations (one row per trial) to each row's exact
+    fusion-center LLR, with the per-symbol tables built once."""
+    kind, t = strategy.kind, strategy.t
     if kind in _PARALLEL_EXACT:
-        return tables["joint"][obs].sum(axis=1)
+        joint = _symbol_llr_table(m, _parallel_joint(strategy))
+        return lambda obs: joint[obs].sum(axis=1)
 
-    n = obs.shape[1]
+    first = _symbol_llr_table(m, strategy.gamma)
     if kind in _ADAPTIVE_MC_ONLY:
-        llr1 = tables["first"][obs]
-        t = strategy.t
-        if kind == "SequentialFeedback2":
-            prefix = np.cumsum(llr1, axis=1)
-            u = np.zeros(obs.shape, dtype=bool)
-            # Sensor k reacts to the mean of the k earlier first messages;
-            # the first sensor has no history and uses delta0.
-            u[:, 1:] = prefix[:, :-1] >= t * np.arange(1, n)
-        elif kind == "FullFeedback2":
-            total = llr1.sum(axis=1, keepdims=True)
-            u = (total - llr1) >= t * (n - 1)
-        else:
-            total = llr1.sum(axis=1, keepdims=True)
-            u = np.broadcast_to(total >= t * n, obs.shape)
-        return np.where(u, tables["joint1"][obs], tables["joint0"][obs]).sum(axis=1)
+        joint0 = _symbol_llr_table(m, product_quantizer(strategy.gamma, strategy.delta0))
+        joint1 = _symbol_llr_table(m, product_quantizer(strategy.gamma, strategy.delta1))
+
+        def adaptive(obs: np.ndarray) -> np.ndarray:
+            llr1 = first[obs]
+            if kind == "SequentialFeedback2":
+                prefix = np.cumsum(llr1, axis=1)
+                u = np.zeros(obs.shape, dtype=bool)
+                # Sensor k reacts to the mean of the k earlier first messages;
+                # the first sensor has no history and uses delta0.
+                u[:, 1:] = prefix[:, :-1] >= t * np.arange(1, n)
+            elif kind == "FullFeedback2":
+                total = llr1.sum(axis=1, keepdims=True)
+                u = (total - llr1) >= t * (n - 1)
+            else:
+                total = llr1.sum(axis=1, keepdims=True)
+                u = np.broadcast_to(total >= t * n, obs.shape)
+            return np.where(u, joint1[obs], joint0[obs]).sum(axis=1)
+
+        return adaptive
 
     # Two-stage chains: the first n1 columns form the aggregator bit.
-    n1, _ = _stage_sizes(n, strategy.r)  # type: ignore[arg-type]
-    llr1 = tables["first"][obs[:, :n1]]
-    s1 = llr1.sum(axis=1)
-    u = s1 >= strategy.t * n1  # type: ignore[operator]
-    second = np.where(u[:, None], tables["second1"][obs[:, n1:]], tables["second0"][obs[:, n1:]])
-    s2 = second.sum(axis=1)
-    if kind == "DaisyFull":
-        return s1 + s2
-    return np.where(u, tables["logit_u1"], tables["logit_u0"]) + s2
+    n1, _ = _stage_sizes(n, strategy.r)
+    second0 = _symbol_llr_table(m, strategy.delta0)
+    second1 = _symbol_llr_table(m, strategy.delta1)
+    logit_u = None
+    if kind != "DaisyFull":
+        # The fusion center sees only the bit U from stage one, so its
+        # transcript LLR needs the exact log-odds of U at this n.
+        im1 = induce(m, strategy.gamma)
+        _check_budget(n1, "the aggregator-bit distribution", im1.alphabet_size)
+        logit_u = [0.0, 0.0]
+        for u, (lp0, lp1, _) in _first_stage_split(im1, n1, t):
+            logit_u[u] = _lse(lp1) - _lse(lp0)
 
+    def two_stage(obs: np.ndarray) -> np.ndarray:
+        s1 = first[obs[:, :n1]].sum(axis=1)
+        u = s1 >= t * n1
+        s2 = np.where(u[:, None], second1[obs[:, n1:]], second0[obs[:, n1:]]).sum(axis=1)
+        if logit_u is None:
+            return s1 + s2
+        return np.where(u, logit_u[1], logit_u[0]) + s2
 
-def _build_tables(m: HypothesisModel, strategy: Strategy, n: int) -> dict:
-    tables: dict = {}
-    kind = strategy.kind
-    if kind in _PARALLEL_EXACT:
-        tables["joint"] = _symbol_llr_table(m, _parallel_joint(strategy))
-    elif kind in _ADAPTIVE_MC_ONLY:
-        tables["first"] = _symbol_llr_table(m, strategy.gamma)
-        tables["joint0"] = _symbol_llr_table(m, product_quantizer(strategy.gamma, strategy.delta0))
-        tables["joint1"] = _symbol_llr_table(m, product_quantizer(strategy.gamma, strategy.delta1))
-    else:
-        tables["first"] = _symbol_llr_table(m, strategy.gamma)
-        tables["second0"] = _symbol_llr_table(m, strategy.delta0)
-        tables["second1"] = _symbol_llr_table(m, strategy.delta1)
-        if kind != "DaisyFull":
-            # The fusion center sees only the bit U from stage one, so its
-            # transcript LLR needs the exact log-odds of U at this n.
-            n1, _ = _stage_sizes(n, strategy.r)  # type: ignore[arg-type]
-            im1 = induce(m, strategy.gamma)
-            k1 = im1.alphabet_size
-            _check_budget(
-                n1,
-                lambda nn: _num_classes(nn, k1) <= CLASS_BUDGET,
-                "the aggregator-bit distribution",
-            )
-            logp0_1, logp1_1, sums1 = _class_table(im1, n1)
-            umask = sums1 >= strategy.t * n1  # type: ignore[operator]
-            lo0, lo1 = _lse(logp0_1[~umask]), _lse(logp1_1[~umask])
-            hi0, hi1 = _lse(logp0_1[umask]), _lse(logp1_1[umask])
-            tables["logit_u0"] = lo1 - lo0 if lo0 > -math.inf else 0.0
-            tables["logit_u1"] = hi1 - hi0 if hi0 > -math.inf else 0.0
-    return tables
+    return two_stage
 
 
 def simulate(
@@ -457,9 +467,7 @@ def simulate(
     validate_model(m)
     if n < 1 or num_trials < 1:
         raise ValueError("n and num_trials must be positive")
-    if strategy.kind in _TWO_STAGE:
-        _stage_sizes(n, strategy.r)  # type: ignore[arg-type]
-    tables = _build_tables(m, strategy, n)
+    transcript_llr = _transcript_llr_fn(m, strategy, n)
     chunk = _chunk_trials(n)
     errors = [0, 0]
     for j, pmf in ((0, m.pmf0), (1, m.pmf1)):
@@ -470,7 +478,7 @@ def simulate(
             bitgen = np.random.Philox(key=[seed, 0], counter=[0, chunk_idx, j, 0])
             rng = np.random.Generator(bitgen)
             obs = _sample_symbols(rng, pmf, rows, n)
-            llr = _transcript_llr(strategy, m, obs, tables)
+            llr = transcript_llr(obs)
             decide1 = llr >= strategy.fusion_threshold
             errors[j] += int(decide1.sum()) if j == 0 else int((~decide1).sum())
             done += rows
@@ -557,13 +565,10 @@ def llr_distribution_parallel(m: HypothesisModel, strategy: Strategy, n: int) ->
 
     One atom per message type class; feeding the result to
     :func:`sgb_lower_bound` with n=1 bounds the n-sensor network.  Class
-    probabilities below the floating-point floor flush to zero mass.
+    probabilities below the floating-point floor flush to zero mass.  Raises
+    ValueError for a strategy outside the parallel-form kinds.
     """
-    validate_model(m)
-    im = induce(m, _parallel_joint(strategy))
-    k = im.alphabet_size
-    _check_budget(n, lambda nn: _num_classes(nn, k) <= CLASS_BUDGET, "a parallel transcript")
-    logp0, logp1, sums = _class_table(im, n)
+    logp0, logp1, sums = _parallel_table(m, strategy, n, "a parallel transcript")
     return InducedModel(q0=np.exp(logp0), q1=np.exp(logp1), llr=sums)
 
 
@@ -578,23 +583,8 @@ def llr_distribution_daisy(m: HypothesisModel, strategy: Strategy, n: int) -> In
     if strategy.kind not in ("DaisyRestricted", "Tree"):
         raise ValueError("transcript atoms with an aggregator bit need a restricted chain")
     n1, n2, im1, ims2 = _two_stage_setup(m, strategy, n, "a two-stage transcript")
-    logp0_1, logp1_1, sums1 = _class_table(im1, n1)
-    umask = sums1 >= strategy.t * n1
-    q0_parts, q1_parts, llr_parts = [], [], []
-    for u in (0, 1):
-        sel = umask if u else ~umask
-        if not np.any(sel):
-            continue
-        lu0, lu1 = _lse(logp0_1[sel]), _lse(logp1_1[sel])
-        logp0_2, logp1_2, sums2 = _class_table(ims2[u], n2)
-        q0_parts.append(np.exp(lu0 + logp0_2))
-        q1_parts.append(np.exp(lu1 + logp1_2))
-        llr_parts.append((lu1 - lu0) + sums2)
-    return InducedModel(
-        q0=np.concatenate(q0_parts),
-        q1=np.concatenate(q1_parts),
-        llr=np.concatenate(llr_parts),
-    )
+    logq0, logq1, llr = _restricted_atoms(im1, ims2, n1, n2, strategy.t)
+    return InducedModel(q0=np.exp(logq0), q1=np.exp(logq1), llr=llr)
 
 
 def strategy_from_report(

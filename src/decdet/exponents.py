@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,17 +72,52 @@ class RateFunctionValue:
     argmax_s: float
 
 
-def _log_weights(im: InducedModel, j: int) -> tuple[np.ndarray, np.ndarray]:
+class _RateConstants:
+    """Per-(model, hypothesis) constants shared by every solver.
+
+    ``logq`` is -inf on atoms whose mass underflowed to zero, so they drop
+    out of every log-sum-exp.  ``float_lists`` is built on the scalar
+    solver's first call only.
+    """
+
+    def __init__(self, im: InducedModel, j: int) -> None:
+        z = self.llr = im.llr
+        q = self.q = im.q1 if j == 1 else im.q0
+        with np.errstate(divide="ignore"):
+            self.logq = np.log(q)
+        self.zmin, self.zmax = float(z.min()), float(z.max())
+        self.tol_lo = _EDGE_RTOL * max(1.0, abs(self.zmin))
+        self.tol_hi = _EDGE_RTOL * max(1.0, abs(self.zmax))
+        self.mass_lo = float(q[z <= self.zmin + self.tol_lo].sum())
+        self.mass_hi = float(q[z >= self.zmax - self.tol_hi].sum())
+
+    @cached_property
+    def float_lists(self) -> tuple[list[float], list[float]]:
+        lqs = [math.log(v) if v > 0.0 else -math.inf for v in self.q.tolist()]
+        return self.llr.tolist(), lqs
+
+
+# Keyed weakly on the (immutable, identity-hashed) InducedModel so the memo
+# never outlives its model.
+_RATE_CONSTANTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _rate_constants(im: InducedModel, j: int) -> _RateConstants:
     if j not in (0, 1):
         raise ValueError("hypothesis must be 0 or 1")
-    q = im.q1 if j == 1 else im.q0
-    return im.llr, np.log(q)
+    per_model = _RATE_CONSTANTS.get(im)
+    if per_model is None:
+        per_model = _RATE_CONSTANTS[im] = [None, None]
+    consts = per_model[j]
+    if consts is None:
+        consts = per_model[j] = _RateConstants(im, j)
+    return consts
 
 
 def log_mgf(im: InducedModel, j: int, s: float) -> float:
     """log sum_y q_j[y] exp(s llr[y]), with max-shift stabilization."""
-    z, logq = _log_weights(im, j)
-    a = logq + s * z
+    c = _rate_constants(im, j)
+    a = c.logq + s * c.llr
     m = a.max()
     return float(m + math.log(np.exp(a - m).sum()))
 
@@ -91,15 +127,15 @@ def log_mgf_derivs(im: InducedModel, j: int, s: float) -> tuple[float, float, fl
 
     L' is the tilted mean of Z and L'' the tilted variance, both exact.
     """
-    z, logq = _log_weights(im, j)
-    a = logq + s * z
+    c = _rate_constants(im, j)
+    a = c.logq + s * c.llr
     m = a.max()
     w = np.exp(a - m)
     total = w.sum()
     val = float(m + math.log(total))
     p = w / total
-    d1 = float(p @ z)
-    d2 = float(p @ (z * z) - d1 * d1)
+    d1 = float(p @ c.llr)
+    d2 = float(p @ (c.llr * c.llr) - d1 * d1)
     return val, d1, max(d2, 0.0)
 
 
@@ -144,38 +180,6 @@ def chernoff_exponent(im: InducedModel) -> tuple[float, float]:
     return min(val, 0.0), s_star
 
 
-def _support_edges(im: InducedModel, j: int) -> tuple[float, float, float, float]:
-    z = im.llr
-    q = im.q1 if j == 1 else im.q0
-    zmin, zmax = float(z.min()), float(z.max())
-    tol_lo = _EDGE_RTOL * max(1.0, abs(zmin))
-    tol_hi = _EDGE_RTOL * max(1.0, abs(zmax))
-    mass_lo = float(q[z <= zmin + tol_lo].sum())
-    mass_hi = float(q[z >= zmax - tol_hi].sum())
-    return zmin, zmax, mass_lo, mass_hi
-
-
-# Per-model constants of rate_function, keyed weakly on the (immutable,
-# identity-hashed) InducedModel so the memo never outlives its model.
-_RATE_CONSTANTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _rate_constants(im: InducedModel, j: int) -> tuple:
-    # (zmin, zmax, mass_lo, mass_hi, llr list, log q_j list), built once per
-    # (model, hypothesis).
-    per_model = _RATE_CONSTANTS.get(im)
-    if per_model is None:
-        per_model = _RATE_CONSTANTS[im] = {}
-    consts = per_model.get(j)
-    if consts is None:
-        lqs = [
-            math.log(v) if v > 0.0 else -math.inf
-            for v in (im.q1 if j == 1 else im.q0).tolist()
-        ]
-        consts = per_model[j] = (*_support_edges(im, j), im.llr.tolist(), lqs)
-    return consts
-
-
 def rate_function(im: InducedModel, j: int, t: float) -> RateFunctionValue:
     """Conjugate R_j(t) = sup_s {s t - L_j(s)}, solved to 1e-10 in s.
 
@@ -185,25 +189,23 @@ def rate_function(im: InducedModel, j: int, t: float) -> RateFunctionValue:
     alphabets are tiny, so array dispatch would dominate the solve.  The
     support edges and the float lists are computed once per (im, j).
     """
-    if j not in (0, 1):
-        raise ValueError("hypothesis must be 0 or 1")
-    zmin, zmax, mass_lo, mass_hi, zs, lqs = _rate_constants(im, j)
+    c = _rate_constants(im, j)
+    zmin, zmax, tol_lo, tol_hi = c.zmin, c.zmax, c.tol_lo, c.tol_hi
     if zmax - zmin == 0.0:
         # Single atom; for a valid model it sits at llr 0.
-        at = 0.0 if abs(t - zmin) <= _EDGE_RTOL * max(1.0, abs(zmin)) else math.inf
+        at = 0.0 if abs(t - zmin) <= tol_lo else math.inf
         return RateFunctionValue(t=t, value=at, argmax_s=0.0 if at == 0.0 else math.inf)
-    tol_hi = _EDGE_RTOL * max(1.0, abs(zmax))
-    tol_lo = _EDGE_RTOL * max(1.0, abs(zmin))
     if t > zmax + tol_hi:
         return RateFunctionValue(t=t, value=math.inf, argmax_s=math.inf)
     if t < zmin - tol_lo:
         return RateFunctionValue(t=t, value=math.inf, argmax_s=-math.inf)
     if t >= zmax - tol_hi:
-        value = -math.log(mass_hi) if mass_hi > 0.0 else math.inf
+        value = -math.log(c.mass_hi) if c.mass_hi > 0.0 else math.inf
         return RateFunctionValue(t=t, value=value, argmax_s=math.inf)
     if t <= zmin + tol_lo:
-        value = -math.log(mass_lo) if mass_lo > 0.0 else math.inf
+        value = -math.log(c.mass_lo) if c.mass_lo > 0.0 else math.inf
         return RateFunctionValue(t=t, value=value, argmax_s=-math.inf)
+    zs, lqs = c.float_lists
 
     def derivs(s: float) -> tuple[float, float, float]:
         avals = [lq + s * zv for lq, zv in zip(lqs, zs)]
@@ -266,21 +268,20 @@ def rate_function_grid(im: InducedModel, j: int, ts: np.ndarray) -> np.ndarray:
     """
     ts = np.asarray(ts, dtype=float)
     out = np.empty_like(ts)
-    z, logq = _log_weights(im, j)
-    zmin, zmax, mass_lo, mass_hi = _support_edges(im, j)
+    c = _rate_constants(im, j)
+    z, logq = c.llr, c.logq
+    zmin, zmax, tol_lo, tol_hi = c.zmin, c.zmax, c.tol_lo, c.tol_hi
     if zmax - zmin == 0.0:
-        near0 = np.abs(ts - zmin) <= _EDGE_RTOL * max(1.0, abs(zmin))
+        near0 = np.abs(ts - zmin) <= tol_lo
         return np.where(near0, 0.0, np.inf)
-    tol_hi = _EDGE_RTOL * max(1.0, abs(zmax))
-    tol_lo = _EDGE_RTOL * max(1.0, abs(zmin))
     hi_out = ts > zmax + tol_hi
     lo_out = ts < zmin - tol_lo
     hi_edge = ~hi_out & (ts >= zmax - tol_hi)
     lo_edge = ~lo_out & (ts <= zmin + tol_lo)
     interior = ~(hi_out | lo_out | hi_edge | lo_edge)
     out[hi_out | lo_out] = np.inf
-    out[hi_edge] = -math.log(mass_hi) if mass_hi > 0.0 else np.inf
-    out[lo_edge] = -math.log(mass_lo) if mass_lo > 0.0 else np.inf
+    out[hi_edge] = -math.log(c.mass_hi) if c.mass_hi > 0.0 else np.inf
+    out[lo_edge] = -math.log(c.mass_lo) if c.mass_lo > 0.0 else np.inf
     if not np.any(interior):
         return out
 

@@ -143,6 +143,11 @@ class InducedModel:
     with mass under exactly one hypothesis cannot occur for a validated
     model, and :func:`induce` raises SupportMismatch on one.  ``llr[y]`` is
     ``log(q1[y] / q0[y])`` and every kept entry is finite.
+
+    Transcript models from ``evaluator.llr_distribution_*`` are the
+    exception: their atoms carry exact log-domain LLRs, but an atom's mass
+    may underflow to zero under both hypotheses.  ``exponents`` gives such
+    atoms log weight -inf, so they drop out of every sum.
     """
 
     q0: np.ndarray

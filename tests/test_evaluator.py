@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,17 @@ def test_too_large_reports_feasible_n():
         exact_error_parallel(m, st, 5000)
 
 
+def test_too_large_hint_with_small_stage_fraction():
+    # Bisection midpoints whose split leaves a stage empty count as within
+    # the budget instead of raising the stage-split error.
+    p0 = np.arange(1.0, 9.0) / 36.0
+    m = validate_model(HypothesisModel(pmf0=p0, pmf1=p0[::-1]))
+    ident = Quantizer(map=tuple(range(8)), message_alphabet_size=8)
+    st = Strategy(kind="Tree", gamma=ident, delta0=ident, t=0.0, r=0.01)
+    with pytest.raises(TooLarge, match="largest feasible n"):
+        exact_error(m, st, 5000)
+
+
 def test_sgb_bound_holds_for_exact_errors(table_model):
     im = induce(table_model, Q001)
     st = _parallel1(Q001)
@@ -237,6 +249,15 @@ def test_llr_distribution_parallel_is_coherent(table_model):
     assert imt.q0.sum() == pytest.approx(1.0, abs=1e-12)
     assert imt.q1.sum() == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(imt.llr, np.log(imt.q1 / imt.q0), atol=1e-9)
+    # Only parallel-form kinds have a one-stage transcript law.
+    for st in (
+        Strategy(kind="SequentialFeedback2", gamma=Q001, delta0=Q001, t=0.0),
+        Strategy(kind="DaisyRestricted", gamma=Q001, delta0=Q001, t=0.0, r=0.5),
+    ):
+        with pytest.raises(ValueError, match="parallel-form"):
+            llr_distribution_parallel(table_model, st, 4)
+    with pytest.raises(ValueError, match="positive"):
+        llr_distribution_parallel(table_model, _parallel1(Q001), 0)
 
 
 def test_llr_distribution_daisy_is_coherent(table_model):
@@ -301,3 +322,98 @@ def test_strategy_from_report_rejects_bad_maps(table_model, key, value):
     bad = dataclasses.replace(rep, strategy={**rep.strategy, key: value})
     with pytest.raises(ValueError):
         strategy_from_report(bad)
+
+
+# Seeded 4-symbol model (random_model, rng 404) and strategies whose outputs
+# are pinned below; the values were recorded before the evaluator's two-stage
+# helpers were shared, and must stay bit-identical.
+PIN_MODEL = HypothesisModel(
+    pmf0=(0.0306764732735083, 0.3286445645377078, 0.28552350295075957, 0.3551554592380244),
+    pmf1=(0.5766239729329535, 0.1907234946775212, 0.07057234047615032, 0.16208019191337492),
+)
+PIN_G = Quantizer(map=(0, 0, 1, 2), message_alphabet_size=3)
+PIN_D0 = Quantizer(map=(0, 1, 1, 1), message_alphabet_size=2)
+PIN_D1 = Quantizer(map=(0, 0, 0, 1), message_alphabet_size=2)
+
+
+def _pinned_strategy(kind):
+    if kind in ("Parallel1", "OneMsgSequential"):
+        return Strategy(kind=kind, gamma=PIN_G)
+    if kind == "Parallel2":
+        return Strategy(kind=kind, gamma=PIN_G, delta0=PIN_D0)
+    if kind == "Tree":
+        return Strategy(kind=kind, gamma=PIN_G, delta0=PIN_D0, t=0.1, r=0.5)
+    r = 0.5 if kind.startswith("Daisy") else None
+    return Strategy(kind=kind, gamma=PIN_G, delta0=PIN_D0, delta1=PIN_D1, t=0.1, r=r)
+
+
+@pytest.mark.parametrize(
+    "kind,log_p_e",
+    [
+        ("Parallel1", -5.976210715607335),
+        ("Parallel2", -13.518197826519298),
+        ("OneMsgSequential", -5.976210715607335),
+        ("DaisyRestricted", -5.7330774175531705),
+        ("Tree", -8.584635539767843),
+        ("DaisyFull", -5.920297633196844),
+    ],
+)
+def test_exact_error_pinned(kind, log_p_e):
+    assert exact_error(PIN_MODEL, _pinned_strategy(kind), 40).log_p_e == log_p_e
+
+
+LLR_DAISY_PINNED = {
+    "DaisyRestricted": (
+        [0.7432236499290014, 0.07056306734950267, 0.0022331306214695484, 2.3557518873363392e-05,
+         0.008240827920939931, 0.04488783228261324, 0.08150141815695137, 0.04932651622064871],
+        [0.019872262135754947, 0.08119606693320983, 0.11058632446882269, 0.05020495705201802,
+         0.003142887215458044, 0.048744157222284125, 0.25199683183291044, 0.4342565131395419],
+        [-3.621672111873684, 0.1403599269511684, 3.902391965776021, 7.664424004600873,
+         -0.9639589419041901, 0.0824185763211811, 1.1287960945465523, 2.1751736127719234],
+    ),
+    "Tree": (
+        [0.7432236499290014, 0.07056306734950267, 0.0022331306214695484, 2.3557518873363392e-05,
+         0.16754120031512312, 0.01590668031457543, 0.0005034034974764407, 5.310453978242627e-06],
+        [0.019872262135754947, 0.08119606693320983, 0.11058632446882269, 0.05020495705201802,
+         0.05601673079062722, 0.22887873517287283, 0.3117251737410044, 0.14151974970568976],
+        [-3.621672111873684, 0.1403599269511684, 3.902391965776021, 7.664424004600873,
+         -1.0955788828171662, 2.666453156007686, 6.428485194832539, 10.190517233657392],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LLR_DAISY_PINNED))
+def test_llr_distribution_daisy_pinned(kind):
+    imt = llr_distribution_daisy(PIN_MODEL, _pinned_strategy(kind), 6)
+    assert (imt.q0.tolist(), imt.q1.tolist(), imt.llr.tolist()) == LLR_DAISY_PINNED[kind]
+
+
+@pytest.mark.parametrize(
+    "kind,p_e0,p_e1",
+    [
+        ("Parallel1", 0.1138, 0.0732),
+        ("Parallel2", 0.0138, 0.0134),
+        ("OneMsgSequential", 0.1138, 0.0732),
+        ("DaisyRestricted", 0.1148, 0.0524),
+        ("Tree", 0.031, 0.0348),
+        ("DaisyFull", 0.1188, 0.0412),
+        ("SequentialFeedback2", 0.0312, 0.0248),
+        ("FullFeedback2", 0.053, 0.0124),
+        ("RestrictedFeedback2", 0.068, 0.0124),
+    ],
+)
+def test_simulate_pinned(kind, p_e0, p_e1):
+    e = simulate(PIN_MODEL, _pinned_strategy(kind), 9, num_trials=5000, seed=17)
+    assert (e.p_e0, e.p_e1) == (p_e0, p_e1)
+
+
+def test_sgb_bound_on_underflowed_transcript_is_silent(table_model):
+    # At n=800 most type-class masses underflow to zero; their log weight is
+    # -inf without a divide-by-zero warning.
+    ident = Quantizer(map=(0, 1, 2), message_alphabet_size=3)
+    imt = llr_distribution_parallel(table_model, _parallel1(ident), 800)
+    assert np.any(imt.q0 == 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bound, s_star = sgb_lower_bound(imt, 1)
+    assert 0.0 < bound <= 0.25 and 0.0 < s_star < 1.0

@@ -228,3 +228,16 @@ def test_rate_constants_memo_does_not_keep_models_alive(table_model):
     del im
     gc.collect()
     assert ref() is None
+
+
+def test_array_solvers_leave_float_lists_unbuilt(table_model):
+    # The plain-float lists serve only the scalar solver, so a large
+    # transcript model evaluated by the array solvers is never listed.
+    im = _gamma2(table_model)
+    rate_function_grid(im, 0, np.linspace(-1.0, 1.0, 5))
+    log_mgf_derivs(im, 0, 0.3)
+    chernoff_exponent(im)
+    consts = _RATE_CONSTANTS[im][0]
+    assert "float_lists" not in vars(consts)
+    rate_function(im, 0, 0.1)
+    assert "float_lists" in vars(consts)
