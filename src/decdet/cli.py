@@ -166,8 +166,17 @@ def _strategy_from_args(m: HypothesisModel, args) -> ev.Strategy:
     if args.quantizer is None:
         # No explicit maps given: evaluate the optimal strategy for this
         # architecture, which keeps the common workflow to one command.
-        report = _compute_report(m, kind, args)
-        return ev.strategy_from_report(report, t=args.t, fusion_threshold=args.fusion_threshold)
+        if kind != "DaisyFull":
+            report = _compute_report(m, kind, args)
+            return ev.strategy_from_report(report, t=args.t, fusion_threshold=args.fusion_threshold)
+        # The DaisyFull report carries the one-message parallel optimum,
+        # which the chain attains by quantizing both stages with gamma.
+        if args.r is None:
+            raise ValueError("daisy-full needs --r in (0, 1)")
+        gamma = Quantizer.from_labels(_compute_report(m, kind, args).strategy["gamma"])
+        return ev.Strategy.for_kind(
+            kind, gamma, delta0=gamma, t=args.t, r=args.r, fusion_threshold=args.fusion_threshold
+        )
     return ev.Strategy.for_kind(
         kind,
         _parse_map(args.quantizer, "--quantizer"),

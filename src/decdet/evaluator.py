@@ -8,8 +8,9 @@ type-class probabilities, computed here fully in log domain so values like
 exp(-800) come out exact rather than underflowing to zero.  Monte Carlo
 simulation covers the adaptive feedback protocols that have no product
 form, with a counter-based generator so every estimate is reproducible
-bit for bit from (seed, n, num_trials) alone, independent of chunking or
-platform threading.
+bit for bit from (seed, n, num_trials) alone.  The two hypotheses are
+drawn on two threads, one each, and the result does not depend on the
+chunking or the threading.
 
 The fusion rule is always a likelihood-ratio threshold: decide hypothesis
 1 when the exact log-likelihood ratio of everything the fusion center sees
@@ -24,6 +25,7 @@ exactly optimal fusion rule, not an approximation to it.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -203,17 +205,32 @@ def _stage_classes(n: int, k1: int, k2: int, r: float | None) -> int:
 
 
 def _check_budget(n: int, what: str, k1: int, k2: int = 1, r: float | None = None) -> None:
-    """Raise TooLarge when a stage at n exceeds CLASS_BUDGET type classes."""
+    """Raise TooLarge when a stage at n exceeds CLASS_BUDGET type classes.
+
+    The hint names the largest n that fills every stage within the budget.
+    Stage sizes never shrink as n grows, so those n form one interval,
+    whose ends two bisections find.
+    """
     if _stage_classes(n, k1, k2, r) <= CLASS_BUDGET:
         return
-    lo, hi = 0, n
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _stage_classes(mid, k1, k2, r) <= CLASS_BUDGET:
-            lo = mid
-        else:
-            hi = mid
-    hint = f"; largest feasible n here is {lo}" if lo >= 1 else ""
+
+    def first(pred: Callable[[int], bool]) -> int:
+        # Smallest m in [1, n] with pred(m), for pred monotone and pred(n) true.
+        lo, hi = 0, n
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if pred(mid):
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+    filled = first(lambda nn: _stage_classes(nn, k1, k2, r) > 0)
+    over = first(lambda nn: _stage_classes(nn, k1, k2, r) > CLASS_BUDGET)
+    if over > filled:
+        hint = f"; largest feasible n here is {over - 1}"
+    else:
+        hint = "; no n here gives two non-empty stages within it"
     raise TooLarge(
         f"exact evaluation of {what} at n={n} exceeds the {CLASS_BUDGET} type-class budget{hint}"
     )
@@ -373,13 +390,17 @@ def exact_error(m: HypothesisModel, strategy: Strategy, n: int) -> ErrorEstimate
 
 
 def _symbol_llr_table(m: HypothesisModel, q: Quantizer) -> np.ndarray:
-    """Per observation symbol, the LLR of the message it maps to."""
+    """Per observation symbol, the LLR that :func:`induce` gives its message.
+
+    A message with no mass under either hypothesis has no induced atom; the
+    symbols mapped to it get LLR 0, and they are never drawn.
+    """
     labels = np.asarray(q.map, dtype=np.intp)
-    q0 = np.bincount(labels, weights=m.pmf0, minlength=q.message_alphabet_size)
-    q1 = np.bincount(labels, weights=m.pmf1, minlength=q.message_alphabet_size)
-    pos = (q0 > 0.0) & (q1 > 0.0)
+    kept = np.zeros(q.message_alphabet_size, dtype=bool)
+    kept[labels[(m.pmf0 > 0.0) | (m.pmf1 > 0.0)]] = True
     msg_llr = np.zeros(q.message_alphabet_size)
-    msg_llr[pos] = np.log(q1[pos]) - np.log(q0[pos])
+    # induce keeps exactly these messages, in label order.
+    msg_llr[kept] = induce(m, q).llr
     return msg_llr[labels]
 
 
@@ -387,15 +408,28 @@ def _chunk_trials(n: int) -> int:
     return max(1, min(_MAX_CHUNK_TRIALS, _CHUNK_CELLS // max(1, n)))
 
 
-def _sample_symbols(rng: np.random.Generator, pmf: np.ndarray, rows: int, n: int) -> np.ndarray:
-    cdf = np.cumsum(pmf)
-    u = rng.random((rows, n))
-    return np.minimum(np.searchsorted(cdf, u, side="right"), pmf.size - 1)
+def _sample_symbols(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-cdf symbols of the uniforms ``u``: how many of ``cdf[:-1]``
+    are <= each entry, in the smallest unsigned dtype that holds the count.
+
+    For a nondecreasing cdf this is ``min(searchsorted(cdf, u, "right"),
+    K - 1)``, so a u at or past ``cdf[-1]`` (a sum rounded below 1) still
+    draws the last symbol.
+    """
+    obs = np.zeros(u.shape, dtype=np.min_scalar_type(cdf.size - 1))
+    for c in cdf[:-1]:
+        obs += u >= c
+    return obs
 
 
 def _transcript_llr_fn(m: HypothesisModel, strategy: Strategy, n: int) -> Callable[[np.ndarray], np.ndarray]:
     """Map from sampled observations (one row per trial) to each row's exact
-    fusion-center LLR, with the per-symbol tables built once."""
+    fusion-center LLR, with the per-symbol tables built once.
+
+    Where a bit u picks the second message's quantizer, its two LLR tables
+    are stacked as rows 0 and 1, so one gather at (u, observation) reads
+    each term.
+    """
     kind, t = strategy.kind, strategy.t
     if kind in _PARALLEL_EXACT:
         joint = _symbol_llr_table(m, _parallel_joint(strategy))
@@ -403,8 +437,9 @@ def _transcript_llr_fn(m: HypothesisModel, strategy: Strategy, n: int) -> Callab
 
     first = _symbol_llr_table(m, strategy.gamma)
     if kind in _ADAPTIVE_MC_ONLY:
-        joint0 = _symbol_llr_table(m, product_quantizer(strategy.gamma, strategy.delta0))
-        joint1 = _symbol_llr_table(m, product_quantizer(strategy.gamma, strategy.delta1))
+        joint = np.stack(
+            [_symbol_llr_table(m, product_quantizer(strategy.gamma, d)) for d in (strategy.delta0, strategy.delta1)]
+        )
 
         def adaptive(obs: np.ndarray) -> np.ndarray:
             llr1 = first[obs]
@@ -418,33 +453,32 @@ def _transcript_llr_fn(m: HypothesisModel, strategy: Strategy, n: int) -> Callab
                 total = llr1.sum(axis=1, keepdims=True)
                 u = (total - llr1) >= t * (n - 1)
             else:
-                total = llr1.sum(axis=1, keepdims=True)
-                u = np.broadcast_to(total >= t * n, obs.shape)
-            return np.where(u, joint1[obs], joint0[obs]).sum(axis=1)
+                u = llr1.sum(axis=1, keepdims=True) >= t * n
+            # A bool index array would be a mask, so index with its bytes.
+            return joint[u.view(np.uint8), obs].sum(axis=1)
 
         return adaptive
 
     # Two-stage chains: the first n1 columns form the aggregator bit.
     n1, _ = _stage_sizes(n, strategy.r)
-    second0 = _symbol_llr_table(m, strategy.delta0)
-    second1 = _symbol_llr_table(m, strategy.delta1)
+    second = np.stack([_symbol_llr_table(m, d) for d in (strategy.delta0, strategy.delta1)])
     logit_u = None
     if kind != "DaisyFull":
         # The fusion center sees only the bit U from stage one, so its
         # transcript LLR needs the exact log-odds of U at this n.
         im1 = induce(m, strategy.gamma)
         _check_budget(n1, "the aggregator-bit distribution", im1.alphabet_size)
-        logit_u = [0.0, 0.0]
+        logit_u = np.zeros(2)
         for u, (lp0, lp1, _) in _first_stage_split(im1, n1, t):
             logit_u[u] = _lse(lp1) - _lse(lp0)
 
     def two_stage(obs: np.ndarray) -> np.ndarray:
         s1 = first[obs[:, :n1]].sum(axis=1)
-        u = s1 >= t * n1
-        s2 = np.where(u[:, None], second1[obs[:, n1:]], second0[obs[:, n1:]]).sum(axis=1)
+        u = (s1 >= t * n1).view(np.uint8)
+        s2 = second[u[:, None], obs[:, n1:]].sum(axis=1)
         if logit_u is None:
             return s1 + s2
-        return np.where(u, logit_u[1], logit_u[0]) + s2
+        return logit_u[u] + s2
 
     return two_stage
 
@@ -461,28 +495,34 @@ def simulate(
     Draws ``num_trials`` transcripts under each hypothesis with a
     counter-based generator keyed on (seed, chunk index, hypothesis), so
     the result never depends on execution order, then applies the exact
-    transcript-LLR fusion rule.  ``ci`` is the 95 percent normal-theory
-    half-width on the averaged error probability.
+    transcript-LLR fusion rule.  The two hypotheses are drawn on two
+    threads, one each; every chunk's stream is fixed by its key, so the
+    result depends neither on the chunking nor on the threading.  ``ci``
+    is the 95 percent normal-theory half-width on the averaged error
+    probability.
     """
     validate_model(m)
     if n < 1 or num_trials < 1:
         raise ValueError("n and num_trials must be positive")
     transcript_llr = _transcript_llr_fn(m, strategy, n)
     chunk = _chunk_trials(n)
-    errors = [0, 0]
-    for j, pmf in ((0, m.pmf0), (1, m.pmf1)):
-        done = 0
-        chunk_idx = 0
-        while done < num_trials:
+
+    def count_errors(j: int) -> int:
+        cdf = np.cumsum(m.pmf1 if j else m.pmf0)
+        errors = 0
+        for chunk_idx, done in enumerate(range(0, num_trials, chunk)):
             rows = min(chunk, num_trials - done)
-            bitgen = np.random.Philox(key=[seed, 0], counter=[0, chunk_idx, j, 0])
-            rng = np.random.Generator(bitgen)
-            obs = _sample_symbols(rng, pmf, rows, n)
-            llr = transcript_llr(obs)
-            decide1 = llr >= strategy.fusion_threshold
-            errors[j] += int(decide1.sum()) if j == 0 else int((~decide1).sum())
-            done += rows
-            chunk_idx += 1
+            rng = np.random.Generator(np.random.Philox(key=[seed, 0], counter=[0, chunk_idx, j, 0]))
+            llr = transcript_llr(_sample_symbols(cdf, rng.random((rows, n))))
+            chose1 = int(np.count_nonzero(llr >= strategy.fusion_threshold))
+            errors += chose1 if j == 0 else rows - chose1
+        return errors
+
+    # Each hypothesis owns its streams and its integer count, and numpy
+    # releases the GIL in the draws, compares, gathers and sums, so the two
+    # overlap without moving a bit.
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        errors = list(pool.map(count_errors, (0, 1)))
     p_e0 = errors[0] / num_trials
     p_e1 = errors[1] / num_trials
     p_e = 0.5 * (p_e0 + p_e1)

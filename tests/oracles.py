@@ -1,16 +1,23 @@
 """Brute-force reference implementations, kept deliberately naive.
 
-Everything here enumerates raw observation tuples and runs the signalling
-protocol literally, so it shares no arithmetic shortcuts (type classes,
-per-sensor factorization, log-domain tricks) with the library code it
-checks.  Exponential cost caps these oracles at small n and alphabets.
+The exact-error oracle enumerates raw observation tuples and runs the
+signalling protocol literally, so it shares no arithmetic shortcuts (type
+classes, per-sensor factorization, log-domain tricks) with the library
+code it checks.  Exponential cost caps it at small n and alphabets.
+
+The Monte Carlo oracle is the simulator's original one-thread chunk loop.
+It must match ``simulate`` bit for bit, so it keeps the library's streams,
+chunk layout and aggregator-bit log-odds, and redoes the rest the slow way.
 """
 from __future__ import annotations
 
 import itertools
 import math
 
-from decdet import HypothesisModel, Strategy
+import numpy as np
+
+from decdet import HypothesisModel, Strategy, induce, product_quantizer
+from decdet.evaluator import _chunk_trials, _first_stage_split, _lse
 
 
 def _cell_llr(m: HypothesisModel, qmap: tuple[int, ...], d: int) -> list[float]:
@@ -99,3 +106,75 @@ def brute_force_error(m: HypothesisModel, st: Strategy, n: int) -> tuple[float, 
         else:
             pe1 += w1
     return pe0, pe1, 0.5 * (pe0 + pe1)
+
+
+def _symbol_llr_table(m: HypothesisModel, q) -> np.ndarray:
+    labels = np.asarray(q.map, dtype=np.intp)
+    q0 = np.bincount(labels, weights=m.pmf0, minlength=q.message_alphabet_size)
+    q1 = np.bincount(labels, weights=m.pmf1, minlength=q.message_alphabet_size)
+    pos = (q0 > 0.0) & (q1 > 0.0)
+    msg_llr = np.zeros(q.message_alphabet_size)
+    msg_llr[pos] = np.log(q1[pos]) - np.log(q0[pos])
+    return msg_llr[labels]
+
+
+def _transcript_llr(m: HypothesisModel, st: Strategy, n: int, obs: np.ndarray) -> np.ndarray:
+    kind, t = st.kind, st.t
+    if kind in ("Parallel1", "OneMsgSequential"):
+        return _symbol_llr_table(m, st.gamma)[obs].sum(axis=1)
+    if kind == "Parallel2":
+        return _symbol_llr_table(m, product_quantizer(st.gamma, st.delta0))[obs].sum(axis=1)
+    first = _symbol_llr_table(m, st.gamma)
+    if kind in ("DaisyRestricted", "Tree", "DaisyFull"):
+        n1 = int(round(st.r * n))
+        s1 = first[obs[:, :n1]].sum(axis=1)
+        u = s1 >= t * n1
+        second0 = _symbol_llr_table(m, st.delta0)[obs[:, n1:]]
+        second1 = _symbol_llr_table(m, st.delta1)[obs[:, n1:]]
+        s2 = np.where(u[:, None], second1, second0).sum(axis=1)
+        if kind == "DaisyFull":
+            return s1 + s2
+        logit_u = [0.0, 0.0]
+        for bit, (lp0, lp1, _) in _first_stage_split(induce(m, st.gamma), n1, t):
+            logit_u[bit] = _lse(lp1) - _lse(lp0)
+        return np.where(u, logit_u[1], logit_u[0]) + s2
+    llr1 = first[obs]
+    if kind == "SequentialFeedback2":
+        prefix = np.cumsum(llr1, axis=1)
+        u = np.zeros(obs.shape, dtype=bool)
+        u[:, 1:] = prefix[:, :-1] >= t * np.arange(1, n)
+    elif kind == "FullFeedback2":
+        total = llr1.sum(axis=1, keepdims=True)
+        u = (total - llr1) >= t * (n - 1)
+    else:
+        total = llr1.sum(axis=1, keepdims=True)
+        u = np.broadcast_to(total >= t * n, obs.shape)
+    joint0 = _symbol_llr_table(m, product_quantizer(st.gamma, st.delta0))
+    joint1 = _symbol_llr_table(m, product_quantizer(st.gamma, st.delta1))
+    return np.where(u, joint1[obs], joint0[obs]).sum(axis=1)
+
+
+def sequential_simulate(
+    m: HypothesisModel, st: Strategy, n: int, num_trials: int, seed: int
+) -> tuple[float, float]:
+    """(p_e0, p_e1) of ``simulate`` by a one-thread chunk loop.
+
+    Same counter-keyed streams and chunk layout as the library, but symbols
+    come from ``searchsorted`` on the cdf and each selected LLR from two
+    full gathers and ``np.where``, with the message LLRs recomputed here.
+    """
+    chunk = _chunk_trials(n)
+    errors = [0, 0]
+    for j, pmf in ((0, m.pmf0), (1, m.pmf1)):
+        cdf = np.cumsum(pmf)
+        done = chunk_idx = 0
+        while done < num_trials:
+            rows = min(chunk, num_trials - done)
+            bitgen = np.random.Philox(key=[seed, 0], counter=[0, chunk_idx, j, 0])
+            u = np.random.Generator(bitgen).random((rows, n))
+            obs = np.minimum(np.searchsorted(cdf, u, side="right"), pmf.size - 1)
+            decide1 = _transcript_llr(m, st, n, obs) >= st.fusion_threshold
+            errors[j] += int(decide1.sum()) if j == 0 else int((~decide1).sum())
+            done += rows
+            chunk_idx += 1
+    return errors[0] / num_trials, errors[1] / num_trials

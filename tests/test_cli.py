@@ -220,6 +220,25 @@ def test_simulate_optimizes_when_no_maps_given(capsys, model_file):
     assert out.startswith("n,p_e0")
 
 
+@pytest.mark.parametrize("method", ["exact", "mc"])
+def test_daisy_full_optimizes_when_no_maps_given(capsys, model_file, method):
+    # The DaisyFull report carries the one-message parallel optimum, which
+    # the chain attains with gamma in both stages.
+    base = ["simulate", "--model", model_file, "--n-grid", "6", "--samples", "50000"]
+    code, out, err = _run(capsys, base + ["--arch", "daisy-full", "--r", "0.5", "--method", method])
+    assert code == 0 and err == ""
+    row = out.strip().split("\n")[1].split(",")
+    _, ref, _ = _run(capsys, base + ["--arch", "parallel-1", "--method", "exact"])
+    want = float(ref.strip().split("\n")[1].split(",")[3])
+    assert row[5] == method
+    tol = 1e-12 if method == "exact" else 4 * float(row[6]) / 1.96
+    assert abs(float(row[3]) - want) <= tol
+
+    code, out, err = _run(capsys, base + ["--arch", "daisy-full", "--method", method])
+    assert code == 2 and out == ""
+    assert "--r" in err
+
+
 def test_simulate_explicit_maps_default_t_to_zero(capsys, model_file):
     argv = [
         "simulate",

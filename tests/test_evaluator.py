@@ -11,11 +11,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from decdet import (
     DegenerateLLR,
     HypothesisModel,
     InducedModel,
+    KINDS,
     Quantizer,
     Strategy,
     TooLarge,
@@ -33,8 +36,9 @@ from decdet import (
     strategy_from_report,
     validate_model,
 )
+from decdet import evaluator
 from conftest import random_model
-from oracles import brute_force_error
+from oracles import brute_force_error, sequential_simulate
 
 Q001 = Quantizer(map=(0, 0, 1), message_alphabet_size=2)
 Q011 = Quantizer(map=(0, 1, 1), message_alphabet_size=2)
@@ -194,14 +198,37 @@ def test_too_large_reports_feasible_n():
 
 
 def test_too_large_hint_with_small_stage_fraction():
-    # Bisection midpoints whose split leaves a stage empty count as within
-    # the budget instead of raising the stage-split error.
+    # Every n that splits at r=0.01 has a second stage of at least 50
+    # sensors, over the budget at k=8, so no n is evaluable and the hint
+    # says so instead of naming one.
     p0 = np.arange(1.0, 9.0) / 36.0
     m = validate_model(HypothesisModel(pmf0=p0, pmf1=p0[::-1]))
     ident = Quantizer(map=tuple(range(8)), message_alphabet_size=8)
     st = Strategy(kind="Tree", gamma=ident, delta0=ident, t=0.0, r=0.01)
-    with pytest.raises(TooLarge, match="largest feasible n"):
+    with pytest.raises(TooLarge, match="no n here gives two non-empty stages") as info:
         exact_error(m, st, 5000)
+    assert "largest feasible n" not in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "st",
+    [
+        Strategy(kind="Parallel1", gamma=Quantizer(map=(0, 1, 2), message_alphabet_size=3)),
+        Strategy(kind="Tree", gamma=Q011, delta0=Q001, t=0.0, r=0.05),
+        Strategy(kind="DaisyFull", gamma=Q001, delta0=Q001, delta1=Q011, t=0.1, r=0.7),
+    ],
+    ids=lambda st: st.kind,
+)
+def test_too_large_hint_names_an_evaluable_n(monkeypatch, table_model, st):
+    # A small budget keeps the hinted n cheap; it must evaluate, and the
+    # next n must not.
+    monkeypatch.setattr(evaluator, "CLASS_BUDGET", 300)
+    with pytest.raises(TooLarge, match="largest feasible n here is") as info:
+        exact_error(table_model, st, 500)
+    hinted = int(str(info.value).rsplit(" ", 1)[1])
+    assert 0.0 <= exact_error(table_model, st, hinted).p_e <= 1.0
+    with pytest.raises(TooLarge):
+        exact_error(table_model, st, hinted + 1)
 
 
 def test_sgb_bound_holds_for_exact_errors(table_model):
@@ -405,6 +432,37 @@ def test_llr_distribution_daisy_pinned(kind):
 def test_simulate_pinned(kind, p_e0, p_e1):
     e = simulate(PIN_MODEL, _pinned_strategy(kind), 9, num_trials=5000, seed=17)
     assert (e.p_e0, e.p_e1) == (p_e0, p_e1)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_simulate_matches_sequential_oracle(kind):
+    # 20000 trials at n=9 span three chunks of at most 8192 trials.
+    st = dataclasses.replace(_pinned_strategy(kind), fusion_threshold=0.05)
+    e = simulate(PIN_MODEL, st, 9, num_trials=20_000, seed=29)
+    assert (e.p_e0, e.p_e1) == sequential_simulate(PIN_MODEL, st, 9, 20_000, 29)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    weights=hs.lists(
+        hs.one_of(hs.just(0.0), hs.floats(min_value=1e-9, max_value=1.0)), min_size=1, max_size=40
+    ),
+    scale=hs.floats(min_value=0.5, max_value=1.0),
+    extra=hs.lists(hs.floats(min_value=0.0, max_value=1.0), max_size=16),
+)
+def test_symbol_draw_matches_searchsorted(weights, scale, extra):
+    # Zero-mass symbols repeat cdf entries; a scale below 1 leaves uniforms
+    # at and past cdf[-1], where the last symbol must still be drawn.
+    pmf = np.asarray(weights)
+    if pmf.sum() > 0.0:
+        pmf = scale * pmf / pmf.sum()
+    cdf = np.cumsum(pmf)
+    k = cdf.size
+    edges = np.concatenate([cdf, np.nextafter(cdf, -np.inf), np.nextafter(cdf, np.inf)])
+    u = np.concatenate([edges, [0.0, 1.0], extra]).clip(0.0, 1.0).reshape(1, -1)
+    got = evaluator._sample_symbols(cdf, u)
+    assert got.dtype == np.min_scalar_type(k - 1) and got.dtype.kind == "u"
+    np.testing.assert_array_equal(got, np.minimum(np.searchsorted(cdf, u, side="right"), k - 1))
 
 
 def test_sgb_bound_on_underflowed_transcript_is_silent(table_model):
