@@ -50,16 +50,22 @@ all deltas at a threshold (both golden sections, the daisy crossing
 bisection and the final sweep over the candidate thresholds) goes through
 one memo keyed on t, so a threshold they share is solved once.  The
 crossing bisection of delta k's two branch curves evaluates only delta k's
-two branch points, not the whole delta list.  Ties between quantizers
-break toward the lexicographically smallest canonical map, so parallel and
-serial sweeps report identical strategies.  The two staged optima of one
-(model, r, d, mode) are searched together and kept in an LRU cache keyed on
-the model's pmf bytes, so equal models share one search and the composite
-checks do not repeat it.
+two branch points, not the whole delta list.
+
+Ties.  Two sweeps go through ``_Best``: the staged search's offer of each
+(gamma, t) candidate and the quantizer sweep of :func:`exponent_parallel`.
+Values within ``_TIE_TOL`` count as one optimum and the lexicographically
+smallest maps win, so floating-point noise between mirror twins never picks
+the report.  The per-threshold choice of delta and the branch sweeps of
+:func:`h_of_e` take the first strict maximum in candidate order, which is
+lexicographic.  The two staged optima of one (model, r, d, mode) are
+searched together and kept in an LRU cache keyed on the model's pmf bytes,
+so equal models share one search and the composite checks do not repeat it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -121,7 +127,8 @@ _STAGED_KINDS = ("DaisyRestricted", "Tree")
 T_GRID_POINTS = 401
 _REFINE_TOL = 1e-10
 _BOUNDARY_RTOL = 1e-9
-# Objective values closer than this are one optimum seen twice, not two.
+# Objective values closer than this are one optimum seen twice, not two;
+# also the margin of the symmetric-rate and strict-ordering checks.
 _TIE_TOL = 1e-9
 
 
@@ -188,21 +195,7 @@ class ExponentReport:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "architecture": self.architecture,
-            "formulation": self.formulation,
-            "r": self.r,
-            "exponent": self.exponent,
-            "strategy": {
-                "gamma": self.strategy.get("gamma"),
-                "delta0": self.strategy.get("delta0"),
-                "delta1": self.strategy.get("delta1"),
-                "t": self.strategy.get("t"),
-            },
-            "decay_rates": self.decay_rates,
-            "branch_values": self.branch_values,
-            "note": self.note,
-        }
+        return dataclasses.asdict(self)
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -228,15 +221,6 @@ def _cand(m: HypothesisModel, q: Quantizer) -> _Cand:
 
 def _candidates(m: HypothesisModel, d: int, mode: str) -> list[_Cand]:
     return [_cand(m, q) for q in enumerate_quantizers(m, d, mode)]
-
-
-def _decay_from_rates(l0: float, l1: float, t: float, mean0: float, mean1: float) -> DecayRateVector:
-    return DecayRateVector(
-        e01=l0 if t >= mean0 else 0.0,
-        e00=l0 if t < mean0 else 0.0,
-        e10=l1 if t <= mean1 else 0.0,
-        e11=l1 if t > mean1 else 0.0,
-    )
 
 
 def _branch_point(cand: _Cand, a: float, e_same: float, e_cross: float, r: float) -> float:
@@ -285,7 +269,12 @@ def _gamma_decay(g: _Cand, r: float, t: float) -> tuple[DecayRateVector, float, 
     # First-stage decay rates at threshold t and the two branch thresholds.
     l0 = rate_function(g.im, 0, t).value
     l1 = rate_function(g.im, 1, t).value
-    e = _decay_from_rates(l0, l1, t, g.mean0, g.mean1)
+    e = DecayRateVector(
+        e01=l0 if t >= g.mean0 else 0.0,
+        e00=l0 if t < g.mean0 else 0.0,
+        e10=l1 if t <= g.mean1 else 0.0,
+        e11=l1 if t > g.mean1 else 0.0,
+    )
     a0 = r / (1.0 - r) * (e.e10 - e.e00)
     a1 = -r / (1.0 - r) * (e.e01 - e.e11)
     return e, a0, a1
@@ -349,22 +338,23 @@ def _bisect_crossing(fdiff, lo: float, hi: float) -> float:
 
 @dataclass(eq=False)
 class _Best:
-    """Running optimum with value ties broken toward the smallest strategy.
+    """Running maximum with value ties broken toward the smallest key.
 
-    Two strategies within _TIE_TOL of each other are treated as the same
+    Two offers within _TIE_TOL of each other are treated as the same
     optimum (symmetric models produce exact twins that differ only by
-    floating-point noise); the lexicographically smaller quantizer maps win
-    so reports are stable across platforms.
+    floating-point noise); the smaller key, the lexicographically smaller
+    quantizer maps, wins so reports are stable across platforms.  ``item``
+    is whatever the sweep needs back from its winner; it stays None until
+    some offer beats -inf.
     """
 
     value: float = -math.inf
-    gamma: _Cand | None = None
-    point: _PointEval | None = None
     key: tuple = ()
+    item: object = None
 
-    def offer(self, value: float, key: tuple, gamma: _Cand, point: _PointEval) -> None:
+    def offer(self, value: float, key: tuple, item: object) -> None:
         if value > self.value + _TIE_TOL or (value > self.value - _TIE_TOL and key < self.key):
-            self.value, self.key, self.gamma, self.point = value, key, gamma, point
+            self.value, self.key, self.item = value, key, item
 
 
 @dataclass(frozen=True)
@@ -444,10 +434,7 @@ def _staged_optima(pmf0: bytes, pmf1: bytes, r: float, d: int, mode: str) -> tup
             lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]
             tcands.append(float(ts[i]))
             if hi > lo:
-                if which == "daisy":
-                    t_ref, _ = golden_section_min(lambda t: -point(t).daisy, lo, hi, _REFINE_TOL)
-                else:
-                    t_ref, _ = golden_section_min(lambda t: -point(t).tree, lo, hi, _REFINE_TOL)
+                t_ref, _ = golden_section_min(lambda t: -getattr(point(t), which), lo, hi, _REFINE_TOL)
                 tcands.append(float(t_ref))
         # The max-min optimum often sits where the branch curves cross.
         for lo, hi in _sign_change_ts(ts, sup0 - sup1):
@@ -463,15 +450,15 @@ def _staged_optima(pmf0: bytes, pmf1: bytes, r: float, d: int, mode: str) -> tup
         for t in sorted(set(tcands)):
             p = point(t)
             dkey = (g.q.map, deltas[p.i_daisy0].q.map, deltas[p.i_daisy1].q.map, p.t)
-            best_daisy.offer(p.daisy, dkey, g, p)
+            best_daisy.offer(p.daisy, dkey, (g, p))
             tkey = (g.q.map, deltas[p.i_tree].q.map, deltas[p.i_tree].q.map, p.t)
-            best_tree.offer(p.tree, tkey, g, p)
+            best_tree.offer(p.tree, tkey, (g, p))
 
     out = []
     for best, kind in ((best_daisy, "DaisyRestricted"), (best_tree, "Tree")):
-        g, p = best.gamma, best.point
-        if g is None or p is None:
+        if best.item is None:
             raise ValueError(f"{kind} search found no finite candidate threshold")
+        g, p = best.item
         i0, i1 = (p.i_daisy0, p.i_daisy1) if kind == "DaisyRestricted" else (p.i_tree, p.i_tree)
         scale = max(1.0, abs(g.zmin), abs(g.zmax))
         at_edge = min(abs(p.t - g.zmin), abs(p.t - g.zmax)) <= _BOUNDARY_RTOL * scale
@@ -503,7 +490,16 @@ def _strategy_dict(
     return {"gamma": labels(gamma), "delta0": labels(delta0), "delta1": labels(delta1), "t": t}
 
 
-def _staged_report(res: _StagedOptimum, r: float) -> ExponentReport:
+def _staged_report(m: HypothesisModel, r: float, d: int, mode: str, formulation: str, kind: str) -> ExponentReport:
+    # Both staged kinds enter here; exponent_daisy_restricted says why they
+    # are Bayesian only.
+    if _norm_formulation(formulation) != "Bayesian":
+        raise UnsupportedFormulation(
+            "staged architectures are evaluated in the Bayesian formulation only; "
+            "the Neyman-Pearson optimum equals the parallel one"
+        )
+    daisy, tree = _search_staged(m, r, d, mode)
+    res = daisy if kind == "DaisyRestricted" else tree
     e = res.decay
     return ExponentReport(
         architecture=res.kind,
@@ -533,13 +529,7 @@ def exponent_daisy_restricted(
     the parallel one), so requesting it raises UnsupportedFormulation
     rather than silently answering a different question.
     """
-    if _norm_formulation(formulation) != "Bayesian":
-        raise UnsupportedFormulation(
-            "staged architectures are evaluated in the Bayesian formulation only; "
-            "the Neyman-Pearson optimum equals the parallel one"
-        )
-    daisy, _ = _search_staged(m, r, d, mode)
-    return _staged_report(daisy, r)
+    return _staged_report(m, r, d, mode, formulation, "DaisyRestricted")
 
 
 def exponent_tree(
@@ -554,13 +544,7 @@ def exponent_tree(
     Identical to :func:`exponent_daisy_restricted` with the two second
     stage quantizers forced equal, hence never better.
     """
-    if _norm_formulation(formulation) != "Bayesian":
-        raise UnsupportedFormulation(
-            "staged architectures are evaluated in the Bayesian formulation only; "
-            "the Neyman-Pearson optimum equals the parallel one"
-        )
-    _, tree = _search_staged(m, r, d, mode)
-    return _staged_report(tree, r)
+    return _staged_report(m, r, d, mode, formulation, "Tree")
 
 
 def _parallel_value(im: InducedModel, formulation: str) -> float:
@@ -589,12 +573,10 @@ def exponent_parallel(
     if messages_per_sensor not in (1, 2):
         raise ValueError("messages_per_sensor must be 1 or 2")
     d_eff = d * d if messages_per_sensor == 2 else d
-    best_q: Quantizer | None = None
-    best_v = math.inf
+    best = _Best()
     for q in enumerate_quantizers(m, d_eff, mode):
-        v = _parallel_value(induce(m, q), formulation)
-        if v < best_v:
-            best_v, best_q = v, q
+        best.offer(-_parallel_value(induce(m, q), formulation), q.map, q)
+    best_q = best.item
     if best_q is None:
         raise ValueError("no candidate quantizer gives a finite exponent")
     if messages_per_sensor == 2:
@@ -606,7 +588,7 @@ def exponent_parallel(
         architecture="Parallel1" if messages_per_sensor == 1 else "Parallel2",
         formulation=formulation,
         r=None,
-        exponent=min(best_v, 0.0) + 0.0,
+        exponent=min(-best.value, 0.0) + 0.0,
         strategy=strategy,
         decay_rates=None,
         branch_values=None,
@@ -697,25 +679,21 @@ def h_of_e(
     a1 = -r / (1.0 - r) * (e.e01 - e.e11)
 
     def literal_branch(a: float, j: int, offset: float) -> tuple[float, Quantizer | None]:
-        best_v, best_q = -math.inf, None
+        feasible = []
         for dc in deltas:
             scale = max(1.0, abs(dc.zmin), abs(dc.zmax))
-            if not (dc.zmin - 1e-12 * scale <= a <= dc.zmax + 1e-12 * scale):
-                continue
-            v = rate_function(dc.im, j, a).value
-            if v > best_v:
-                best_v, best_q = v, dc.q
-        if best_q is None:
+            if dc.zmin - 1e-12 * scale <= a <= dc.zmax + 1e-12 * scale:
+                feasible.append(dc)
+        if not feasible:
             return math.inf, None
-        return (1.0 - r) * best_v + r * offset, best_q
+        vals = [rate_function(dc.im, j, a).value for dc in feasible]
+        i = _first_argmax(vals)
+        return (1.0 - r) * vals[i] + r * offset, feasible[i].q
 
     def physical_branch(a: float, e_same: float, e_cross: float) -> tuple[float, Quantizer | None]:
-        best_v, best_q = -math.inf, None
-        for dc in deltas:
-            v = _branch_point(dc, a, e_same, e_cross, r)
-            if v > best_v:
-                best_v, best_q = v, dc.q
-        return best_v, best_q
+        vals = [_branch_point(dc, a, e_same, e_cross, r) for dc in deltas]
+        i = _first_argmax(vals)
+        return vals[i], deltas[i].q
 
     if semantics == "literal":
         b0, q0 = literal_branch(a0, 0, e.e00)
@@ -766,7 +744,6 @@ def check_symmetric_rate_condition(
     d: int = 2,
     r: float = 0.5,
     mode: str = "llr_monotone",
-    tol: float = 1e-9,
 ) -> dict:
     """Test whether the winning shared quantizer has mirror-image rates.
 
@@ -785,7 +762,7 @@ def check_symmetric_rate_condition(
     ts = np.linspace(-half, half, 201)
     gap_curve = np.abs(rate_function_grid(im, 1, ts) - rate_function_grid(im, 0, -ts))
     max_gap = float(gap_curve.max())
-    applies = max_gap <= tol
+    applies = max_gap <= _TIE_TOL
 
     common_value = None
     consistent = None
@@ -813,7 +790,6 @@ def check_ordering(
     r: float,
     d: int = 2,
     mode: str = "llr_monotone",
-    strict_gap: float = 1e-9,
 ) -> dict:
     """Verify tree >= staged-chain > one-message-parallel exponents.
 
@@ -844,7 +820,7 @@ def check_ordering(
         if not ok:
             raise OrderingViolation("indistinguishable hypotheses must give zero exponents")
     else:
-        if not e_daisy - e_par >= strict_gap:
+        if not e_daisy - e_par >= _TIE_TOL:
             raise OrderingViolation(
                 f"staged chain ({e_daisy}) must be strictly worse than parallel ({e_par})"
             )

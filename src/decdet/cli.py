@@ -198,33 +198,24 @@ def _parse_n_grid(text: str) -> list[int]:
     return ns
 
 
-_CSV_HEADER = "n,p_e0,p_e1,p_e,log_pe_over_n,method,ci"
-
-
-def _estimate_row(e: ev.ErrorEstimate) -> str:
-    return ",".join(
-        [
-            str(e.n),
-            _fmt(e.p_e0),
-            _fmt(e.p_e1),
-            _fmt(e.p_e),
-            _fmt(e.log_pe_over_n),
-            e.method,
-            _fmt(e.ci),
-        ]
-    )
+_ESTIMATE_COLUMNS = ("n", "p_e0", "p_e1", "p_e", "log_pe_over_n", "method", "ci")
+_CSV_HEADER = ",".join(_ESTIMATE_COLUMNS)
 
 
 def _estimate_dict(e: ev.ErrorEstimate) -> dict:
-    return {
-        "n": e.n,
-        "p_e0": e.p_e0,
-        "p_e1": e.p_e1,
-        "p_e": e.p_e,
-        "log_pe_over_n": e.log_pe_over_n,
-        "method": e.method,
-        "ci": e.ci,
-    }
+    return {name: getattr(e, name) for name in _ESTIMATE_COLUMNS}
+
+
+def _emit_estimates(args, estimates: Sequence[ev.ErrorEstimate], fit: ev.FitResult | None = None) -> None:
+    # One CSV row per estimate, or JSON: the bare row list, or the fit's
+    # slope and intercept with the rows under "rows".
+    rows = [_estimate_dict(e) for e in estimates]
+    if args.format == "json":
+        payload = rows if fit is None else {"slope": fit.slope, "intercept": fit.intercept, "rows": rows}
+        text = json.dumps(_jsonable(payload), indent=2) + "\n"
+    else:
+        text = "\n".join([_CSV_HEADER] + [",".join(_fmt(v) for v in row.values()) for row in rows]) + "\n"
+    _emit(text, args.output)
 
 
 def cmd_simulate(args) -> int:
@@ -237,11 +228,7 @@ def cmd_simulate(args) -> int:
             rows.append(ev.exact_error(m, strategy, n))
         else:
             rows.append(ev.simulate(m, strategy, n, num_trials=args.samples, seed=args.seed))
-    if args.format == "json":
-        text = json.dumps(_jsonable([_estimate_dict(e) for e in rows]), indent=2) + "\n"
-    else:
-        text = "\n".join([_CSV_HEADER] + [_estimate_row(e) for e in rows]) + "\n"
-    _emit(text, args.output)
+    _emit_estimates(args, rows)
     return 0
 
 
@@ -250,23 +237,9 @@ def cmd_fit(args) -> int:
     args.d = d
     strategy = _strategy_from_args(m, args)
     result = ev.fit_exponent(
-        m,
-        strategy,
-        _parse_n_grid(args.n_grid),
-        method=args.method,
-        num_trials=args.samples,
-        seed=args.seed,
+        m, strategy, _parse_n_grid(args.n_grid), method=args.method, num_trials=args.samples, seed=args.seed
     )
-    if args.format == "json":
-        payload = {
-            "slope": result.slope,
-            "intercept": result.intercept,
-            "rows": [_estimate_dict(e) for e in result.estimates],
-        }
-        text = json.dumps(_jsonable(payload), indent=2) + "\n"
-    else:
-        text = "\n".join([_CSV_HEADER] + [_estimate_row(e) for e in result.estimates]) + "\n"
-    _emit(text, args.output)
+    _emit_estimates(args, result.estimates, result)
     return 0
 
 

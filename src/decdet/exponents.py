@@ -15,7 +15,9 @@ Derivatives use the tilted distribution p(y) proportional to
 q_j[y] exp(s Z[y]): L' equals the tilted mean of Z and L'' its tilted
 variance, so L is convex and L' is nondecreasing.  The conjugate solver
 exploits that monotonicity: Newton iteration on L'(s) = t guarded by an
-always-valid bracket, with plain bisection as the fallback.
+always-valid bracket, with plain bisection as the fallback.  Every array
+solver takes the tilted weights from one kernel, ``_tilt``; the scalar
+solver keeps a plain-float copy of it (see :func:`rate_function`).
 
 Conventions at the edge of the support, where the conjugate is not defined
 by a stationary point:
@@ -27,8 +29,10 @@ by a stationary point:
 * degenerate Z (a single atom, necessarily at 0 for a valid model): the
   conjugate is 0 at t = 0 and +inf elsewhere.
 
-All solvers use absolute tolerance 1e-10 on their argument and return the
-argmax along with the value so results can be reproduced exactly.
+The scalar conjugate solver and the golden-section search use absolute
+tolerance 1e-10 on their argument; the vectorized grid solver bisects each
+t to a bracket of 1e-12.  Solvers return the argmax along with the value so
+results can be reproduced exactly.
 """
 
 from __future__ import annotations
@@ -76,8 +80,9 @@ class _RateConstants:
     """Per-(model, hypothesis) constants shared by every solver.
 
     ``logq`` is -inf on atoms whose mass underflowed to zero, so they drop
-    out of every log-sum-exp.  ``float_lists`` is built on the scalar
-    solver's first call only.
+    out of every log-sum-exp.  ``rate_lo`` and ``rate_hi`` are the
+    conjugate values at the two support edges, -log of the edge mass.
+    ``float_lists`` is built on the scalar solver's first call only.
     """
 
     def __init__(self, im: InducedModel, j: int) -> None:
@@ -88,8 +93,10 @@ class _RateConstants:
         self.zmin, self.zmax = float(z.min()), float(z.max())
         self.tol_lo = _EDGE_RTOL * max(1.0, abs(self.zmin))
         self.tol_hi = _EDGE_RTOL * max(1.0, abs(self.zmax))
-        self.mass_lo = float(q[z <= self.zmin + self.tol_lo].sum())
-        self.mass_hi = float(q[z >= self.zmax - self.tol_hi].sum())
+        mass_lo = float(q[z <= self.zmin + self.tol_lo].sum())
+        mass_hi = float(q[z >= self.zmax - self.tol_hi].sum())
+        self.rate_lo = -math.log(mass_lo) if mass_lo > 0.0 else math.inf
+        self.rate_hi = -math.log(mass_hi) if mass_hi > 0.0 else math.inf
 
     @cached_property
     def float_lists(self) -> tuple[list[float], list[float]]:
@@ -114,12 +121,23 @@ def _rate_constants(im: InducedModel, j: int) -> _RateConstants:
     return consts
 
 
+def _tilt(c: _RateConstants, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Max-shifted tilted weights at every s, broadcast over s's shape.
+
+    Returns (m, w, total) with w = exp(log q + s Z - m) along a new last
+    axis, m the per-s maximum exponent and total = w.sum(-1), so that
+    L(s) = m + log(total) and w / total is the tilted distribution.
+    """
+    a = c.logq + np.asarray(s)[..., None] * c.llr
+    m = a.max(axis=-1)
+    w = np.exp(a - m[..., None])
+    return m, w, w.sum(axis=-1)
+
+
 def log_mgf(im: InducedModel, j: int, s: float) -> float:
     """log sum_y q_j[y] exp(s llr[y]), with max-shift stabilization."""
-    c = _rate_constants(im, j)
-    a = c.logq + s * c.llr
-    m = a.max()
-    return float(m + math.log(np.exp(a - m).sum()))
+    m, _, total = _tilt(_rate_constants(im, j), s)
+    return float(m + math.log(total))
 
 
 def log_mgf_derivs(im: InducedModel, j: int, s: float) -> tuple[float, float, float]:
@@ -128,10 +146,7 @@ def log_mgf_derivs(im: InducedModel, j: int, s: float) -> tuple[float, float, fl
     L' is the tilted mean of Z and L'' the tilted variance, both exact.
     """
     c = _rate_constants(im, j)
-    a = c.logq + s * c.llr
-    m = a.max()
-    w = np.exp(a - m)
-    total = w.sum()
+    m, w, total = _tilt(c, s)
     val = float(m + math.log(total))
     p = w / total
     d1 = float(p @ c.llr)
@@ -185,9 +200,15 @@ def rate_function(im: InducedModel, j: int, t: float) -> RateFunctionValue:
 
     Newton iteration on the monotone L'(s) = t with a maintained bracket
     and bisection fallback; endpoint and out-of-support conventions as in
-    the module docstring.  The inner loop runs on plain floats: message
-    alphabets are tiny, so array dispatch would dominate the solve.  The
-    support edges and the float lists are computed once per (im, j).
+    the module docstring.  The support edges and the float lists are
+    computed once per (im, j).
+
+    The inner ``derivs`` kernel repeats ``_tilt`` on plain floats on
+    purpose.  Message alphabets are tiny, so array dispatch dominates: on
+    two- and three-atom models one (L, L', L'') evaluation takes about
+    2 us here against 11-15 us through ``log_mgf_derivs`` (timeit, 2-core
+    x86 VM, numpy 2.4), and the staged searches call this solver tens of
+    thousands of times per search.
     """
     c = _rate_constants(im, j)
     zmin, zmax, tol_lo, tol_hi = c.zmin, c.zmax, c.tol_lo, c.tol_hi
@@ -200,11 +221,9 @@ def rate_function(im: InducedModel, j: int, t: float) -> RateFunctionValue:
     if t < zmin - tol_lo:
         return RateFunctionValue(t=t, value=math.inf, argmax_s=-math.inf)
     if t >= zmax - tol_hi:
-        value = -math.log(c.mass_hi) if c.mass_hi > 0.0 else math.inf
-        return RateFunctionValue(t=t, value=value, argmax_s=math.inf)
+        return RateFunctionValue(t=t, value=c.rate_hi, argmax_s=math.inf)
     if t <= zmin + tol_lo:
-        value = -math.log(c.mass_lo) if c.mass_lo > 0.0 else math.inf
-        return RateFunctionValue(t=t, value=value, argmax_s=-math.inf)
+        return RateFunctionValue(t=t, value=c.rate_lo, argmax_s=-math.inf)
     zs, lqs = c.float_lists
 
     def derivs(s: float) -> tuple[float, float, float]:
@@ -269,7 +288,6 @@ def rate_function_grid(im: InducedModel, j: int, ts: np.ndarray) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     out = np.empty_like(ts)
     c = _rate_constants(im, j)
-    z, logq = c.llr, c.logq
     zmin, zmax, tol_lo, tol_hi = c.zmin, c.zmax, c.tol_lo, c.tol_hi
     if zmax - zmin == 0.0:
         near0 = np.abs(ts - zmin) <= tol_lo
@@ -280,18 +298,16 @@ def rate_function_grid(im: InducedModel, j: int, ts: np.ndarray) -> np.ndarray:
     lo_edge = ~lo_out & (ts <= zmin + tol_lo)
     interior = ~(hi_out | lo_out | hi_edge | lo_edge)
     out[hi_out | lo_out] = np.inf
-    out[hi_edge] = -math.log(c.mass_hi) if c.mass_hi > 0.0 else np.inf
-    out[lo_edge] = -math.log(c.mass_lo) if c.mass_lo > 0.0 else np.inf
+    out[hi_edge] = c.rate_hi
+    out[lo_edge] = c.rate_lo
     if not np.any(interior):
         return out
 
     t_in = ts[interior]
 
     def dmean(s: np.ndarray) -> np.ndarray:
-        a = logq[None, :] + s[:, None] * z[None, :]
-        m = a.max(axis=1, keepdims=True)
-        w = np.exp(a - m)
-        return (w @ z) / w.sum(axis=1)
+        _, w, total = _tilt(c, s)
+        return (w @ c.llr) / total
 
     lo = np.full(t_in.shape, -1.0)
     hi = np.full(t_in.shape, 1.0)
@@ -315,8 +331,7 @@ def rate_function_grid(im: InducedModel, j: int, ts: np.ndarray) -> np.ndarray:
         if float((hi - lo).max()) <= 1e-12:
             break
     s = 0.5 * (lo + hi)
-    a = logq[None, :] + s[:, None] * z[None, :]
-    m = a.max(axis=1)
-    vals = m + np.log(np.exp(a - m[:, None]).sum(axis=1))
+    m, _, total = _tilt(c, s)
+    vals = m + np.log(total)
     out[interior] = np.maximum(s * t_in - vals, 0.0)
     return out

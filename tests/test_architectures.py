@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from decdet import (
     DecayRateVector,
@@ -476,3 +478,27 @@ def test_staged_search_is_shared_by_equal_models(table_model):
     assert again is first
     with pytest.raises(dataclasses.FrozenInstanceError):
         first[0].value = 0.0
+
+
+# pmf1 is pmf0 reversed, so every map has a mirror twin with the same
+# Chernoff value up to rounding; [0, 0, 0, 1, 1] and [0, 0, 1, 1, 1] are the
+# optimal pair, and the larger map is 1 ulp lower.
+_MIRROR_PMF0 = (0.18665256000226096, 0.14817231948955542, 0.5497833810364157, 0.06178872449162648, 0.05360301498014156)
+
+
+def test_parallel_noise_tie_goes_to_smallest_map():
+    m = validate_model(HypothesisModel(pmf0=_MIRROR_PMF0, pmf1=_MIRROR_PMF0[::-1]))
+    rep = exponent_parallel(m, d=2)
+    assert rep.strategy["gamma"] == [0, 0, 0, 1, 1]
+    assert rep.exponent == -0.03718777008576976
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(raw=hs.lists(hs.floats(min_value=0.05, max_value=1.0), min_size=3, max_size=5))
+def test_parallel_report_is_smallest_map_among_noise_ties(raw):
+    p0 = np.asarray(raw) / sum(raw)
+    m = validate_model(HypothesisModel(pmf0=p0, pmf1=p0[::-1]))
+    values = {q.map: chernoff_exponent(induce(m, q))[0] for q in enumerate_quantizers(m, 2, "llr_monotone")}
+    best = min(values.values())
+    want = min(key for key, v in values.items() if v <= best + 1e-9)
+    assert exponent_parallel(m, d=2).strategy["gamma"] == list(want)

@@ -6,6 +6,7 @@ two-term evaluations, dense grid suprema, and central finite differences.
 from __future__ import annotations
 
 import gc
+import hashlib
 import math
 import weakref
 
@@ -18,10 +19,12 @@ from scipy.special import logsumexp
 from decdet import (
     HypothesisModel,
     Quantizer,
+    Strategy,
     chernoff_exponent,
     golden_section_min,
     induce,
     likelihood_ratio_reduction,
+    llr_distribution_parallel,
     log_mgf,
     log_mgf_derivs,
     rate_function,
@@ -241,3 +244,77 @@ def test_array_solvers_leave_float_lists_unbuilt(table_model):
     assert "float_lists" not in vars(consts)
     rate_function(im, 0, 0.1)
     assert "float_lists" in vars(consts)
+
+
+def _pinned_kernel_models():
+    rng = np.random.default_rng(83)
+    models = [likelihood_ratio_reduction(random_model(rng, k=k)) for k in (3, 4, 5)]
+    # A 12-sensor transcript of a model with 1e-40 masses: its extreme type
+    # classes underflow to zero mass, so the kernels meet -inf log weights.
+    tiny = validate_model(HypothesisModel(pmf0=(0.7, 0.3, 1e-40), pmf1=(1e-40, 0.3, 0.7)))
+    ident = Quantizer(map=(0, 1, 2), message_alphabet_size=3)
+    transcript = llr_distribution_parallel(tiny, Strategy(kind="Parallel1", gamma=ident), 12)
+    assert np.any(transcript.q0 == 0.0) and np.any(transcript.q1 == 0.0)
+    return models + [transcript]
+
+
+# Per model: log_mgf at (j=0, s=0.3) and (j=1, s=-0.7), log_mgf_derivs at the
+# same points, chernoff_exponent, and the sha256 of the rate_function_grid
+# bytes for j=0 and j=1 on 41 points spanning the LLR support padded by 10%
+# each side, followed by both edges.  Compared with ==: reordering the
+# kernel's arithmetic moves the last bits, which the reported strategies and
+# results digests downstream would then inherit.
+_PINNED_KERNEL = [
+    (
+        (-0.4932536837543856, -0.49325368375438583),
+        (
+            (-0.4932536837543856, -0.9356505041304761, 5.365657713982388),
+            (-0.49325368375438583, -0.9356505041304758, 5.3656577139823876),
+        ),
+        (-0.5732764187230508, 0.4712816230418658),
+        ("4edc849f5aee6dd43537356d9aa226ad7f67a4a4aa5a9c81f854cf066768bd65",
+         "0b858cecd9c2fc051c29fbeebb16856cf011730a0799a76a980b1b93d22aa794"),
+    ),
+    (
+        (-0.05684830814126263, -0.05684830814126263),
+        (
+            (-0.05684830814126263, -0.11131720215075154, 0.5389400937908472),
+            (-0.05684830814126263, -0.11131720215075154, 0.5389400937908472),
+        ),
+        (-0.06817883819991111, 0.502462291112648),
+        ("31c2ff06762fd42bb9256d9afd764ddce4337b0a29f856a9d878bda279a049ee",
+         "ec4853411e987eb3a6ab41202dab0fd2a0e24983e0d5f2fa4a0f18f3dded5549"),
+    ),
+    (
+        (-0.1179132032752217, -0.11791320327522192),
+        (
+            (-0.1179132032752217, -0.22992780195960721, 1.140173778355328),
+            (-0.11791320327522192, -0.22992780195960716, 1.1401737783553283),
+        ),
+        (-0.140728164016235, 0.4975250672540764),
+        ("b9600224f029452fd8f9d54171201186c11974b99ac7eb90780055743b5c5059",
+         "2b250fb2e8a15d18cd60eb38ccdd43e7282e03e55a4f77da86f4ccd85bc14bec"),
+    ),
+    (
+        (-14.447673651880072, -14.447673651880072),
+        (
+            (-14.447673651880072, -2.859033260831657e-09, 2.62306949141898e-07),
+            (-14.447673651880072, -2.859033260831657e-09, 2.62306949141898e-07),
+        ),
+        (-14.447673651911233, 0.5872138318266578),
+        ("bb6e839bb328bd73d9d070156d5bf1d683e39cb836694895f1529c7c32312250",
+         "c3894a45cd87ed9d989c4c7b55397751e672cf551b59700fd94cd6c4775e041b"),
+    ),
+]
+
+
+def test_array_kernel_is_pinned_bit_for_bit():
+    for im, (mgf, derivs, chernoff, grid) in zip(_pinned_kernel_models(), _PINNED_KERNEL, strict=True):
+        assert (log_mgf(im, 0, 0.3), log_mgf(im, 1, -0.7)) == mgf
+        assert (log_mgf_derivs(im, 0, 0.3), log_mgf_derivs(im, 1, -0.7)) == derivs
+        assert chernoff_exponent(im) == chernoff
+        zmin, zmax = im.llr_support()
+        pad = 0.1 * (zmax - zmin)
+        ts = np.concatenate([np.linspace(zmin - pad, zmax + pad, 41), [zmin, zmax]])
+        digests = tuple(hashlib.sha256(rate_function_grid(im, j, ts).tobytes()).hexdigest() for j in (0, 1))
+        assert digests == grid
