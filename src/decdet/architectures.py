@@ -61,6 +61,11 @@ the report.  The per-threshold choice of delta and the branch sweeps of
 lexicographic.  The two staged optima of one (model, r, d, mode) are
 searched together and kept in an LRU cache keyed on the model's pmf bytes,
 so equal models share one search and the composite checks do not repeat it.
+
+Strategies.  :class:`Strategy` is the one concrete strategy type, and
+``ExponentReport.strategy`` is its JSON form (:meth:`Strategy.to_dict`,
+read back only by :meth:`Strategy.from_dict`).  The kind groups below
+``KINDS`` state each kind rule once for every module.
 """
 
 from __future__ import annotations
@@ -120,9 +125,44 @@ KINDS = (
     "Tree",
 )
 
-_TWO_MESSAGE_KINDS = ("SequentialFeedback2", "FullFeedback2", "RestrictedFeedback2")
-_ONE_MESSAGE_KINDS = ("OneMsgSequential", "DaisyFull")
-_STAGED_KINDS = ("DaisyRestricted", "Tree")
+# Kind groups; every rule that depends on the kind reads one of these.
+# One stage: the transcript is one joint message per sensor.
+ONE_STAGE_KINDS = ("Parallel1", "Parallel2", "OneMsgSequential")
+# Adaptive: each sensor's second quantizer follows a feedback bit.
+ADAPTIVE_KINDS = ("SequentialFeedback2", "FullFeedback2", "RestrictedFeedback2")
+# Two stages: the first round(r * n) sensors form an aggregator bit.
+TWO_STAGE_KINDS = ("DaisyRestricted", "Tree", "DaisyFull")
+# Restricted: the fusion center sees only the aggregator bit of stage one.
+RESTRICTED_KINDS = ("DaisyRestricted", "Tree")
+
+# Kinds whose optimal exponent is a parallel one: {kind: (parallel kind, note)}.
+PARALLEL_EQUIVALENT = {
+    "SequentialFeedback2": (
+        "Parallel2",
+        "feedback seen before the second message carries no exponent gain when the "
+        "fusion center keeps every first message; equals the two-message parallel optimum",
+    ),
+    "FullFeedback2": (
+        "Parallel2",
+        "broadcasting all first messages back to the sensors does not move the "
+        "exponent; equals the two-message parallel optimum",
+    ),
+    "RestrictedFeedback2": (
+        "Parallel2",
+        "a compressed feedback broadcast cannot beat the uncompressed one, which "
+        "already gains nothing; equals the two-message parallel optimum",
+    ),
+    "OneMsgSequential": (
+        "Parallel1",
+        "conditioning each single message on earlier ones does not move the "
+        "exponent; equals the one-message parallel optimum",
+    ),
+    "DaisyFull": (
+        "Parallel1",
+        "when the fusion center keeps the full first-stage record, the relay stage "
+        "adds nothing asymptotically; equals the one-message parallel optimum",
+    ),
+}
 
 T_GRID_POINTS = 401
 _REFINE_TOL = 1e-10
@@ -142,6 +182,119 @@ class OrderingViolation(AssertionError):
 
 class UnsupportedFormulation(ValueError):
     """The requested formulation is not defined for this architecture here."""
+
+
+@dataclass(frozen=True)
+class Strategy:
+    """Concrete, simulatable strategy for one architecture kind.
+
+    ``t`` is the aggregator threshold: the feedback bit (or broadcast bit)
+    is 1 when the relevant running mean of first-stage LLRs reaches t.  The
+    staged kinds also need ``r``, the fraction of sensors in the first
+    stage; the first round(r * n) sensors form it.  ``fusion_threshold`` is
+    the absolute transcript-LLR cut for the final decision, ties to 1.
+    Either threshold may be infinite (a constant bit or decision), never NaN.
+    """
+
+    kind: str
+    gamma: Quantizer
+    delta0: Quantizer | None = None
+    delta1: Quantizer | None = None
+    t: float | None = None
+    r: float | None = None
+    fusion_threshold: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown architecture kind: {self.kind!r}")
+        if self.kind == "Parallel2" or self.kind not in ONE_STAGE_KINDS:
+            if self.delta0 is None:
+                raise ValueError(f"{self.kind} needs a second-stage quantizer delta0")
+            if self.delta1 is None:
+                object.__setattr__(self, "delta1", self.delta0)
+        if self.kind not in ONE_STAGE_KINDS and self.t is None:
+            raise ValueError(f"{self.kind} needs an aggregator threshold t")
+        if self.kind in TWO_STAGE_KINDS:
+            if self.r is None or not (0.0 < self.r < 1.0):
+                raise ValueError(f"{self.kind} needs a stage fraction r in (0, 1)")
+        elif self.r is not None:
+            raise ValueError(f"{self.kind} takes no stage fraction r")
+        for name, v in (("t", self.t), ("fusion_threshold", self.fusion_threshold)):
+            if v is not None and math.isnan(v):
+                raise ValueError(f"{self.kind} {name} must not be NaN")
+
+    @classmethod
+    def for_kind(
+        cls,
+        kind: str,
+        gamma: Quantizer,
+        delta0: Quantizer | None = None,
+        delta1: Quantizer | None = None,
+        t: float | None = None,
+        r: float | None = None,
+        fusion_threshold: float = 0.0,
+    ) -> Strategy:
+        """Strategy of ``kind`` keeping only the fields that kind uses.
+
+        ``t`` defaults to 0 for the kinds with an aggregator threshold and
+        is dropped for the rest; ``r`` is dropped for the kinds without
+        stages.  :meth:`from_dict` and the CLI build through here.
+        """
+        return cls(
+            kind=kind,
+            gamma=gamma,
+            delta0=delta0,
+            delta1=delta1,
+            t=(0.0 if t is None else t) if kind not in ONE_STAGE_KINDS else None,
+            r=r if kind in TWO_STAGE_KINDS else None,
+            fusion_threshold=fusion_threshold,
+        )
+
+    @classmethod
+    def from_dict(
+        cls,
+        kind: str,
+        maps: dict,
+        r: float | None = None,
+        t: float | None = None,
+        fusion_threshold: float = 0.0,
+    ) -> Strategy:
+        """Strategy of ``kind`` from the JSON form :meth:`to_dict` writes.
+
+        ``t``, when given, replaces the threshold in ``maps``.  Raises
+        ValueError when gamma is missing, when only one of delta0 and delta1
+        is given, or when a map is not an integer label list.
+        """
+
+        def quantizer(key: str) -> Quantizer | None:
+            labels = maps.get(key)
+            return None if labels is None else Quantizer.from_labels(labels)
+
+        delta0, delta1 = quantizer("delta0"), quantizer("delta1")
+        if (delta0 is None) != (delta1 is None):
+            raise ValueError("a strategy dict holds both of delta0 and delta1 or neither")
+        return cls.for_kind(
+            kind,
+            Quantizer.from_labels(maps.get("gamma")),
+            delta0=delta0,
+            delta1=delta1,
+            t=maps.get("t") if t is None else t,
+            r=r,
+            fusion_threshold=fusion_threshold,
+        )
+
+    def to_dict(self) -> dict:
+        """The JSON form that ``ExponentReport.strategy`` holds."""
+
+        def labels(q: Quantizer | None) -> list[int] | None:
+            return None if q is None else list(q.map)
+
+        return {"gamma": labels(self.gamma), "delta0": labels(self.delta0), "delta1": labels(self.delta1), "t": self.t}
+
+    @property
+    def joint(self) -> Quantizer:
+        """The one quantizer of a one-stage kind: gamma, paired with delta0 for Parallel2."""
+        return product_quantizer(self.gamma, self.delta0) if self.kind == "Parallel2" else self.gamma
 
 
 def _norm_formulation(formulation: str) -> str:
@@ -364,12 +517,8 @@ class _StagedOptimum:
     ``at_edge`` flags a threshold on the edge of gamma's LLR support.
     """
 
-    kind: str
+    strategy: Strategy
     value: float
-    gamma: Quantizer
-    delta0: Quantizer
-    delta1: Quantizer
-    t: float
     decay: DecayRateVector
     branch0: float
     branch1: float
@@ -464,12 +613,8 @@ def _staged_optima(pmf0: bytes, pmf1: bytes, r: float, d: int, mode: str) -> tup
         at_edge = min(abs(p.t - g.zmin), abs(p.t - g.zmax)) <= _BOUNDARY_RTOL * scale
         out.append(
             _StagedOptimum(
-                kind=kind,
+                strategy=Strategy(kind, g.q, deltas[i0].q, deltas[i1].q, t=p.t, r=r),
                 value=best.value,
-                gamma=g.q,
-                delta0=deltas[i0].q,
-                delta1=deltas[i1].q,
-                t=p.t,
                 decay=p.decay,
                 branch0=p.bv0[i0],
                 branch1=p.bv1[i1],
@@ -477,17 +622,6 @@ def _staged_optima(pmf0: bytes, pmf1: bytes, r: float, d: int, mode: str) -> tup
             )
         )
     return out[0], out[1]
-
-
-def _strategy_dict(
-    gamma: Quantizer, delta0: Quantizer | None = None, delta1: Quantizer | None = None, t: float | None = None
-) -> dict:
-    """The JSON form of a strategy that ``ExponentReport.strategy`` holds."""
-
-    def labels(q: Quantizer | None) -> list[int] | None:
-        return None if q is None else list(q.map)
-
-    return {"gamma": labels(gamma), "delta0": labels(delta0), "delta1": labels(delta1), "t": t}
 
 
 def _staged_report(m: HypothesisModel, r: float, d: int, mode: str, formulation: str, kind: str) -> ExponentReport:
@@ -500,14 +634,13 @@ def _staged_report(m: HypothesisModel, r: float, d: int, mode: str, formulation:
         )
     daisy, tree = _search_staged(m, r, d, mode)
     res = daisy if kind == "DaisyRestricted" else tree
-    e = res.decay
     return ExponentReport(
-        architecture=res.kind,
+        architecture=kind,
         formulation="Bayesian",
         r=r,
         exponent=-res.value + 0.0,
-        strategy=_strategy_dict(res.gamma, res.delta0, res.delta1, res.t),
-        decay_rates={"e01": e.e01, "e10": e.e10, "e00": e.e00, "e11": e.e11},
+        strategy=res.strategy.to_dict(),
+        decay_rates=dataclasses.asdict(res.decay),
         branch_values={"branch0": res.branch0, "branch1": res.branch1},
         note="optimum sits at the edge of the threshold range" if res.at_edge else "",
     )
@@ -581,42 +714,18 @@ def exponent_parallel(
         raise ValueError("no candidate quantizer gives a finite exponent")
     if messages_per_sensor == 2:
         gamma, delta = split_product_quantizer(best_q, d)
-        strategy = _strategy_dict(gamma, delta, delta)
+        strategy = Strategy("Parallel2", gamma, delta0=delta)
     else:
-        strategy = _strategy_dict(best_q)
+        strategy = Strategy("Parallel1", best_q)
     return ExponentReport(
-        architecture="Parallel1" if messages_per_sensor == 1 else "Parallel2",
+        architecture=strategy.kind,
         formulation=formulation,
         r=None,
         exponent=min(-best.value, 0.0) + 0.0,
-        strategy=strategy,
+        strategy=strategy.to_dict(),
         decay_rates=None,
         branch_values=None,
     )
-
-
-_EQUIVALENCE_NOTES = {
-    "SequentialFeedback2": (
-        "feedback seen before the second message carries no exponent gain when the "
-        "fusion center keeps every first message; equals the two-message parallel optimum"
-    ),
-    "FullFeedback2": (
-        "broadcasting all first messages back to the sensors does not move the "
-        "exponent; equals the two-message parallel optimum"
-    ),
-    "RestrictedFeedback2": (
-        "a compressed feedback broadcast cannot beat the uncompressed one, which "
-        "already gains nothing; equals the two-message parallel optimum"
-    ),
-    "OneMsgSequential": (
-        "conditioning each single message on earlier ones does not move the "
-        "exponent; equals the one-message parallel optimum"
-    ),
-    "DaisyFull": (
-        "when the fusion center keeps the full first-stage record, the relay stage "
-        "adds nothing asymptotically; equals the one-message parallel optimum"
-    ),
-}
 
 
 def exponent_feedback_equivalent(
@@ -633,20 +742,12 @@ def exponent_feedback_equivalent(
     chain inherit the one-message parallel optimum.  The note on the
     report records which reduction was applied.
     """
-    if kind not in _TWO_MESSAGE_KINDS + _ONE_MESSAGE_KINDS:
+    if kind not in PARALLEL_EQUIVALENT:
         raise ValueError(f"{kind!r} is not a feedback-equivalent architecture kind")
-    messages = 2 if kind in _TWO_MESSAGE_KINDS else 1
+    base_kind, note = PARALLEL_EQUIVALENT[kind]
+    messages = 2 if base_kind == "Parallel2" else 1
     base = exponent_parallel(m, d=d, messages_per_sensor=messages, formulation=formulation, mode=mode)
-    return ExponentReport(
-        architecture=kind,
-        formulation=base.formulation,
-        r=None,
-        exponent=base.exponent,
-        strategy=base.strategy,
-        decay_rates=None,
-        branch_values=None,
-        note=_EQUIVALENCE_NOTES[kind],
-    )
+    return dataclasses.replace(base, architecture=kind, note=note)
 
 
 def h_of_e(
@@ -715,28 +816,16 @@ def reevaluate_exponent(m: HypothesisModel, report: ExponentReport) -> float:
     without rerunning the search.
     """
     validate_model(m)
-    strat = report.strategy
     kind = report.architecture
-
-    def quantizer(key: str) -> Quantizer:
-        return Quantizer.from_labels(strat.get(key))
-
-    if kind in ("Parallel1",) + _ONE_MESSAGE_KINDS:
-        return _parallel_value(induce(m, quantizer("gamma")), report.formulation)
-    if kind in ("Parallel2",) + _TWO_MESSAGE_KINDS:
-        joint = product_quantizer(quantizer("gamma"), quantizer("delta0"))
-        return _parallel_value(induce(m, joint), report.formulation)
-    if kind in _STAGED_KINDS:
-        r, t = report.r, strat.get("t")
-        if r is None:
-            raise ValueError(f"{kind} report carries no stage fraction r")
-        if t is None:
-            raise ValueError(f"{kind} report carries no aggregator threshold t")
-        g = _cand(m, quantizer("gamma"))
-        dd = [_cand(m, quantizer("delta0")), _cand(m, quantizer("delta1"))]
-        p = _point_eval(g, dd, r, float(t))
-        return -min(p.bv0[0], p.bv1[1])
-    raise ValueError(f"cannot reevaluate architecture kind {kind!r}")
+    if kind in RESTRICTED_KINDS and report.strategy.get("t") is None:
+        # Strategy.for_kind would read a missing threshold as 0.
+        raise ValueError(f"{kind} report carries no aggregator threshold t")
+    # A feedback-equivalent report holds its parallel kind's strategy.
+    s = Strategy.from_dict(PARALLEL_EQUIVALENT.get(kind, (kind,))[0], report.strategy, r=report.r)
+    if s.kind in ONE_STAGE_KINDS:
+        return _parallel_value(induce(m, s.joint), report.formulation)
+    p = _point_eval(_cand(m, s.gamma), [_cand(m, s.delta0), _cand(m, s.delta1)], s.r, s.t)
+    return -min(p.bv0[0], p.bv1[1])
 
 
 def check_symmetric_rate_condition(
@@ -755,7 +844,7 @@ def check_symmetric_rate_condition(
     common_value, daisy_exponent, tree_exponent, consistent.
     """
     daisy_res, tree_res = _search_staged(m, r, d, mode)
-    witness = tree_res.delta0
+    witness = tree_res.strategy.delta0
     im = induce(m, witness)
     zmin, zmax = im.llr_support()
     half = min(-zmin, zmax)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from typing import Sequence
 
@@ -20,45 +21,17 @@ import numpy as np
 from . import architectures as arch
 from . import evaluator as ev
 from .exponents import rate_function_grid
-from .model import (
-    HypothesisModel,
-    NotAProbability,
-    Quantizer,
-    ShapeMismatch,
-    SupportMismatch,
-    identity_quantizer,
-    induce,
-    load_model,
-    validate_model,
-)
+from .model import HypothesisModel, Quantizer, identity_quantizer, induce, load_model, validate_model
 
 # Example model used throughout: three symbols, strongly skewed both ways.
 _TABLE_PMF0 = (0.8, 0.15, 0.05)
 _TABLE_PMF1 = (0.05, 0.15, 0.8)
 
-_ARCH_NAMES = {
-    "parallel-1": "Parallel1",
-    "parallel-2": "Parallel2",
-    "sequential-feedback-2": "SequentialFeedback2",
-    "full-feedback-2": "FullFeedback2",
-    "restricted-feedback-2": "RestrictedFeedback2",
-    "one-msg-sequential": "OneMsgSequential",
-    "daisy-full": "DaisyFull",
-    "daisy-restricted": "DaisyRestricted",
-    "tree": "Tree",
-}
+# --arch names: each kind in kebab case, e.g. sequential-feedback-2.
+_ARCH_NAMES = {re.sub(r"(?<=[a-z])(?=[A-Z0-9])", "-", kind).lower(): kind for kind in arch.KINDS}
 
-_USAGE_ERRORS = (
-    NotAProbability,
-    SupportMismatch,
-    ShapeMismatch,
-    arch.UnsupportedFormulation,
-    arch.InfeasibleRate,
-    ev.TooLarge,
-    ev.DegenerateLLR,
-    ValueError,
-    OSError,
-)
+# Every typed error the library raises on bad input subclasses ValueError.
+_USAGE_ERRORS = (ValueError, OSError)
 
 
 def _fmt(x) -> str:
@@ -114,29 +87,27 @@ def _parse_map(text: str, name: str) -> Quantizer:
     return Quantizer.from_labels(labels)
 
 
-def _compute_report(m: HypothesisModel, kind: str, args) -> arch.ExponentReport:
-    mode = "all" if args.exhaustive else "llr_monotone"
-    formulation = args.formulation
-    d = args.d if args.d is not None else 2
-    if kind == "Parallel1":
-        return arch.exponent_parallel(m, d=d, messages_per_sensor=1, formulation=formulation, mode=mode)
-    if kind == "Parallel2":
-        return arch.exponent_parallel(m, d=d, messages_per_sensor=2, formulation=formulation, mode=mode)
-    if kind == "DaisyRestricted":
+def _compute_report(m: HypothesisModel, args) -> arch.ExponentReport:
+    kind = _ARCH_NAMES[args.arch]
+    opts = {
+        "d": args.d if args.d is not None else 2,
+        "mode": "all" if args.exhaustive else "llr_monotone",
+        "formulation": args.formulation,
+    }
+    if kind in arch.RESTRICTED_KINDS:
         if args.r is None:
-            raise ValueError("daisy-restricted needs --r in (0, 1)")
-        return arch.exponent_daisy_restricted(m, args.r, d=d, mode=mode, formulation=formulation)
-    if kind == "Tree":
-        if args.r is None:
-            raise ValueError("tree needs --r in (0, 1)")
-        return arch.exponent_tree(m, args.r, d=d, mode=mode, formulation=formulation)
-    return arch.exponent_feedback_equivalent(m, d=d, kind=kind, formulation=formulation, mode=mode)
+            raise ValueError(f"{args.arch} needs --r in (0, 1)")
+        search = arch.exponent_tree if kind == "Tree" else arch.exponent_daisy_restricted
+        return search(m, args.r, **opts)
+    if kind in arch.PARALLEL_EQUIVALENT:
+        return arch.exponent_feedback_equivalent(m, kind=kind, **opts)
+    return arch.exponent_parallel(m, messages_per_sensor=2 if kind == "Parallel2" else 1, **opts)
 
 
 def cmd_exponent(args) -> int:
     m, d = _load(args)
     args.d = d
-    report = _compute_report(m, _ARCH_NAMES[args.arch], args)
+    report = _compute_report(m, args)
     text = json.dumps(_jsonable(report.to_dict()), indent=2) + "\n"
     _emit(text, args.output)
     return 0
@@ -167,13 +138,12 @@ def _strategy_from_args(m: HypothesisModel, args) -> ev.Strategy:
         # No explicit maps given: evaluate the optimal strategy for this
         # architecture, which keeps the common workflow to one command.
         if kind != "DaisyFull":
-            report = _compute_report(m, kind, args)
-            return ev.strategy_from_report(report, t=args.t, fusion_threshold=args.fusion_threshold)
+            return ev.strategy_from_report(_compute_report(m, args), t=args.t, fusion_threshold=args.fusion_threshold)
         # The DaisyFull report carries the one-message parallel optimum,
         # which the chain attains by quantizing both stages with gamma.
         if args.r is None:
             raise ValueError("daisy-full needs --r in (0, 1)")
-        gamma = Quantizer.from_labels(_compute_report(m, kind, args).strategy["gamma"])
+        gamma = ev.Strategy.from_dict("Parallel1", _compute_report(m, args).strategy).gamma
         return ev.Strategy.for_kind(
             kind, gamma, delta0=gamma, t=args.t, r=args.r, fusion_threshold=args.fusion_threshold
         )

@@ -25,6 +25,7 @@ exactly optimal fusion rule, not an approximation to it.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -32,7 +33,14 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .architectures import KINDS, ExponentReport
+from .architectures import (
+    ADAPTIVE_KINDS,
+    ONE_STAGE_KINDS,
+    RESTRICTED_KINDS,
+    TWO_STAGE_KINDS,
+    ExponentReport,
+    Strategy,
+)
 from .exponents import chernoff_exponent, log_mgf_derivs
 from .model import (
     HypothesisModel,
@@ -66,10 +74,6 @@ CLASS_BUDGET = 10**7
 _CHUNK_CELLS = 1 << 22
 _MAX_CHUNK_TRIALS = 8192
 
-_PARALLEL_EXACT = ("Parallel1", "Parallel2", "OneMsgSequential")
-_TWO_STAGE = ("DaisyRestricted", "Tree", "DaisyFull")
-_ADAPTIVE_MC_ONLY = ("SequentialFeedback2", "FullFeedback2", "RestrictedFeedback2")
-_NEEDS_T = _ADAPTIVE_MC_ONLY + _TWO_STAGE
 # (log mass under H0, log mass under H1, LLR) per atom: a type class or a transcript atom.
 _LogAtoms = tuple[np.ndarray, np.ndarray, np.ndarray]
 
@@ -80,70 +84,6 @@ class TooLarge(ValueError):
 
 class DegenerateLLR(ValueError):
     """The transcript LLR is a nonzero constant, which no valid model produces."""
-
-
-@dataclass(frozen=True)
-class Strategy:
-    """Concrete, simulatable strategy for one architecture kind.
-
-    ``t`` is the aggregator threshold: the feedback bit (or broadcast bit)
-    is 1 when the relevant running mean of first-stage LLRs reaches t.  The
-    staged kinds also need ``r``, the fraction of sensors in the first
-    stage; the first round(r * n) sensors form it.  ``fusion_threshold`` is
-    the absolute transcript-LLR cut for the final decision, ties to 1.
-    """
-
-    kind: str
-    gamma: Quantizer
-    delta0: Quantizer | None = None
-    delta1: Quantizer | None = None
-    t: float | None = None
-    r: float | None = None
-    fusion_threshold: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown architecture kind: {self.kind!r}")
-        needs_deltas = self.kind not in ("Parallel1", "OneMsgSequential")
-        if needs_deltas:
-            if self.delta0 is None:
-                raise ValueError(f"{self.kind} needs a second-stage quantizer delta0")
-            if self.delta1 is None:
-                object.__setattr__(self, "delta1", self.delta0)
-        if self.kind in _NEEDS_T and self.t is None:
-            raise ValueError(f"{self.kind} needs an aggregator threshold t")
-        if self.kind in _TWO_STAGE:
-            if self.r is None or not (0.0 < self.r < 1.0):
-                raise ValueError(f"{self.kind} needs a stage fraction r in (0, 1)")
-        elif self.r is not None:
-            raise ValueError(f"{self.kind} takes no stage fraction r")
-
-    @classmethod
-    def for_kind(
-        cls,
-        kind: str,
-        gamma: Quantizer,
-        delta0: Quantizer | None = None,
-        delta1: Quantizer | None = None,
-        t: float | None = None,
-        r: float | None = None,
-        fusion_threshold: float = 0.0,
-    ) -> Strategy:
-        """Strategy of ``kind`` keeping only the fields that kind uses.
-
-        ``t`` defaults to 0 for the kinds with an aggregator threshold and
-        is dropped for the rest; ``r`` is dropped for the kinds without
-        stages.  :func:`strategy_from_report` and the CLI build through here.
-        """
-        return cls(
-            kind=kind,
-            gamma=gamma,
-            delta0=delta0,
-            delta1=delta1,
-            t=(0.0 if t is None else t) if kind in _NEEDS_T else None,
-            r=r if kind in _TWO_STAGE else None,
-            fusion_threshold=fusion_threshold,
-        )
 
 
 @dataclass(frozen=True)
@@ -251,6 +191,8 @@ def _lse(values: np.ndarray) -> float:
 
 
 def _estimate_from_logs(n: int, log_pe0: float, log_pe1: float, method: str) -> ErrorEstimate:
+    # A sum of class masses can round a hair above 1; no probability does.
+    log_pe0, log_pe1 = min(log_pe0, 0.0), min(log_pe1, 0.0)
     log_p_e = float(np.logaddexp(log_pe0, log_pe1)) - math.log(2.0)
     return ErrorEstimate(
         n=n,
@@ -263,20 +205,14 @@ def _estimate_from_logs(n: int, log_pe0: float, log_pe1: float, method: str) -> 
     )
 
 
-def _parallel_joint(strategy: Strategy) -> Quantizer:
-    if strategy.kind == "Parallel2":
-        return product_quantizer(strategy.gamma, strategy.delta0)
-    return strategy.gamma
-
-
 def _parallel_table(m: HypothesisModel, strategy: Strategy, n: int, what: str) -> _LogAtoms:
     """Class table of a parallel-form strategy's joint messages at n, budget-checked."""
     validate_model(m)
-    if strategy.kind not in _PARALLEL_EXACT:
+    if strategy.kind not in ONE_STAGE_KINDS:
         raise ValueError(f"{strategy.kind} is not a parallel-form strategy")
     if n < 1:
         raise ValueError("blocklength n must be positive")
-    im = induce(m, _parallel_joint(strategy))
+    im = induce(m, strategy.joint)
     _check_budget(n, what, im.alphabet_size)
     return _class_table(im, n)
 
@@ -346,11 +282,11 @@ def exact_error_daisy(m: HypothesisModel, strategy: Strategy, n: int) -> ErrorEs
     with the matching second-stage tail.
     """
     validate_model(m)
-    if strategy.kind not in _TWO_STAGE:
+    if strategy.kind not in TWO_STAGE_KINDS:
         raise ValueError(f"{strategy.kind} is not a two-stage strategy")
     n1, n2, im1, ims2 = _two_stage_setup(m, strategy, n, "a two-stage strategy")
     thr = strategy.fusion_threshold
-    if strategy.kind != "DaisyFull":
+    if strategy.kind in RESTRICTED_KINDS:
         logq0, logq1, llr = _restricted_atoms(im1, ims2, n1, n2, strategy.t)
         decide1 = llr >= thr
         return _estimate_from_logs(n, _lse(logq0[decide1]), _lse(logq1[~decide1]), "exact")
@@ -379,9 +315,9 @@ def exact_error_daisy(m: HypothesisModel, strategy: Strategy, n: int) -> ErrorEs
 
 def exact_error(m: HypothesisModel, strategy: Strategy, n: int) -> ErrorEstimate:
     """Exact error probabilities for any strategy with a product-form transcript."""
-    if strategy.kind in _PARALLEL_EXACT:
+    if strategy.kind in ONE_STAGE_KINDS:
         return exact_error_parallel(m, strategy, n)
-    if strategy.kind in _TWO_STAGE:
+    if strategy.kind in TWO_STAGE_KINDS:
         return exact_error_daisy(m, strategy, n)
     raise ValueError(
         f"{strategy.kind} adapts each sensor to the realized feedback, so its "
@@ -431,12 +367,12 @@ def _transcript_llr_fn(m: HypothesisModel, strategy: Strategy, n: int) -> Callab
     each term.
     """
     kind, t = strategy.kind, strategy.t
-    if kind in _PARALLEL_EXACT:
-        joint = _symbol_llr_table(m, _parallel_joint(strategy))
+    if kind in ONE_STAGE_KINDS:
+        joint = _symbol_llr_table(m, strategy.joint)
         return lambda obs: joint[obs].sum(axis=1)
 
     first = _symbol_llr_table(m, strategy.gamma)
-    if kind in _ADAPTIVE_MC_ONLY:
+    if kind in ADAPTIVE_KINDS:
         joint = np.stack(
             [_symbol_llr_table(m, product_quantizer(strategy.gamma, d)) for d in (strategy.delta0, strategy.delta1)]
         )
@@ -463,7 +399,7 @@ def _transcript_llr_fn(m: HypothesisModel, strategy: Strategy, n: int) -> Callab
     n1, _ = _stage_sizes(n, strategy.r)
     second = np.stack([_symbol_llr_table(m, d) for d in (strategy.delta0, strategy.delta1)])
     logit_u = None
-    if kind != "DaisyFull":
+    if kind in RESTRICTED_KINDS:
         # The fusion center sees only the bit U from stage one, so its
         # transcript LLR needs the exact log-odds of U at this n.
         im1 = induce(m, strategy.gamma)
@@ -499,20 +435,24 @@ def simulate(
     threads, one each; every chunk's stream is fixed by its key, so the
     result depends neither on the chunking nor on the threading.  ``ci``
     is the 95 percent normal-theory half-width on the averaged error
-    probability.
+    probability.  ``seed`` must be an integer in [0, 2**64).
     """
     validate_model(m)
     if n < 1 or num_trials < 1:
         raise ValueError("n and num_trials must be positive")
+    if not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     transcript_llr = _transcript_llr_fn(m, strategy, n)
     chunk = _chunk_trials(n)
+    # A uint64 array, so numpy never routes a seed of 2**63 or more through float64.
+    key = np.array([seed, 0], dtype=np.uint64)
 
     def count_errors(j: int) -> int:
         cdf = np.cumsum(m.pmf1 if j else m.pmf0)
         errors = 0
         for chunk_idx, done in enumerate(range(0, num_trials, chunk)):
             rows = min(chunk, num_trials - done)
-            rng = np.random.Generator(np.random.Philox(key=[seed, 0], counter=[0, chunk_idx, j, 0]))
+            rng = np.random.Generator(np.random.Philox(key=key, counter=[0, chunk_idx, j, 0]))
             llr = transcript_llr(_sample_symbols(cdf, rng.random((rows, n))))
             chose1 = int(np.count_nonzero(llr >= strategy.fusion_threshold))
             errors += chose1 if j == 0 else rows - chose1
@@ -556,8 +496,8 @@ def fit_exponent(
     if method not in ("exact", "mc"):
         raise ValueError(f"unknown method: {method!r}")
     ns = sorted(int(n) for n in ns)
-    if len(ns) < 2:
-        raise ValueError("need at least two blocklengths to fit a slope")
+    if len(set(ns)) < 2:
+        raise ValueError("need at least two distinct blocklengths to fit a slope")
     estimates = []
     for n in ns:
         strat = strategy_for_n(n) if callable(strategy_for_n) else strategy_for_n
@@ -567,8 +507,8 @@ def fit_exponent(
             estimates.append(simulate(m, strat, n, num_trials=num_trials, seed=seed))
     xs = [e.n for e in estimates if e.log_p_e > -math.inf]
     ys = [e.log_p_e for e in estimates if e.log_p_e > -math.inf]
-    if len(xs) < 2:
-        raise ValueError("fewer than two blocklengths produced a nonzero error estimate")
+    if len(set(xs)) < 2:
+        raise ValueError("fewer than two distinct blocklengths produced a nonzero error estimate")
     slope, intercept = np.polyfit(np.array(xs, dtype=float), np.array(ys), 1)
     return FitResult(slope=float(slope), intercept=float(intercept), estimates=tuple(estimates))
 
@@ -620,7 +560,7 @@ def llr_distribution_daisy(m: HypothesisModel, strategy: Strategy, n: int) -> In
     bit's log-odds, matching what the fusion rule thresholds.
     """
     validate_model(m)
-    if strategy.kind not in ("DaisyRestricted", "Tree"):
+    if strategy.kind not in RESTRICTED_KINDS:
         raise ValueError("transcript atoms with an aggregator bit need a restricted chain")
     n1, n2, im1, ims2 = _two_stage_setup(m, strategy, n, "a two-stage transcript")
     logq0, logq1, llr = _restricted_atoms(im1, ims2, n1, n2, strategy.t)
@@ -639,14 +579,4 @@ def strategy_from_report(
     ValueError when the report's gamma is missing or its maps are not
     integer label lists.
     """
-    strat = report.strategy
-    d0, d1 = strat.get("delta0"), strat.get("delta1")
-    return Strategy.for_kind(
-        report.architecture,
-        Quantizer.from_labels(strat.get("gamma")),
-        delta0=None if d0 is None else Quantizer.from_labels(d0),
-        delta1=None if d1 is None else Quantizer.from_labels(d1),
-        t=t if t is not None else strat.get("t"),
-        r=report.r,
-        fusion_threshold=fusion_threshold,
-    )
+    return Strategy.from_dict(report.architecture, report.strategy, report.r, t, fusion_threshold)

@@ -16,6 +16,7 @@ from decdet import (
     InfeasibleRate,
     KINDS,
     Quantizer,
+    Strategy,
     UnsupportedFormulation,
     check_ordering,
     check_symmetric_rate_condition,
@@ -32,7 +33,14 @@ from decdet import (
     reevaluate_exponent,
     validate_model,
 )
-from decdet.architectures import _candidates, _point_eval, _search_staged, _staged_optima, _tree_diff
+from decdet.architectures import (
+    PARALLEL_EQUIVALENT,
+    _candidates,
+    _point_eval,
+    _search_staged,
+    _staged_optima,
+    _tree_diff,
+)
 from conftest import random_model
 
 
@@ -106,17 +114,32 @@ def test_search_is_deterministic(table_model):
     assert a.to_json() == b.to_json()
 
 
+# One report builder per kind; the feedback-equivalent kinds reduce to parallel.
+_REPORTS = {
+    "Parallel1": lambda m: exponent_parallel(m),
+    "Parallel2": lambda m: exponent_parallel(m, messages_per_sensor=2),
+    "DaisyRestricted": lambda m: exponent_daisy_restricted(m, r=0.5),
+    "Tree": lambda m: exponent_tree(m, r=0.5),
+    **{kind: (lambda m, kind=kind: exponent_feedback_equivalent(m, kind=kind)) for kind in PARALLEL_EQUIVALENT},
+}
+
+
 def test_reevaluate_round_trip(table_model):
     rng = np.random.default_rng(19)
     models = [table_model] + [random_model(rng) for _ in range(4)]
     for m in models:
-        for rep in (
-            exponent_parallel(m),
-            exponent_parallel(m, messages_per_sensor=2),
-            exponent_daisy_restricted(m, r=0.5),
-            exponent_tree(m, r=0.5),
-        ):
+        for build in _REPORTS.values():
+            rep = build(m)
             assert reevaluate_exponent(m, rep) == pytest.approx(rep.exponent, abs=1e-9)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_strategy_dict_round_trip(table_model, kind):
+    rep = _REPORTS[kind](table_model)
+    assert rep.architecture == kind
+    # A feedback-equivalent report holds its parallel kind's strategy.
+    parsed = Strategy.from_dict(PARALLEL_EQUIVALENT.get(kind, (kind,))[0], rep.strategy, r=rep.r)
+    assert parsed.to_dict() == rep.strategy
 
 
 def test_feedback_kinds_reduce_to_parallel(table_model):
@@ -131,7 +154,6 @@ def test_feedback_kinds_reduce_to_parallel(table_model):
         rep = exponent_feedback_equivalent(table_model, kind=kind)
         assert rep.exponent == pytest.approx(one.exponent, abs=1e-12)
         assert rep.note
-    assert reevaluate_exponent(table_model, rep) == pytest.approx(rep.exponent, abs=1e-9)
 
 
 def test_neyman_pearson_parallel(table_model):
@@ -461,8 +483,16 @@ def _edited(report, drop=(), **changes):
         lambda m: _edited(exponent_parallel(m, messages_per_sensor=2), drop=("delta0",)),
         lambda m: _edited(exponent_tree(m, r=0.5), t=None),
         lambda m: _edited(exponent_parallel(m), gamma=[0, 0.5, 1]),
+        lambda m: _edited(exponent_daisy_restricted(m, r=0.5), drop=("delta1",)),
     ],
-    ids=["parallel1-gamma-none", "daisy-gamma-none", "parallel2-no-delta0", "tree-t-none", "float-label"],
+    ids=[
+        "parallel1-gamma-none",
+        "daisy-gamma-none",
+        "parallel2-no-delta0",
+        "tree-t-none",
+        "float-label",
+        "daisy-no-delta1",
+    ],
 )
 def test_reevaluate_rejects_incomplete_strategy(table_model, build):
     with pytest.raises(ValueError):

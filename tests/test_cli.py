@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from decdet.cli import main
+from decdet.cli import _ARCH_NAMES, main
 
 TABLE = "3 2\n0.8 0.15 0.05\n0.05 0.15 0.8\n"
 
@@ -99,6 +99,37 @@ def test_missing_model_file(capsys, tmp_path):
     code, _, err = _run(capsys, ["exponent", "--model", str(tmp_path / "nope.txt")])
     assert code == 2
     assert "error:" in err
+
+
+def test_arch_roster():
+    assert _ARCH_NAMES == {
+        "parallel-1": "Parallel1",
+        "parallel-2": "Parallel2",
+        "sequential-feedback-2": "SequentialFeedback2",
+        "full-feedback-2": "FullFeedback2",
+        "restricted-feedback-2": "RestrictedFeedback2",
+        "one-msg-sequential": "OneMsgSequential",
+        "daisy-full": "DaisyFull",
+        "daisy-restricted": "DaisyRestricted",
+        "tree": "Tree",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--quantizer", "0,1,2", "--fusion-threshold", "nan", "--method", "exact", "--n-grid", "40"],
+        ["simulate", "--arch", "tree", "--r", "0.5", "--quantizer", "0,1,2", "--delta0", "0,1,2", "--t", "nan",
+         "--method", "exact", "--n-grid", "6"],
+        ["simulate", "--seed", "-1", "--samples", "10", "--n-grid", "5"],
+        ["simulate", "--seed", "18446744073709551616", "--samples", "10", "--n-grid", "5"],
+        ["fit", "--n-grid", "10,10", "--method", "exact", "--format", "json"],
+    ],
+    ids=["nan-fusion-threshold", "nan-t", "negative-seed", "seed-2**64", "one-distinct-n"],
+)
+def test_invalid_strategy_seed_or_grid_exits_two(capsys, model_file, argv):
+    code, out, err = _run(capsys, argv[:1] + ["--model", model_file] + argv[1:])
+    assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_usage_errors_exit_two(capsys, model_file):

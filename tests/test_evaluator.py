@@ -188,6 +188,38 @@ def test_strategy_validation(table_model):
     assert tree.delta1 == tree.delta0  # single second-stage map
 
 
+@pytest.mark.parametrize("field", ["t", "fusion_threshold"])
+def test_strategy_rejects_nan_thresholds(table_model, field):
+    def tree(v: float) -> Strategy:
+        return Strategy(kind="Tree", gamma=Q001, delta0=Q011, r=0.5, **{"t": 0.0, field: v})
+
+    with pytest.raises(ValueError, match=f"{field} must not be NaN"):
+        tree(math.nan)
+    # An infinite threshold is a constant bit or decision, a valid strategy.
+    for v in (math.inf, -math.inf):
+        st = tree(v)
+        assert 0.0 <= exact_error(table_model, st, 6).p_e <= 1.0
+
+
+def test_exact_probabilities_never_exceed_one(table_model):
+    # The class masses sum a few ulps above 1 when every class errs.
+    ident = Quantizer(map=(0, 1, 2), message_alphabet_size=3)
+    always1 = exact_error(table_model, _parallel1(ident, fusion_threshold=-1e9), 10)
+    always0 = exact_error(table_model, _parallel1(ident, fusion_threshold=1e9), 10)
+    assert (always1.p_e0, always1.p_e1, always1.p_e) == (1.0, 0.0, 0.5)
+    assert (always0.p_e0, always0.p_e1, always0.p_e) == (0.0, 1.0, 0.5)
+
+
+def test_simulate_seed_range(table_model):
+    st = _parallel1(Q001)
+    for seed in (-1, 1.5, 2**64, "0"):
+        with pytest.raises(ValueError, match="seed"):
+            simulate(table_model, st, 4, num_trials=10, seed=seed)
+    # Seeds past 2**63 keep every bit: neighbours draw different streams.
+    ests = [simulate(table_model, st, 6, num_trials=2000, seed=s) for s in (2**63, 2**63 + 1, 2**64 - 1)]
+    assert len({(e.p_e0, e.p_e1) for e in ests}) == 3
+
+
 def test_too_large_reports_feasible_n():
     m = validate_model(
         HypothesisModel(pmf0=(0.4, 0.3, 0.2, 0.1), pmf1=(0.1, 0.2, 0.3, 0.4))
@@ -322,8 +354,10 @@ def test_fit_exponent_accepts_strategy_factory(table_model):
 
 
 def test_fit_exponent_needs_two_points(table_model):
-    with pytest.raises(ValueError):
-        fit_exponent(table_model, _parallel1(Q001), ns=(10,), method="exact")
+    # At n=300 Monte Carlo sees no error, which leaves the one n of 5 5.
+    for ns, method in (((10,), "exact"), ((10, 10), "exact"), ((5, 5, 300), "mc")):
+        with pytest.raises(ValueError, match="distinct"):
+            fit_exponent(table_model, _parallel1(Q001), ns=ns, method=method, num_trials=50)
 
 
 def test_strategy_from_report_round_trip(table_model):
