@@ -52,13 +52,27 @@ one memo keyed on t, so a threshold they share is solved once.  The
 crossing bisection of delta k's two branch curves evaluates only delta k's
 two branch points, not the whole delta list.
 
+Which solver decides and which reports.  Every decision of the search (the
+grid phase, both golden sections, the crossing bisections) reads the
+conjugates from ``exponents._two_atom_rate(_grid)``: the closed form on
+two-atom quantizers, every d = 2 candidate, and the solvers on the rest.
+Each of the two winners is then evaluated once more at its (gamma, t) with
+the scalar solver, and its deltas, value, decay rates and branch values all
+come from that evaluation.  So every reported number is the scalar
+solver's, and :func:`reevaluate_exponent` reproduces it exactly.
+:func:`h_of_e`, :func:`reevaluate_exponent` and
+:func:`check_symmetric_rate_condition` use the solvers only.
+
 Ties.  Two sweeps go through ``_Best``: the staged search's offer of each
 (gamma, t) candidate and the quantizer sweep of :func:`exponent_parallel`.
 Values within ``_TIE_TOL`` count as one optimum and the lexicographically
 smallest maps win, so floating-point noise between mirror twins never picks
-the report.  The per-threshold choice of delta and the branch sweeps of
-:func:`h_of_e` take the first strict maximum in candidate order, which is
-lexicographic.  The two staged optima of one (model, r, d, mode) are
+the report.  On an exactly mirror-symmetric model whose branch curves cross
+at t = 0 the rounding noise still places the refined threshold, about 1e-11
+from 0, and the closed form's noise may place it elsewhere than the
+solvers' noise would; the value moves by far less than ``_TIE_TOL``.  The
+per-threshold choice of delta and the branch sweeps of :func:`h_of_e` take
+the first strict maximum in candidate order, which is lexicographic.  The two staged optima of one (model, r, d, mode) are
 searched together and kept in an LRU cache keyed on the model's pmf bytes,
 so equal models share one search and the composite checks do not repeat it.
 
@@ -80,6 +94,8 @@ from typing import Sequence
 import numpy as np
 
 from .exponents import (
+    _two_atom_rate,
+    _two_atom_rate_grid,
     chernoff_exponent,
     golden_section_min,
     rate_function,
@@ -376,18 +392,24 @@ def _candidates(m: HypothesisModel, d: int, mode: str) -> list[_Cand]:
     return [_cand(m, q) for q in enumerate_quantizers(m, d, mode)]
 
 
-def _branch_point(cand: _Cand, a: float, e_same: float, e_cross: float, r: float) -> float:
+def _solver_rate(im: InducedModel, j: int, t: float) -> float:
+    # The conjugate every report is computed with: the scalar solver.
+    return rate_function(im, j, t).value
+
+
+def _branch_point(cand: _Cand, a: float, e_same: float, e_cross: float, r: float, rate=_solver_rate) -> float:
     # min of the two error flows out of one aggregator branch; see module
     # docstring.  Always finite: the +inf cases of the two flows need a
     # above and below the LLR support at once.
-    up = rate_function(cand.im, 0, a).value if a >= cand.mean0 else 0.0
-    down = rate_function(cand.im, 1, a).value if a <= cand.mean1 else 0.0
+    up = rate(cand.im, 0, a) if a >= cand.mean0 else 0.0
+    down = rate(cand.im, 1, a) if a <= cand.mean1 else 0.0
     return min(r * e_same + (1.0 - r) * up, r * e_cross + (1.0 - r) * down)
 
 
 def _branch_grid(cand: _Cand, a: np.ndarray, e_same: np.ndarray, e_cross: np.ndarray, r: float) -> np.ndarray:
-    rate0 = rate_function_grid(cand.im, 0, a)
-    rate1 = rate_function_grid(cand.im, 1, a)
+    # Grid phase of the staged search only, so it decides with the closed form.
+    rate0 = _two_atom_rate_grid(cand.im, 0, a)
+    rate1 = _two_atom_rate_grid(cand.im, 1, a)
     up = np.where(a >= cand.mean0, rate0, 0.0)
     down = np.where(a <= cand.mean1, rate1, 0.0)
     return np.minimum(r * e_same + (1.0 - r) * up, r * e_cross + (1.0 - r) * down)
@@ -418,10 +440,10 @@ def _first_argmax(values: Sequence[float]) -> int:
     return best
 
 
-def _gamma_decay(g: _Cand, r: float, t: float) -> tuple[DecayRateVector, float, float]:
+def _gamma_decay(g: _Cand, r: float, t: float, rate=_solver_rate) -> tuple[DecayRateVector, float, float]:
     # First-stage decay rates at threshold t and the two branch thresholds.
-    l0 = rate_function(g.im, 0, t).value
-    l1 = rate_function(g.im, 1, t).value
+    l0 = rate(g.im, 0, t)
+    l1 = rate(g.im, 1, t)
     e = DecayRateVector(
         e01=l0 if t >= g.mean0 else 0.0,
         e00=l0 if t < g.mean0 else 0.0,
@@ -433,17 +455,18 @@ def _gamma_decay(g: _Cand, r: float, t: float) -> tuple[DecayRateVector, float, 
     return e, a0, a1
 
 
-def _tree_diff(g: _Cand, dc: _Cand, r: float, t: float) -> float:
+def _tree_diff(g: _Cand, dc: _Cand, r: float, t: float, rate=_solver_rate) -> float:
     # bv0 - bv1 of the single second-stage candidate dc; equals
-    # _point_eval(g, deltas, r, t).bv0[k] - .bv1[k] for dc = deltas[k].
-    e, a0, a1 = _gamma_decay(g, r, t)
-    return _branch_point(dc, a0, e.e00, e.e10, r) - _branch_point(dc, a1, e.e01, e.e11, r)
+    # _point_eval(g, deltas, r, t, rate).bv0[k] - .bv1[k] for dc = deltas[k].
+    e, a0, a1 = _gamma_decay(g, r, t, rate)
+    return _branch_point(dc, a0, e.e00, e.e10, r, rate) - _branch_point(dc, a1, e.e01, e.e11, r, rate)
 
 
-def _point_eval(g: _Cand, deltas: list[_Cand], r: float, t: float) -> _PointEval:
-    e, a0, a1 = _gamma_decay(g, r, t)
-    bv0 = [_branch_point(dc, a0, e.e00, e.e10, r) for dc in deltas]
-    bv1 = [_branch_point(dc, a1, e.e01, e.e11, r) for dc in deltas]
+def _point_eval(g: _Cand, deltas: list[_Cand], r: float, t: float, rate=_solver_rate) -> _PointEval:
+    # ``rate`` is the conjugate (im, j, t) -> R_j(t) the evaluation uses.
+    e, a0, a1 = _gamma_decay(g, r, t, rate)
+    bv0 = [_branch_point(dc, a0, e.e00, e.e10, r, rate) for dc in deltas]
+    bv1 = [_branch_point(dc, a1, e.e01, e.e11, r, rate) for dc in deltas]
     i0, i1 = _first_argmax(bv0), _first_argmax(bv1)
     joint = [min(v0, v1) for v0, v1 in zip(bv0, bv1)]
     it = _first_argmax(joint)
@@ -463,14 +486,11 @@ def _point_eval(g: _Cand, deltas: list[_Cand], r: float, t: float) -> _PointEval
 
 
 def _sign_change_ts(ts: np.ndarray, diff: np.ndarray, limit: int = 16) -> list[tuple[float, float]]:
-    brackets = []
-    finite = np.isfinite(diff)
-    for i in range(len(ts) - 1):
-        if finite[i] and finite[i + 1] and diff[i] * diff[i + 1] < 0.0:
-            brackets.append((float(ts[i]), float(ts[i + 1])))
-            if len(brackets) == limit:
-                break
-    return brackets
+    # The first `limit` grid intervals where diff is finite at both ends and
+    # strictly changes sign, in grid order.  A non-finite end counts as 0,
+    # which never gives a negative product.
+    d = np.where(np.isfinite(diff), diff, 0.0)
+    return [(float(ts[i]), float(ts[i + 1])) for i in np.flatnonzero(d[:-1] * d[1:] < 0.0)[:limit]]
 
 
 def _bisect_crossing(fdiff, lo: float, hi: float) -> float:
@@ -551,8 +571,8 @@ def _staged_optima(pmf0: bytes, pmf1: bytes, r: float, d: int, mode: str) -> tup
 
     for g in cands:
         ts = np.linspace(g.zmin, g.zmax, T_GRID_POINTS)
-        l0 = rate_function_grid(g.im, 0, ts)
-        l1 = rate_function_grid(g.im, 1, ts)
+        l0 = _two_atom_rate_grid(g.im, 0, ts)
+        l1 = _two_atom_rate_grid(g.im, 1, ts)
         e01 = np.where(ts >= g.mean0, l0, 0.0)
         e00 = np.where(ts >= g.mean0, 0.0, l0)
         e10 = np.where(ts <= g.mean1, l1, 0.0)
@@ -574,7 +594,7 @@ def _staged_optima(pmf0: bytes, pmf1: bytes, r: float, d: int, mode: str) -> tup
         def point(t: float) -> _PointEval:
             p = memo.get(t)
             if p is None:
-                p = memo[t] = _point_eval(g, deltas, r, t)
+                p = memo[t] = _point_eval(g, deltas, r, t, _two_atom_rate)
             return p
 
         tcands: list[float] = []
@@ -594,7 +614,7 @@ def _staged_optima(pmf0: bytes, pmf1: bytes, r: float, d: int, mode: str) -> tup
             tcands.append(_bisect_crossing(diff_daisy, lo, hi))
         for k, dc in enumerate(deltas):
             for lo, hi in _sign_change_ts(ts, bv0[k] - bv1[k]):
-                tcands.append(_bisect_crossing(lambda t, dc=dc: _tree_diff(g, dc, r, t), lo, hi))
+                tcands.append(_bisect_crossing(lambda t, dc=dc: _tree_diff(g, dc, r, t, _two_atom_rate), lo, hi))
 
         for t in sorted(set(tcands)):
             p = point(t)
@@ -603,18 +623,24 @@ def _staged_optima(pmf0: bytes, pmf1: bytes, r: float, d: int, mode: str) -> tup
             tkey = (g.q.map, deltas[p.i_tree].q.map, deltas[p.i_tree].q.map, p.t)
             best_tree.offer(p.tree, tkey, (g, p))
 
+    # Each winner is evaluated once more with the scalar solver, and the
+    # report takes every number and index from that evaluation.
     out = []
     for best, kind in ((best_daisy, "DaisyRestricted"), (best_tree, "Tree")):
         if best.item is None:
             raise ValueError(f"{kind} search found no finite candidate threshold")
         g, p = best.item
-        i0, i1 = (p.i_daisy0, p.i_daisy1) if kind == "DaisyRestricted" else (p.i_tree, p.i_tree)
+        p = _point_eval(g, deltas, r, p.t)
+        if kind == "DaisyRestricted":
+            i0, i1, value = p.i_daisy0, p.i_daisy1, p.daisy
+        else:
+            i0, i1, value = p.i_tree, p.i_tree, p.tree
         scale = max(1.0, abs(g.zmin), abs(g.zmax))
         at_edge = min(abs(p.t - g.zmin), abs(p.t - g.zmax)) <= _BOUNDARY_RTOL * scale
         out.append(
             _StagedOptimum(
                 strategy=Strategy(kind, g.q, deltas[i0].q, deltas[i1].q, t=p.t, r=r),
-                value=best.value,
+                value=value,
                 decay=p.decay,
                 branch0=p.bv0[i0],
                 branch1=p.bv1[i1],

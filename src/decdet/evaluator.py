@@ -387,7 +387,9 @@ def _transcript_llr_fn(m: HypothesisModel, strategy: Strategy, n: int) -> Callab
                 u[:, 1:] = prefix[:, :-1] >= t * np.arange(1, n)
             elif kind == "FullFeedback2":
                 total = llr1.sum(axis=1, keepdims=True)
-                u = (total - llr1) >= t * (n - 1)
+                # An infinite t is a constant bit; scaled by n - 1 = 0 it
+                # would be NaN.
+                u = (total - llr1) >= (t * (n - 1) if math.isfinite(t) else t)
             else:
                 u = llr1.sum(axis=1, keepdims=True) >= t * n
             # A bool index array would be a mask, so index with its bytes.

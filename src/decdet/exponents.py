@@ -29,6 +29,16 @@ by a stationary point:
 * degenerate Z (a single atom, necessarily at 0 for a valid model): the
   conjugate is 0 at t = 0 and +inf elsewhere.
 
+Two-atom models.  With exactly two atoms z_lo < z_hi, both of finite log
+mass, the conjugate at an interior t is the Bernoulli divergence of the
+tilted mass p = (t - z_lo) / (z_hi - z_lo) from q_j[hi].  The private
+kernel ``_two_atom_rate`` (scalar) and ``_two_atom_rate_grid`` (over t)
+evaluate it, and defer to the solvers at edge and out-of-support t and on
+every other model.  It agrees with the solvers to about 1e-14 but not bit
+for bit, so it only decides: the staged search of ``architectures`` picks
+its optimum with it and reports through :func:`rate_function`.  The public
+functions never use it.
+
 The scalar conjugate solver and the golden-section search use absolute
 tolerance 1e-10 on their argument; the vectorized grid solver bisects each
 t to a bracket of 1e-12.  Solvers return the argmax along with the value so
@@ -97,6 +107,12 @@ class _RateConstants:
         mass_hi = float(q[z >= self.zmax - self.tol_hi].sum())
         self.rate_lo = -math.log(mass_lo) if mass_lo > 0.0 else math.inf
         self.rate_hi = -math.log(mass_hi) if mass_hi > 0.0 else math.inf
+        # (z_lo, z_hi, log q[lo], log q[hi]) of a model with exactly two
+        # atoms, both of finite log mass; None for every other model.
+        self.two_atom = None
+        if len(z) == 2 and z[0] != z[1] and np.isfinite(self.logq).all():
+            lo, hi = (0, 1) if z[0] < z[1] else (1, 0)
+            self.two_atom = (float(z[lo]), float(z[hi]), float(self.logq[lo]), float(self.logq[hi]))
 
     @cached_property
     def float_lists(self) -> tuple[list[float], list[float]]:
@@ -278,6 +294,25 @@ def rate_function(im: InducedModel, j: int, t: float) -> RateFunctionValue:
     return RateFunctionValue(t=t, value=max(s * t - val, 0.0), argmax_s=s)
 
 
+def _grid_edges(c: _RateConstants, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(out, interior) for a model with at least two distinct atoms.
+
+    ``out`` holds the edge and out-of-support values of ts under the
+    module-docstring conventions; ``interior`` masks the points still to
+    solve, whose entries of ``out`` are left unset.
+    """
+    out = np.empty_like(ts)
+    hi_out = ts > c.zmax + c.tol_hi
+    lo_out = ts < c.zmin - c.tol_lo
+    hi_edge = ~hi_out & (ts >= c.zmax - c.tol_hi)
+    lo_edge = ~lo_out & (ts <= c.zmin + c.tol_lo)
+    interior = ~(hi_out | lo_out | hi_edge | lo_edge)
+    out[hi_out | lo_out] = np.inf
+    out[hi_edge] = c.rate_hi
+    out[lo_edge] = c.rate_lo
+    return out, interior
+
+
 def rate_function_grid(im: InducedModel, j: int, ts: np.ndarray) -> np.ndarray:
     """Conjugate values R_j(t) for a whole vector of t at once.
 
@@ -286,20 +321,11 @@ def rate_function_grid(im: InducedModel, j: int, ts: np.ndarray) -> np.ndarray:
     optimizers evaluate dense t grids in their inner loops.
     """
     ts = np.asarray(ts, dtype=float)
-    out = np.empty_like(ts)
     c = _rate_constants(im, j)
-    zmin, zmax, tol_lo, tol_hi = c.zmin, c.zmax, c.tol_lo, c.tol_hi
-    if zmax - zmin == 0.0:
-        near0 = np.abs(ts - zmin) <= tol_lo
+    if c.zmax - c.zmin == 0.0:
+        near0 = np.abs(ts - c.zmin) <= c.tol_lo
         return np.where(near0, 0.0, np.inf)
-    hi_out = ts > zmax + tol_hi
-    lo_out = ts < zmin - tol_lo
-    hi_edge = ~hi_out & (ts >= zmax - tol_hi)
-    lo_edge = ~lo_out & (ts <= zmin + tol_lo)
-    interior = ~(hi_out | lo_out | hi_edge | lo_edge)
-    out[hi_out | lo_out] = np.inf
-    out[hi_edge] = c.rate_hi
-    out[lo_edge] = c.rate_lo
+    out, interior = _grid_edges(c, ts)
     if not np.any(interior):
         return out
 
@@ -334,4 +360,41 @@ def rate_function_grid(im: InducedModel, j: int, ts: np.ndarray) -> np.ndarray:
     m, _, total = _tilt(c, s)
     vals = m + np.log(total)
     out[interior] = np.maximum(s * t_in - vals, 0.0)
+    return out
+
+
+def _two_atom_rate(im: InducedModel, j: int, t: float) -> float:
+    """R_j(t) in closed form on a two-atom model, else ``rate_function``.
+
+    With atoms z_lo < z_hi an interior t is reached by the tilted mass
+    p = (t - z_lo) / (z_hi - z_lo) on z_hi, and the conjugate is the
+    Bernoulli divergence of p from q_j[hi]:
+
+        R_j(t) = p (log p - log q_j[hi]) + (1 - p) (log(1 - p) - log q_j[lo]).
+
+    Edge and out-of-support t, and every model that is not two-atom, take
+    the scalar solver's value.  The closed form agrees with the solver to
+    about 1e-14 but not bit for bit, so it serves decisions only (see
+    module ``architectures``).
+    """
+    c = _rate_constants(im, j)
+    two = c.two_atom
+    if two is None or not c.zmin + c.tol_lo < t < c.zmax - c.tol_hi:
+        return rate_function(im, j, t).value
+    z_lo, z_hi, lq_lo, lq_hi = two
+    p = (t - z_lo) / (z_hi - z_lo)
+    return max(p * (math.log(p) - lq_hi) + (1.0 - p) * (math.log1p(-p) - lq_lo), 0.0)
+
+
+def _two_atom_rate_grid(im: InducedModel, j: int, ts: np.ndarray) -> np.ndarray:
+    """:func:`_two_atom_rate` over a vector of t, else ``rate_function_grid``."""
+    c = _rate_constants(im, j)
+    two = c.two_atom
+    if two is None:
+        return rate_function_grid(im, j, ts)
+    ts = np.asarray(ts, dtype=float)
+    out, interior = _grid_edges(c, ts)
+    z_lo, z_hi, lq_lo, lq_hi = two
+    p = (ts[interior] - z_lo) / (z_hi - z_lo)
+    out[interior] = np.maximum(p * (np.log(p) - lq_hi) + (1.0 - p) * (np.log1p(-p) - lq_lo), 0.0)
     return out

@@ -72,7 +72,8 @@ def _transcript(m: HypothesisModel, st: Strategy, n: int, xs: tuple[int, ...]):
             us.append(0 if k == 0 else int(run >= t * k))
             run += z[k]
     elif kind == "FullFeedback2":
-        us = [int((total - z[k]) >= t * (n - 1)) for k in range(n)]
+        # With no other sensor the empty mean reaches every t below +inf.
+        us = [int((total - z[k]) >= t * (n - 1)) if n > 1 else int(t < math.inf) for k in range(n)]
     elif kind == "RestrictedFeedback2":
         u = int(total >= t * n)
         us = [u] * n
@@ -145,7 +146,7 @@ def _transcript_llr(m: HypothesisModel, st: Strategy, n: int, obs: np.ndarray) -
         u[:, 1:] = prefix[:, :-1] >= t * np.arange(1, n)
     elif kind == "FullFeedback2":
         total = llr1.sum(axis=1, keepdims=True)
-        u = (total - llr1) >= t * (n - 1)
+        u = (total - llr1) >= t * (n - 1) if n > 1 else np.full(obs.shape, t < math.inf)
     else:
         total = llr1.sum(axis=1, keepdims=True)
         u = np.broadcast_to(total >= t * n, obs.shape)

@@ -38,9 +38,11 @@ from decdet.architectures import (
     _candidates,
     _point_eval,
     _search_staged,
+    _solver_rate,
     _staged_optima,
     _tree_diff,
 )
+from decdet.exponents import _two_atom_rate
 from conftest import random_model
 
 
@@ -131,6 +133,12 @@ def test_reevaluate_round_trip(table_model):
         for build in _REPORTS.values():
             rep = build(m)
             assert reevaluate_exponent(m, rep) == pytest.approx(rep.exponent, abs=1e-9)
+        # The staged search reports through the scalar solver that
+        # reevaluate_exponent uses, so its reports round-trip exactly.
+        for d in (2, 3):
+            for r in (0.25, 0.5, 0.75):
+                for rep in (exponent_daisy_restricted(m, r=r, d=d), exponent_tree(m, r=r, d=d)):
+                    assert reevaluate_exponent(m, rep) == rep.exponent
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -428,13 +436,110 @@ _PINNED_STAGED = [
          "branch_values": {"branch0": 0.038953378025574636, "branch1": 0.03895337801820536},
          "note": ""},
     ),
+    # d = 2 cases recorded before the closed-form two-atom conjugate took
+    # over the search's decisions: K = 6, K = 4 with mode="all" (its
+    # candidates hold the one-atom constant map), and the mirror-symmetric
+    # table model (seed None), whose branch values tie up to rounding noise.
+    (
+        (131, 6, 2, 0.5, "llr_monotone"),
+        {"architecture": "DaisyRestricted",
+         "formulation": "Bayesian",
+         "r": 0.5,
+         "exponent": -0.02310871327872244,
+         "strategy": {"gamma": [0, 1, 0, 0, 0, 0],
+                      "delta0": [0, 1, 0, 0, 0, 0],
+                      "delta1": [0, 1, 0, 0, 0, 0],
+                      "t": -0.003414560071400005},
+         "decay_rates": {"e01": 0.028016704326854346,
+                         "e10": 0.03143126439825435,
+                         "e00": 0.0,
+                         "e11": 0.0},
+         "branch_values": {"branch0": 0.023108713280670656, "branch1": 0.02310871327872244},
+         "note": ""},
+        {"architecture": "Tree",
+         "formulation": "Bayesian",
+         "r": 0.5,
+         "exponent": -0.02310871327872244,
+         "strategy": {"gamma": [0, 1, 0, 0, 0, 0],
+                      "delta0": [0, 1, 0, 0, 0, 0],
+                      "delta1": [0, 1, 0, 0, 0, 0],
+                      "t": -0.003414560071400005},
+         "decay_rates": {"e01": 0.028016704326854346,
+                         "e10": 0.03143126439825435,
+                         "e00": 0.0,
+                         "e11": 0.0},
+         "branch_values": {"branch0": 0.023108713280670656, "branch1": 0.02310871327872244},
+         "note": ""},
+    ),
+    (
+        (141, 4, 2, 0.4, "all"),
+        {"architecture": "DaisyRestricted",
+         "formulation": "Bayesian",
+         "r": 0.4,
+         "exponent": -0.08403991128245539,
+         "strategy": {"gamma": [0, 0, 1, 0],
+                      "delta0": [0, 0, 1, 0],
+                      "delta1": [0, 0, 1, 1],
+                      "t": 0.019485340689108073},
+         "decay_rates": {"e01": 0.11314433783602439,
+                         "e10": 0.09365899714691628,
+                         "e00": 0.0,
+                         "e11": 0.0},
+         "branch_values": {"branch0": 0.08403991128291548, "branch1": 0.08403991128245539},
+         "note": ""},
+        {"architecture": "Tree",
+         "formulation": "Bayesian",
+         "r": 0.4,
+         "exponent": -0.08307323356319452,
+         "strategy": {"gamma": [0, 0, 1, 0],
+                      "delta0": [0, 0, 1, 0],
+                      "delta1": [0, 0, 1, 0],
+                      "t": 0.0290437390186934},
+         "decay_rates": {"e01": 0.11896947540346733,
+                         "e10": 0.089925736384774,
+                         "e00": 0.0,
+                         "e11": 0.0},
+         "branch_values": {"branch0": 0.08307323356319452, "branch1": 0.08307323356354984},
+         "note": ""},
+    ),
+    (
+        (None, 3, 2, 0.5, "llr_monotone"),
+        {"architecture": "DaisyRestricted",
+         "formulation": "Bayesian",
+         "r": 0.5,
+         "exponent": -0.3654394078662917,
+         "strategy": {"gamma": [0, 0, 1],
+                      "delta0": [0, 0, 1],
+                      "delta1": [0, 1, 1],
+                      "t": 1.3014331087439377e-11},
+         "decay_rates": {"e01": 0.4573702918643474,
+                         "e10": 0.45737029185133304,
+                         "e00": 0.0,
+                         "e11": 0.0},
+         "branch_values": {"branch0": 0.3654394078662917, "branch1": 0.36543940787050755},
+         "note": ""},
+        {"architecture": "Tree",
+         "formulation": "Bayesian",
+         "r": 0.5,
+         "exponent": -0.3557912697508888,
+         "strategy": {"gamma": [0, 0, 1],
+                      "delta0": [0, 0, 1],
+                      "delta1": [0, 0, 1],
+                      "t": 0.06719535051177855},
+         "decay_rates": {"e01": 0.4946338023668603,
+                         "e10": 0.4274384518550818,
+                         "e00": 0.0,
+                         "e11": 0.0},
+         "branch_values": {"branch0": 0.3557912697589104, "branch1": 0.3557912697508888},
+         "note": ""},
+    ),
 ]
 
 
 @pytest.mark.parametrize("case,daisy,tree", _PINNED_STAGED)
-def test_staged_reports_are_bit_identical(case, daisy, tree):
+def test_staged_reports_are_bit_identical(case, daisy, tree, table_model):
     seed, k, d, r, mode = case
-    m = random_model(np.random.default_rng(seed), k=k)
+    m = table_model if seed is None else random_model(np.random.default_rng(seed), k=k)
     assert exponent_daisy_restricted(m, r=r, d=d, mode=mode).to_dict() == daisy
     assert exponent_tree(m, r=r, d=d, mode=mode).to_dict() == tree
 
@@ -445,9 +550,10 @@ def test_single_delta_crossing_difference_is_exact(table_model):
         cands = _candidates(m, d, "llr_monotone")
         for g in cands:
             for t in np.linspace(g.zmin, g.zmax, 9).tolist():
-                p = _point_eval(g, cands, r, t)
-                for k, dc in enumerate(cands):
-                    assert _tree_diff(g, dc, r, t) == p.bv0[k] - p.bv1[k]
+                for rate in (_solver_rate, _two_atom_rate):
+                    p = _point_eval(g, cands, r, t, rate)
+                    for k, dc in enumerate(cands):
+                        assert _tree_diff(g, dc, r, t, rate) == p.bv0[k] - p.bv1[k]
 
 
 def test_rate_function_repeats_are_exact(table_model):

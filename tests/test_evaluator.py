@@ -149,6 +149,28 @@ def test_simulate_matches_brute_force_for_feedback(table_model):
         assert abs(est.p_e - want[2]) <= 3 * sigma, kind
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_full_feedback_infinite_threshold_is_a_constant_bit(table_model, n):
+    # t = -inf sets every feedback bit to 1 and t = +inf every bit to 0, also
+    # at n = 1, where a FullFeedback2 sensor has no other message to average.
+    # RestrictedFeedback2 then sends the same transcripts from the same draws.
+    q000 = Quantizer(map=(0, 0, 0), message_alphabet_size=2)
+    ests = []
+    for t in (-math.inf, math.inf):
+        full, restricted = (
+            Strategy(kind=kind, gamma=Q001, delta0=q000, delta1=Q011, t=t)
+            for kind in ("FullFeedback2", "RestrictedFeedback2")
+        )
+        est = simulate(table_model, full, n, num_trials=20_000, seed=1)
+        ref = simulate(table_model, restricted, n, num_trials=20_000, seed=1)
+        assert (est.p_e0, est.p_e1) == (ref.p_e0, ref.p_e1)
+        assert (est.p_e0, est.p_e1) == sequential_simulate(table_model, full, n, 20_000, 1)
+        want = brute_force_error(table_model, restricted, n)
+        assert brute_force_error(table_model, full, n) == pytest.approx(want, abs=1e-15)
+        ests.append((est.p_e0, est.p_e1))
+    assert ests[0] != ests[1]
+
+
 def test_simulate_matches_exact(table_model):
     daisy = strategy_from_report(exponent_daisy_restricted(table_model, r=0.5))
     exact = exact_error_daisy(table_model, daisy, 20)

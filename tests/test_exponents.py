@@ -12,12 +12,13 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 from scipy.special import logsumexp
 
 from decdet import (
     HypothesisModel,
+    InducedModel,
     Quantizer,
     Strategy,
     chernoff_exponent,
@@ -31,7 +32,7 @@ from decdet import (
     rate_function_grid,
     validate_model,
 )
-from decdet.exponents import _RATE_CONSTANTS
+from decdet.exponents import _EDGE_RTOL, _RATE_CONSTANTS, _two_atom_rate, _two_atom_rate_grid
 from conftest import random_model
 
 
@@ -318,3 +319,77 @@ def test_array_kernel_is_pinned_bit_for_bit():
         ts = np.concatenate([np.linspace(zmin - pad, zmax + pad, 41), [zmin, zmax]])
         digests = tuple(hashlib.sha256(rate_function_grid(im, j, ts).tobytes()).hexdigest() for j in (0, 1))
         assert digests == grid
+
+
+def test_two_atom_rate_is_a_bernoulli_divergence(table_model):
+    # gamma (0, 0, 1) of the table model: q0 = (0.95, 0.05), q1 = (0.2, 0.8).
+    # At tilted mass p = 0.3 on the high atom, R_j is the Bernoulli
+    # divergence of 0.3 from q_j[hi].
+    im = _gamma2(table_model)
+    z_lo, z_hi = math.log(0.2 / 0.95), math.log(0.8 / 0.05)
+    t = z_lo + 0.3 * (z_hi - z_lo)
+    want = (
+        0.3 * math.log(0.3 / 0.05) + 0.7 * math.log(0.7 / 0.95),
+        0.3 * math.log(0.3 / 0.8) + 0.7 * math.log(0.7 / 0.2),
+    )
+    for j in (0, 1):
+        assert _two_atom_rate(im, j, t) == pytest.approx(want[j], abs=1e-14)
+        assert _two_atom_rate_grid(im, j, np.array([t]))[0] == pytest.approx(want[j], abs=1e-14)
+        assert rate_function(im, j, t).value == pytest.approx(want[j], abs=1e-12)
+
+
+def test_two_atom_kernel_defers_to_the_solvers_elsewhere(table_model):
+    # One atom, three atoms, and two atoms of which one has zero mass: every
+    # value is the solvers' own, bit for bit.
+    one = induce(table_model, Quantizer(map=(0, 0, 0), message_alphabet_size=2))
+    three = induce(table_model, Quantizer(map=(0, 1, 2), message_alphabet_size=3))
+    empty = InducedModel(q0=np.array([0.0, 1.0]), q1=np.array([0.0, 1.0]), llr=np.array([-1.0, 0.0]))
+    for im in (one, three, empty):
+        ts = np.linspace(-3.5, 3.5, 15)
+        for j in (0, 1):
+            assert _two_atom_rate_grid(im, j, ts).tobytes() == rate_function_grid(im, j, ts).tobytes()
+            for t in ts.tolist():
+                assert _two_atom_rate(im, j, t) == rate_function(im, j, t).value
+
+
+def _two_atom_model(x0: float, x1: float) -> InducedModel:
+    # Under hypothesis j the high-index atom has 10**x_j times the mass of the other.
+    q0, q1 = (np.array([1.0, 10.0**x]) / (1.0 + 10.0**x) for x in (x0, x1))
+    return InducedModel(q0=q0, q1=q1, llr=np.log(q1) - np.log(q0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    x0=hs.floats(min_value=-12.0, max_value=12.0),
+    x1=hs.floats(min_value=-12.0, max_value=12.0),
+    frac=hs.floats(min_value=0.0, max_value=1.0),
+    k=hs.integers(min_value=-5, max_value=5),
+)
+def test_two_atom_closed_form_matches_the_solvers(x0, x1, frac, k):
+    im = _two_atom_model(x0, x1)
+    zmin, zmax = im.llr_support()
+    assume(zmin < zmax)
+    tol_lo, tol_hi = (_EDGE_RTOL * max(1.0, abs(z)) for z in (zmin, zmax))
+    ts = np.array([
+        zmin + frac * (zmax - zmin),  # inside, or on an edge at frac 0 or 1
+        zmin + k * 1e-12 * max(1.0, abs(zmin)),  # a few 1e-12 about each edge
+        zmax + k * 1e-12 * max(1.0, abs(zmax)),
+        zmin - 1.0 - frac,  # beyond the support
+        zmax + 1.0 + frac,
+    ])
+    inside = (ts > zmin + tol_lo) & (ts < zmax - tol_hi)
+    rates = []
+    for j in (0, 1):
+        grid = rate_function_grid(im, j, ts)
+        fast_grid = _two_atom_rate_grid(im, j, ts)
+        fast = np.array([_two_atom_rate(im, j, t) for t in ts.tolist()])
+        solver = np.array([rate_function(im, j, t).value for t in ts.tolist()])
+        assert (fast >= 0.0).all() and (fast_grid >= 0.0).all()
+        for a, b in ((fast, solver), (fast_grid, grid), (fast_grid, fast)):
+            assert np.abs(a[inside] - b[inside]).max(initial=0.0) <= 1e-12
+        # Edges and points beyond the support keep the solvers' values.
+        assert fast[~inside].tobytes() == solver[~inside].tobytes()
+        assert fast_grid[~inside].tobytes() == grid[~inside].tobytes()
+        rates.append(fast)
+    # Duality: R_1(t) = R_0(t) - t on the interior.
+    assert np.abs(rates[1][inside] - (rates[0][inside] - ts[inside])).max(initial=0.0) <= 1e-12
