@@ -54,8 +54,11 @@ two branch points, not the whole delta list.
 
 Which solver decides and which reports.  Every decision of the search (the
 grid phase, both golden sections, the crossing bisections) reads the
-conjugates from ``exponents._two_atom_rate(_grid)``: the closed form on
-two-atom quantizers, every d = 2 candidate, and the solvers on the rest.
+conjugates from the decision kernel ``exponents._decide_rate(_grid)``: the
+closed form on two-atom quantizers (every d = 2 candidate), a log-odds
+Newton solve on quantizers with three or more atoms, one solve per
+threshold for both hypotheses, and the solvers on one-atom candidates, at
+the support edges and wherever the Newton solve cannot be certified.
 Each of the two winners is then evaluated once more at its (gamma, t) with
 the scalar solver, and its deltas, value, decay rates and branch values all
 come from that evaluation.  So every reported number is the scalar
@@ -69,8 +72,8 @@ Values within ``_TIE_TOL`` count as one optimum and the lexicographically
 smallest maps win, so floating-point noise between mirror twins never picks
 the report.  On an exactly mirror-symmetric model whose branch curves cross
 at t = 0 the rounding noise still places the refined threshold, about 1e-11
-from 0, and the closed form's noise may place it elsewhere than the
-solvers' noise would; the value moves by far less than ``_TIE_TOL``.  The
+from 0, and the kernel's noise may place it elsewhere than the solvers'
+noise would; the value moves by far less than ``_TIE_TOL``.  The
 per-threshold choice of delta and the branch sweeps of :func:`h_of_e` take
 the first strict maximum in candidate order, which is lexicographic.  The two staged optima of one (model, r, d, mode) are
 searched together and kept in an LRU cache keyed on the model's pmf bytes,
@@ -94,8 +97,8 @@ from typing import Sequence
 import numpy as np
 
 from .exponents import (
-    _two_atom_rate,
-    _two_atom_rate_grid,
+    _decide_rate,
+    _decide_rate_grid,
     chernoff_exponent,
     golden_section_min,
     rate_function,
@@ -407,9 +410,8 @@ def _branch_point(cand: _Cand, a: float, e_same: float, e_cross: float, r: float
 
 
 def _branch_grid(cand: _Cand, a: np.ndarray, e_same: np.ndarray, e_cross: np.ndarray, r: float) -> np.ndarray:
-    # Grid phase of the staged search only, so it decides with the closed form.
-    rate0 = _two_atom_rate_grid(cand.im, 0, a)
-    rate1 = _two_atom_rate_grid(cand.im, 1, a)
+    # Grid phase of the staged search only, so it decides with the kernel.
+    rate0, rate1 = _decide_rate_grid(cand.im, a)
     up = np.where(a >= cand.mean0, rate0, 0.0)
     down = np.where(a <= cand.mean1, rate1, 0.0)
     return np.minimum(r * e_same + (1.0 - r) * up, r * e_cross + (1.0 - r) * down)
@@ -571,8 +573,7 @@ def _staged_optima(pmf0: bytes, pmf1: bytes, r: float, d: int, mode: str) -> tup
 
     for g in cands:
         ts = np.linspace(g.zmin, g.zmax, T_GRID_POINTS)
-        l0 = _two_atom_rate_grid(g.im, 0, ts)
-        l1 = _two_atom_rate_grid(g.im, 1, ts)
+        l0, l1 = _decide_rate_grid(g.im, ts)
         e01 = np.where(ts >= g.mean0, l0, 0.0)
         e00 = np.where(ts >= g.mean0, 0.0, l0)
         e10 = np.where(ts <= g.mean1, l1, 0.0)
@@ -594,7 +595,7 @@ def _staged_optima(pmf0: bytes, pmf1: bytes, r: float, d: int, mode: str) -> tup
         def point(t: float) -> _PointEval:
             p = memo.get(t)
             if p is None:
-                p = memo[t] = _point_eval(g, deltas, r, t, _two_atom_rate)
+                p = memo[t] = _point_eval(g, deltas, r, t, _decide_rate)
             return p
 
         tcands: list[float] = []
@@ -614,7 +615,7 @@ def _staged_optima(pmf0: bytes, pmf1: bytes, r: float, d: int, mode: str) -> tup
             tcands.append(_bisect_crossing(diff_daisy, lo, hi))
         for k, dc in enumerate(deltas):
             for lo, hi in _sign_change_ts(ts, bv0[k] - bv1[k]):
-                tcands.append(_bisect_crossing(lambda t, dc=dc: _tree_diff(g, dc, r, t, _two_atom_rate), lo, hi))
+                tcands.append(_bisect_crossing(lambda t, dc=dc: _tree_diff(g, dc, r, t, _decide_rate), lo, hi))
 
         for t in sorted(set(tcands)):
             p = point(t)

@@ -29,15 +29,32 @@ by a stationary point:
 * degenerate Z (a single atom, necessarily at 0 for a valid model): the
   conjugate is 0 at t = 0 and +inf elsewhere.
 
-Two-atom models.  With exactly two atoms z_lo < z_hi, both of finite log
-mass, the conjugate at an interior t is the Bernoulli divergence of the
-tilted mass p = (t - z_lo) / (z_hi - z_lo) from q_j[hi].  The private
-kernel ``_two_atom_rate`` (scalar) and ``_two_atom_rate_grid`` (over t)
-evaluate it, and defer to the solvers at edge and out-of-support t and on
-every other model.  It agrees with the solvers to about 1e-14 but not bit
-for bit, so it only decides: the staged search of ``architectures`` picks
-its optimum with it and reports through :func:`rate_function`.  The public
-functions never use it.
+The support is taken over the atoms with mass under that hypothesis: a
+transcript atom whose mass underflowed to zero (see ``model.InducedModel``)
+is a value the sample mean can never reach.
+
+The decision kernel.  ``_decide_rate`` (scalar) and ``_decide_rate_grid``
+(over t) are private and serve only the decisions of the staged search in
+``architectures``; the public functions never use them.  On a model whose
+atoms all have finite log mass under both hypotheses, both hypotheses share
+one support and one tilted distribution, and L_1(s) = L_0(s + 1) gives
+R_1(t) = R_0(t) - t, so one solve at t serves both.  At an interior t:
+
+* two atoms z_lo < z_hi: the closed form, the Bernoulli divergence of the
+  tilted mass p = (t - z_lo) / (z_hi - z_lo) from q_j[hi];
+* three or more atoms: a safeguarded Newton iteration from s = 0 on the
+  log-odds phi(s) = log(L'(s) - min Z) - log(max Z - L'(s)), which is
+  linear for two atoms and asymptotically linear at both ends, so it takes
+  about 5 steps.  The grid form runs it on ``_tilt`` and freezes each t once
+  it converges, so a t's value does not depend on the rest of its batch.
+
+The kernel defers to the solvers, and returns their values, at edge and
+out-of-support t, on one-atom models and models with a massless atom, and
+at any t where the Newton solve cannot be certified (the iteration cap, a
+residual L'(s) - t beyond tolerance, or an |s| so large that s t - L(s)
+loses the digits asked of it).  Elsewhere it agrees with
+:func:`rate_function` to about 1e-12 relative, not bit for bit, so it only
+decides: the staged search reports through :func:`rate_function`.
 
 The scalar conjugate solver and the golden-section search use absolute
 tolerance 1e-10 on their argument; the vectorized grid solver bisects each
@@ -68,6 +85,11 @@ __all__ = [
 
 ARG_TOL = 1e-10
 _NEWTON_CAP = 100
+# Step tolerance and value accuracy of the decision kernel, relative to
+# scale; and a bound on the relative rounding of s t - L(s) at |s| = 1,
+# in the kernel and in the solver it stands in for.
+_DECIDE_TOL = 1e-12
+_ROUNDING = 1e-15
 # Relative slack when comparing t against the endpoints of the LLR support.
 _EDGE_RTOL = 1e-12
 
@@ -100,19 +122,16 @@ class _RateConstants:
         q = self.q = im.q1 if j == 1 else im.q0
         with np.errstate(divide="ignore"):
             self.logq = np.log(q)
-        self.zmin, self.zmax = float(z.min()), float(z.max())
+        # The support is where this hypothesis has mass: a massless atom's
+        # LLR is no value the sample mean can reach.
+        massed = z[q > 0.0]
+        self.zmin, self.zmax = float(massed.min()), float(massed.max())
         self.tol_lo = _EDGE_RTOL * max(1.0, abs(self.zmin))
         self.tol_hi = _EDGE_RTOL * max(1.0, abs(self.zmax))
         mass_lo = float(q[z <= self.zmin + self.tol_lo].sum())
         mass_hi = float(q[z >= self.zmax - self.tol_hi].sum())
         self.rate_lo = -math.log(mass_lo) if mass_lo > 0.0 else math.inf
         self.rate_hi = -math.log(mass_hi) if mass_hi > 0.0 else math.inf
-        # (z_lo, z_hi, log q[lo], log q[hi]) of a model with exactly two
-        # atoms, both of finite log mass; None for every other model.
-        self.two_atom = None
-        if len(z) == 2 and z[0] != z[1] and np.isfinite(self.logq).all():
-            lo, hi = (0, 1) if z[0] < z[1] else (1, 0)
-            self.two_atom = (float(z[lo]), float(z[hi]), float(self.logq[lo]), float(self.logq[hi]))
 
     @cached_property
     def float_lists(self) -> tuple[list[float], list[float]]:
@@ -225,6 +244,13 @@ def rate_function(im: InducedModel, j: int, t: float) -> RateFunctionValue:
     2 us here against 11-15 us through ``log_mgf_derivs`` (timeit, 2-core
     x86 VM, numpy 2.4), and the staged searches call this solver tens of
     thousands of times per search.
+
+    When Newton converges from one side, the step that should stop it can
+    land on the bracket end it just set, fail the bracket test and bisect
+    the remaining bracket first, about 30 ``derivs`` calls of waste.  That
+    waste stays on purpose: this solver computes every reported number, and
+    stopping earlier would move their last bits.  The decision kernel takes
+    its step test before its safeguard instead.
     """
     c = _rate_constants(im, j)
     zmin, zmax, tol_lo, tol_hi = c.zmin, c.zmax, c.tol_lo, c.tol_hi
@@ -363,38 +389,216 @@ def rate_function_grid(im: InducedModel, j: int, ts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _two_atom_rate(im: InducedModel, j: int, t: float) -> float:
-    """R_j(t) in closed form on a two-atom model, else ``rate_function``.
+class _Decider:
+    """Per-model constants of the decision kernel, and its last scalar solve.
 
-    With atoms z_lo < z_hi an interior t is reached by the tilted mass
-    p = (t - z_lo) / (z_hi - z_lo) on z_hi, and the conjugate is the
-    Bernoulli divergence of p from q_j[hi]:
-
-        R_j(t) = p (log p - log q_j[hi]) + (1 - p) (log(1 - p) - log q_j[lo]).
-
-    Edge and out-of-support t, and every model that is not two-atom, take
-    the scalar solver's value.  The closed form agrees with the solver to
-    about 1e-14 but not bit for bit, so it serves decisions only (see
-    module ``architectures``).
+    ``branch`` is "two" for two atoms and "newton" for three or more, each
+    of finite log mass under both hypotheses; it is None on every other
+    model, where the kernel defers to the solvers.  Both hypotheses then
+    share one support and one tilted distribution, so one solve gives both
+    conjugates.  ``last`` holds the scalar form's last t and its (R_0, R_1),
+    or None if that solve deferred, since the staged search asks for R_0
+    and R_1 at one t in turn.
     """
-    c = _rate_constants(im, j)
-    two = c.two_atom
-    if two is None or not c.zmin + c.tol_lo < t < c.zmax - c.tol_hi:
-        return rate_function(im, j, t).value
-    z_lo, z_hi, lq_lo, lq_hi = two
+
+    def __init__(self, im: InducedModel) -> None:
+        c0 = self.c0 = _rate_constants(im, 0)
+        c1 = _rate_constants(im, 1)
+        self.zmin, self.zmax = c0.zmin, c0.zmax
+        self.lo, self.hi = c0.zmin + c0.tol_lo, c0.zmax - c0.tol_hi
+        self.scale = max(1.0, abs(self.zmin), abs(self.zmax))
+        self.last: tuple[float, tuple[float, float] | None] = (math.nan, None)
+        self.branch = None
+        if self.zmax > self.zmin and np.isfinite(c0.logq).all() and np.isfinite(c1.logq).all():
+            z = c0.llr
+            if len(z) == 2:
+                lo, hi = (0, 1) if z[0] < z[1] else (1, 0)
+                self.branch = "two"
+                self.ends = (float(z[lo]), float(z[hi]))
+                self.logq_ends = [(float(c.logq[lo]), float(c.logq[hi])) for c in (c0, c1)]
+            else:
+                self.branch = "newton"
+                # Distances to both edges, and their product, per atom.
+                self.da, self.db = z - self.zmin, self.zmax - z
+                self.dab = self.da * self.db
+
+    @cached_property
+    def float_lists(self) -> tuple[list[float], ...]:
+        zs, lqs = self.c0.float_lists
+        return zs, lqs, self.da.tolist(), self.db.tolist()
+
+
+_DECIDERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _decider(im: InducedModel) -> _Decider:
+    d = _DECIDERS.get(im)
+    if d is None:
+        d = _DECIDERS[im] = _Decider(im)
+    return d
+
+
+def _two_atom_rates(d: _Decider, t):
+    # Bernoulli divergence of the tilted mass p on the high atom from q_j[hi].
+    z_lo, z_hi = d.ends
     p = (t - z_lo) / (z_hi - z_lo)
-    return max(p * (math.log(p) - lq_hi) + (1.0 - p) * (math.log1p(-p) - lq_lo), 0.0)
+    if isinstance(p, float):
+        return tuple(max(p * (math.log(p) - hi) + (1.0 - p) * (math.log1p(-p) - lo), 0.0) for lo, hi in d.logq_ends)
+    return tuple(np.maximum(p * (np.log(p) - hi) + (1.0 - p) * (np.log1p(-p) - lo), 0.0) for lo, hi in d.logq_ends)
 
 
-def _two_atom_rate_grid(im: InducedModel, j: int, ts: np.ndarray) -> np.ndarray:
-    """:func:`_two_atom_rate` over a vector of t, else ``rate_function_grid``."""
-    c = _rate_constants(im, j)
-    two = c.two_atom
-    if two is None:
-        return rate_function_grid(im, j, ts)
+def _newton_rates(d: _Decider, t: float) -> tuple[float, float] | None:
+    """(R_0, R_1) at an interior t by Newton on the log-odds, or None.
+
+    Solves phi(s) = log(L'(s) - zmin) - log(zmax - L'(s)) = phi(t) from
+    s = 0, where u = E[Z - zmin] and v = E[zmax - Z] are sums of
+    nonnegative terms and phi' = W (1 - E[(Z - zmin)(zmax - Z)] / (u v))
+    with W = zmax - zmin.  The step test comes before the bracket
+    safeguard, and a point where u or v underflows to 0 only narrows the
+    bracket.  Both values come from the one s, R_j = (s - j) t - L_0(s),
+    since L_1(s - 1) = L_0(s).  None where the solve cannot be certified:
+    the iteration cap, L'(s) off t by more than ``ARG_TOL`` of the
+    support's scale, or an |s| so large that rounding in s t - L(s) could
+    exceed ``_DECIDE_TOL`` relative.
+    """
+    zs, lqs, das, dbs = d.float_lists
+    zmin, zmax = d.zmin, d.zmax
+    width = zmax - zmin
+    target = math.log(t - zmin) - math.log(zmax - t)
+    s, lo, hi = 0.0, -math.inf, math.inf
+    for _ in range(_NEWTON_CAP):
+        avals = [lq + s * zv for lq, zv in zip(lqs, zs)]
+        amax = max(avals)
+        tot = u = v = uv = 0.0
+        for av, a, b in zip(avals, das, dbs):
+            w = math.exp(av - amax)
+            tot += w
+            u += w * a
+            v += w * b
+            uv += w * a * b
+        if u > 0.0 and v > 0.0:
+            f = math.log(u) - math.log(v) - target
+            slope = width * (1.0 - uv * tot / (u * v))
+            step = f / slope if slope > 0.0 else math.nan
+            if abs(step) <= _DECIDE_TOL * max(1.0, abs(s)):
+                break
+        else:
+            # u or v underflowed: phi is -inf or +inf here, so only bracket.
+            f, step = (math.inf if u > 0.0 else -math.inf), math.nan
+        if f > 0.0:
+            hi = s
+        else:
+            lo = s
+        s_new = s - step
+        if not lo < s_new < hi:
+            s_new = _safeguard(lo, hi)
+        s = s_new
+    else:
+        return None
+    val = amax + math.log(tot)
+    r0, r1 = max(s * t - val, 0.0), max((s - 1.0) * t - val, 0.0)
+    if abs(zmin + u / tot - t) > ARG_TOL * d.scale:
+        return None
+    if (abs(s) + 1.0) * d.scale * _ROUNDING > _DECIDE_TOL * max(1.0, min(r0, r1)):
+        return None
+    return r0, r1
+
+
+def _safeguard(lo, hi):
+    # Bisect a finite bracket, or step out of a half-infinite one.
+    if isinstance(lo, float):
+        if math.isinf(hi):
+            return lo + max(1.0, abs(lo))
+        if math.isinf(lo):
+            return hi - max(1.0, abs(hi))
+        return 0.5 * (lo + hi)
+    return np.where(
+        np.isinf(hi),
+        lo + np.maximum(1.0, np.abs(lo)),
+        np.where(np.isinf(lo), hi - np.maximum(1.0, np.abs(hi)), 0.5 * (lo + hi)),
+    )
+
+
+def _newton_rates_grid(d: _Decider, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_newton_rates` over a vector of interior t, on ``_tilt``.
+
+    Returns (R_0, R_1, ok).  A row is frozen once its step test passes, so
+    its value never depends on the rest of the batch; rows with ok False
+    are left for the caller.
+    """
+    zmin, zmax = d.zmin, d.zmax
+    width = zmax - zmin
+    target = np.log(t - zmin) - np.log(zmax - t)
+    n = len(t)
+    s, lo, hi = np.zeros(n), np.full(n, -np.inf), np.full(n, np.inf)
+    val, mean = np.full(n, np.nan), np.full(n, np.nan)
+    rows = np.arange(n)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_NEWTON_CAP):
+            if not len(rows):
+                break
+            sr = s[rows]
+            m, w, tot = _tilt(d.c0, sr)
+            u, v, uv = (w * d.da).sum(-1), (w * d.db).sum(-1), (w * d.dab).sum(-1)
+            valid = (u > 0.0) & (v > 0.0)
+            f = np.where(valid, np.log(u) - np.log(v) - target[rows], np.where(u > 0.0, np.inf, -np.inf))
+            slope = width * (1.0 - uv * tot / (u * v))
+            step = np.where(valid & (slope > 0.0), f / slope, np.nan)
+            done = np.abs(step) <= _DECIDE_TOL * np.maximum(1.0, np.abs(sr))
+            val[rows[done]] = m[done] + np.log(tot[done])
+            mean[rows[done]] = zmin + u[done] / tot[done]
+            go = ~done
+            rows, sr, f, step = rows[go], sr[go], f[go], step[go]
+            lo_r = np.where(f > 0.0, lo[rows], sr)
+            hi_r = np.where(f > 0.0, sr, hi[rows])
+            s_new = sr - step
+            s[rows] = np.where((lo_r < s_new) & (s_new < hi_r), s_new, _safeguard(lo_r, hi_r))
+            lo[rows], hi[rows] = lo_r, hi_r
+        r0, r1 = np.maximum(s * t - val, 0.0), np.maximum((s - 1.0) * t - val, 0.0)
+        ok = (np.abs(mean - t) <= ARG_TOL * d.scale) & (
+            (np.abs(s) + 1.0) * d.scale * _ROUNDING <= _DECIDE_TOL * np.maximum(1.0, np.minimum(r0, r1))
+        )
+        return r0, r1, ok
+
+
+def _decide_rate(im: InducedModel, j: int, t: float) -> float:
+    """R_j(t) from the decision kernel, else ``rate_function``'s value.
+
+    Serves the staged search's decisions only: it agrees with the scalar
+    solver to about 1e-12 relative but not bit for bit (see module
+    docstring and module ``architectures``).
+    """
+    d = _decider(im)
+    if d.branch is None or not d.lo < t < d.hi:
+        return rate_function(im, j, t).value
+    last_t, rates = d.last
+    if t != last_t:
+        rates = _two_atom_rates(d, t) if d.branch == "two" else _newton_rates(d, t)
+        d.last = (t, rates)
+    if rates is None:
+        return rate_function(im, j, t).value
+    return rates[j]
+
+
+def _decide_rate_grid(im: InducedModel, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(R_0, R_1) over a vector of t: :func:`_decide_rate` on arrays.
+
+    Models the kernel does not serve take ``rate_function_grid``'s values
+    whole; a row the Newton form cannot certify takes ``rate_function``'s,
+    so that every row stays independent of its batch.
+    """
+    d = _decider(im)
+    if d.branch is None:
+        return rate_function_grid(im, 0, ts), rate_function_grid(im, 1, ts)
     ts = np.asarray(ts, dtype=float)
-    out, interior = _grid_edges(c, ts)
-    z_lo, z_hi, lq_lo, lq_hi = two
-    p = (ts[interior] - z_lo) / (z_hi - z_lo)
-    out[interior] = np.maximum(p * (np.log(p) - lq_hi) + (1.0 - p) * (np.log1p(-p) - lq_lo), 0.0)
-    return out
+    out0, interior = _grid_edges(d.c0, ts)
+    out1, _ = _grid_edges(_rate_constants(im, 1), ts)
+    t = ts[interior]
+    if d.branch == "two":
+        out0[interior], out1[interior] = _two_atom_rates(d, t)
+        return out0, out1
+    r0, r1, ok = _newton_rates_grid(d, t)
+    for i in np.flatnonzero(~ok).tolist():
+        r0[i], r1[i] = (rate_function(im, j, float(t[i])).value for j in (0, 1))
+    out0[interior], out1[interior] = r0, r1
+    return out0, out1

@@ -42,7 +42,7 @@ from decdet.architectures import (
     _staged_optima,
     _tree_diff,
 )
-from decdet.exponents import _two_atom_rate
+from decdet.exponents import _decide_rate
 from conftest import random_model
 
 
@@ -533,6 +533,134 @@ _PINNED_STAGED = [
          "branch_values": {"branch0": 0.3557912697589104, "branch1": 0.3557912697508888},
          "note": ""},
     ),
+    # d >= 3 cases recorded before the log-odds Newton kernel took over the
+    # decisions on three or more atoms: K = 5, K = 4 with mode="all" (one-,
+    # two- and three-atom candidates), K = 6, and K = 5 into four messages.
+    (
+        (131, 5, 3, 0.5, "llr_monotone"),
+        {"architecture": "DaisyRestricted",
+         "formulation": "Bayesian",
+         "r": 0.5,
+         "exponent": -0.01986164206559453,
+         "strategy": {"gamma": [0, 1, 2, 0, 2],
+                      "delta0": [0, 1, 2, 0, 2],
+                      "delta1": [0, 1, 2, 0, 2],
+                      "t": -0.00048748043421385643},
+         "decay_rates": {"e01": 0.025189523904682144,
+                         "e10": 0.025677004338895998,
+                         "e00": 0.0,
+                         "e11": 0.0},
+         "branch_values": {"branch0": 0.019861642071729142, "branch1": 0.01986164206559453},
+         "note": ""},
+        {"architecture": "Tree",
+         "formulation": "Bayesian",
+         "r": 0.5,
+         "exponent": -0.01986164206559453,
+         "strategy": {"gamma": [0, 1, 2, 0, 2],
+                      "delta0": [0, 1, 2, 0, 2],
+                      "delta1": [0, 1, 2, 0, 2],
+                      "t": -0.00048748043421385643},
+         "decay_rates": {"e01": 0.025189523904682144,
+                         "e10": 0.025677004338895998,
+                         "e00": 0.0,
+                         "e11": 0.0},
+         "branch_values": {"branch0": 0.019861642071729142, "branch1": 0.01986164206559453},
+         "note": ""},
+    ),
+    (
+        (137, 4, 3, 0.35, "all"),
+        {"architecture": "DaisyRestricted",
+         "formulation": "Bayesian",
+         "r": 0.35,
+         "exponent": -0.05314200223773925,
+         "strategy": {"gamma": [0, 1, 1, 2],
+                      "delta0": [0, 1, 1, 2],
+                      "delta1": [0, 1, 1, 2],
+                      "t": -0.010902304046811194},
+         "decay_rates": {"e01": 0.058681145649380165,
+                         "e10": 0.06958344969619147,
+                         "e00": 0.0,
+                         "e11": 0.0},
+         "branch_values": {"branch0": 0.05314200223773925, "branch1": 0.05314200224050324},
+         "note": ""},
+        {"architecture": "Tree",
+         "formulation": "Bayesian",
+         "r": 0.35,
+         "exponent": -0.05314200223773925,
+         "strategy": {"gamma": [0, 1, 1, 2],
+                      "delta0": [0, 1, 1, 2],
+                      "delta1": [0, 1, 1, 2],
+                      "t": -0.010902304046811194},
+         "decay_rates": {"e01": 0.058681145649380165,
+                         "e10": 0.06958344969619147,
+                         "e00": 0.0,
+                         "e11": 0.0},
+         "branch_values": {"branch0": 0.05314200223773925, "branch1": 0.05314200224050324},
+         "note": ""},
+    ),
+    (
+        (149, 6, 3, 0.7, "llr_monotone"),
+        {"architecture": "DaisyRestricted",
+         "formulation": "Bayesian",
+         "r": 0.7,
+         "exponent": -0.39359358907895475,
+         "strategy": {"gamma": [0, 1, 0, 1, 2, 1],
+                      "delta0": [0, 1, 0, 1, 2, 1],
+                      "delta1": [0, 1, 0, 2, 0, 1],
+                      "t": -0.009590631870405833},
+         "decay_rates": {"e01": 0.5255852903651306,
+                         "e10": 0.5351759222355363,
+                         "e00": 0.0,
+                         "e11": 0.0},
+         "branch_values": {"branch0": 0.39359358908550096, "branch1": 0.39359358907895475},
+         "note": ""},
+        {"architecture": "Tree",
+         "formulation": "Bayesian",
+         "r": 0.7,
+         "exponent": -0.3932975390292831,
+         "strategy": {"gamma": [0, 1, 0, 1, 2, 1],
+                      "delta0": [0, 1, 0, 1, 2, 1],
+                      "delta1": [0, 1, 0, 1, 2, 1],
+                      "t": -0.008532958386126374},
+         "decay_rates": {"e01": 0.5261022430403979,
+                         "e10": 0.5346352014265241,
+                         "e00": 0.0,
+                         "e11": 0.0},
+         "branch_values": {"branch0": 0.39329753903629333, "branch1": 0.3932975390292831},
+         "note": ""},
+    ),
+    (
+        (151, 5, 4, 0.45, "llr_monotone"),
+        {"architecture": "DaisyRestricted",
+         "formulation": "Bayesian",
+         "r": 0.45,
+         "exponent": -0.15342601811799123,
+         "strategy": {"gamma": [0, 1, 2, 1, 3],
+                      "delta0": [0, 1, 2, 1, 3],
+                      "delta1": [0, 1, 2, 1, 3],
+                      "t": -0.02249616014248062},
+         "decay_rates": {"e01": 0.18214430140508853,
+                         "e10": 0.20464046154756915,
+                         "e00": 0.0,
+                         "e11": 0.0},
+         "branch_values": {"branch0": 0.15342601812320128, "branch1": 0.15342601811799123},
+         "note": ""},
+        {"architecture": "Tree",
+         "formulation": "Bayesian",
+         "r": 0.45,
+         "exponent": -0.15342601811799123,
+         "strategy": {"gamma": [0, 1, 2, 1, 3],
+                      "delta0": [0, 1, 2, 1, 3],
+                      "delta1": [0, 1, 2, 1, 3],
+                      "t": -0.02249616014248062},
+         "decay_rates": {"e01": 0.18214430140508853,
+                         "e10": 0.20464046154756915,
+                         "e00": 0.0,
+                         "e11": 0.0},
+         "branch_values": {"branch0": 0.15342601812320128, "branch1": 0.15342601811799123},
+         "note": ""},
+    ),
+
 ]
 
 
@@ -550,7 +678,7 @@ def test_single_delta_crossing_difference_is_exact(table_model):
         cands = _candidates(m, d, "llr_monotone")
         for g in cands:
             for t in np.linspace(g.zmin, g.zmax, 9).tolist():
-                for rate in (_solver_rate, _two_atom_rate):
+                for rate in (_solver_rate, _decide_rate):
                     p = _point_eval(g, cands, r, t, rate)
                     for k, dc in enumerate(cands):
                         assert _tree_diff(g, dc, r, t, rate) == p.bv0[k] - p.bv1[k]
