@@ -5,12 +5,25 @@ question; this module answers the finite one.  For product-form strategies
 (parallel networks, and the two-stage chain once the aggregator bit is
 conditioned on) the exact error probability is a sum of multinomial
 type-class probabilities, computed here fully in log domain so values like
-exp(-800) come out exact rather than underflowing to zero.  Monte Carlo
-simulation covers the adaptive feedback protocols that have no product
-form, with a counter-based generator so every estimate is reproducible
-bit for bit from (seed, n, num_trials) alone.  The two hypotheses are
-drawn on two threads, one each, and the result does not depend on the
-chunking or the threading.
+exp(-800) come out exact rather than underflowing to zero.
+
+Most exact paths never build the class table.  A class's LLR sum is linear
+in the counts of the model's lowest- and highest-LLR atoms, so
+``_fold_split`` enumerates only the other counts and sums the last two
+counts' binomial tails at the one count where the decision flips; every
+tie is settled on the table's own float expression.  Parallel strategies,
+the aggregator bit of DaisyRestricted and Tree, and the second stage of
+those two chains all fold.  DaisyFull (whose fusion sees each first-stage
+class) and ``llr_distribution_*`` (which return the atoms) keep full class
+tables.  ``CLASS_BUDGET`` counts the classes of the full table on every
+path: it is a kept contract on which (strategy, n) pairs evaluate, no
+longer the bound on the folded paths' memory.
+
+Monte Carlo simulation covers the adaptive feedback protocols that have no
+product form, with a counter-based generator so every estimate is
+reproducible bit for bit from (seed, n, num_trials) alone.  The two
+hypotheses are drawn on two threads, one each, and the result does not
+depend on the chunking or the threading.
 
 The fusion rule is always a likelihood-ratio threshold: decide hypothesis
 1 when the exact log-likelihood ratio of everything the fusion center sees
@@ -73,6 +86,10 @@ CLASS_BUDGET = 10**7
 # Trials drawn per generator stream; sized so one chunk's arrays stay small.
 _CHUNK_CELLS = 1 << 22
 _MAX_CHUNK_TRIALS = 8192
+# Binomial terms per block of the window-tail kernel: its term arrays stay
+# within 256 KiB, in cache, so its time does not hang on how the allocator
+# maps fresh memory.
+_WINDOW_BLOCK_TERMS = 1 << 15
 
 # (log mass under H0, log mass under H1, LLR) per atom: a type class or a transcript atom.
 _LogAtoms = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -186,6 +203,143 @@ def _class_table(im: InducedModel, n: int) -> _LogAtoms:
     return logp0, logp1, sums
 
 
+def _log_terms(m, c, log_qa, log_qb, lg):
+    """log of C(m, c) qa^c qb^(m - c), with lg[i] = log(i!)."""
+    return lg[m] - lg[c] - lg[m - c] + (c * log_qa + (m - c) * log_qb)
+
+
+def _window_tails(m: np.ndarray, c: np.ndarray, qa: np.ndarray, qb: np.ndarray, lg: np.ndarray) -> np.ndarray:
+    """Entry [j, u, p] is the log of the sum over c' < c (u = 0) or c' >= c
+    (u = 1) of C(m, c') qa_j^c' qb_j^(m - c'), with (m, c) = (m[p], c[p]).
+
+    The side of c without the row's mode is summed directly, scaled by its
+    term nearest the mode, which is its largest.  The log terms are
+    concave with curvature at least 4 / (m + 2), so every term more than
+    5 sqrt(m + 2) places beyond that one is below e^-50 of it and is left
+    out.  The other side is the row total (qa + qb)^m less that sum, at
+    least about half of the total.  Work is O(sqrt(m)) per entry, however
+    deep the tail.  Entries are independent, so they are taken in blocks
+    of at most ``_WINDOW_BLOCK_TERMS`` terms, each entry with the same
+    bits as in one pass over all of them.
+    """
+    reach = math.ceil(5.0 * math.sqrt(int(m.max()) + 2.0)) + 1
+    step = max(1, _WINDOW_BLOCK_TERMS // (qa.size * reach))
+    blocks = [_window_block(m[i:i + step], c[i:i + step], qa, qb, lg) for i in range(0, m.size, step)]
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=2)
+
+
+def _window_block(m: np.ndarray, c: np.ndarray, qa: np.ndarray, qb: np.ndarray, lg: np.ndarray) -> np.ndarray:
+    """:func:`_window_tails` on one block of entries."""
+    lqa, lqb = np.log(qa)[:, None], np.log(qb)[:, None]
+    mode = np.minimum(np.floor((m + 1) * (qa / (qa + qb))[:, None]), m)
+    up = mode < c
+    reach = np.ceil(5.0 * np.sqrt(m + 2.0)).astype(np.int64) + 1
+    nearest = np.clip(np.where(up, c, c - 1), 0, m)
+    first = np.where(up, c, np.maximum(c - reach, 0))
+    size = np.where(up, np.minimum(m - c + 1, reach), np.minimum(c, reach)).ravel()
+    offs = np.cumsum(size) - size
+
+    def each(a):
+        return np.repeat(np.broadcast_to(a, up.shape).ravel(), size)
+
+    cc = np.arange(offs[-1] + size[-1]) + np.repeat(first.ravel() - offs, size)
+    peak = _log_terms(m, nearest, lqa, lqb, lg)
+    scaled = np.exp(_log_terms(each(m), cc, each(lqa), each(lqb), lg) - each(peak))
+    far = np.full(up.size, -math.inf)
+    kept = size > 0
+    far[kept] = peak.ravel()[kept] + np.log(np.add.reduceat(scaled, offs[kept]))
+    far = far.reshape(up.shape)
+    total = m * np.log(qa + qb)[:, None]
+    near = total + np.log1p(-np.exp(far - total))
+    return np.stack([np.where(up, near, far), np.where(up, far, near)], axis=1)
+
+
+def _row_tails(m: np.ndarray, c: np.ndarray, qa: np.ndarray, qb: np.ndarray, lg: np.ndarray) -> np.ndarray:
+    """The sums of :func:`_window_tails`, read from each whole row 0..n.
+
+    For rows that many (m, c) entries share: O(n^2) work in all, which the
+    class budget keeps small wherever the table has four or more atoms.
+    """
+    n = lg.size - 1
+    mm, cc = np.arange(n + 1)[:, None], np.arange(n + 1)
+    lqa, lqb = np.log(qa)[:, None, None], np.log(qb)[:, None, None]
+    terms = np.where(cc <= mm, _log_terms(mm, np.minimum(cc, mm), lqa, lqb, lg), -math.inf)
+    rows = np.full((2, 2, n + 1, n + 2), -math.inf)
+    rows[:, 0, :, 1:] = np.logaddexp.accumulate(terms, axis=2)
+    rows[:, 1, :, :-1] = np.logaddexp.accumulate(terms[..., ::-1], axis=2)[..., ::-1]
+    return rows[:, :, m, c]
+
+
+def _fold_split(im: InducedModel, n: int, thr: float, shift: float = 0.0) -> np.ndarray:
+    """Log masses of the type classes at n on each side of a threshold.
+
+    Entry [j, u] is log P_j(decision = u), where a class decides 1 when
+    ``shift + counts @ im.llr >= thr``, the class table's own float
+    expression.  A side that no class takes has log mass -inf, and one
+    that every class takes has log mass exactly 0.
+
+    The table is never built.  Let a and b be the highest- and lowest-LLR
+    atoms.  The other counts are enumerated as prefixes, each leaving m
+    sensors, and a class with c of them on a and m - c on b has an LLR sum
+    linear in c with slope llr_a - llr_b > 0.  So a prefix decides 1
+    exactly when c >= c*, and its mass on each side is a tail of
+    (q_a + q_b)^m * Binom(m, q_a / (q_a + q_b)) at c*.  c* comes from the
+    linear formula and is then settled on the table's expression at c* - 1
+    and c*.  Folding the extreme pair makes the step in c as large as the
+    model allows.  Atoms that share an LLR are not merged: the table's
+    float sums of the classes a merge would join can differ in the last
+    bit, and so fall on both sides of a threshold.
+    """
+    out = np.full((2, 2), -math.inf)
+    llr = im.llr
+    lo, hi = int(np.argmin(llr)), int(np.argmax(llr))
+    if math.isinf(thr) or llr[lo] == llr[hi]:
+        # An infinite threshold, or one LLR for every atom (a one-atom
+        # model among them), sends every class to the same side.
+        out[:, int(shift + n * llr[lo] >= thr)] = 0.0
+        return out
+
+    k = llr.size
+    mid = [i for i in range(k) if i not in (lo, hi)]
+    comp = _compositions(n, k - 1)
+    pre, m = comp[:, :-1], comp[:, -1]
+    c = np.ceil((thr - shift - (pre @ llr[mid] + m * llr[lo])) / (llr[hi] - llr[lo]))
+    c = np.clip(c, 0, m + 1).astype(np.int64)
+
+    def decides(rows: np.ndarray, cc: np.ndarray) -> np.ndarray:
+        # Always two or more rows, so numpy takes the matrix-vector product
+        # the table takes, which rounds each row alike whatever the other
+        # rows are; one row would go through a dot product, which can round
+        # differently.
+        counts = np.empty((rows.size, k), dtype=np.int64)
+        counts[:, mid] = pre[rows]
+        counts[:, hi] = cc
+        counts[:, lo] = m[rows] - cc
+        return shift + counts @ llr >= thr
+
+    # Step each c* until the class below it decides 0 and the class at it
+    # decides 1.  A prefix only ever steps one way, so the loop ends.
+    rows = np.arange(c.size)
+    while rows.size:
+        cr, mr = c[rows], m[rows]
+        pair = decides(np.tile(rows, 2), np.concatenate([np.maximum(cr - 1, 0), np.minimum(cr, mr)]))
+        below, at = np.split(pair, 2)
+        step = np.where((cr <= mr) & ~at, 1, np.where((cr > 0) & below, -1, 0))
+        c[rows] += step
+        rows = rows[step != 0]
+    if np.all(c == 0) or np.all(c == m + 1):
+        out[:, int(c[0] == 0)] = 0.0
+        return out
+
+    lg = gammaln(np.arange(n + 1) + 1.0)
+    q = np.stack([im.q0, im.q1])
+    # With three or fewer atoms each m has one prefix; with more, many
+    # prefixes share each row.
+    tails = (_row_tails if k > 3 else _window_tails)(m, c, q[:, hi], q[:, lo], lg)
+    logpre = lg[n] - lg[m] - lg[pre].sum(axis=1) + np.log(q[:, mid]) @ pre.T
+    return logsumexp(logpre[:, None, :] + tails, axis=2)
+
+
 def _lse(values: np.ndarray) -> float:
     return float(logsumexp(values)) if values.size else -math.inf
 
@@ -205,8 +359,8 @@ def _estimate_from_logs(n: int, log_pe0: float, log_pe1: float, method: str) -> 
     )
 
 
-def _parallel_table(m: HypothesisModel, strategy: Strategy, n: int, what: str) -> _LogAtoms:
-    """Class table of a parallel-form strategy's joint messages at n, budget-checked."""
+def _parallel_induced(m: HypothesisModel, strategy: Strategy, n: int, what: str) -> InducedModel:
+    """Joint-message model of a parallel-form strategy, budget-checked at n."""
     validate_model(m)
     if strategy.kind not in ONE_STAGE_KINDS:
         raise ValueError(f"{strategy.kind} is not a parallel-form strategy")
@@ -214,14 +368,14 @@ def _parallel_table(m: HypothesisModel, strategy: Strategy, n: int, what: str) -
         raise ValueError("blocklength n must be positive")
     im = induce(m, strategy.joint)
     _check_budget(n, what, im.alphabet_size)
-    return _class_table(im, n)
+    return im
 
 
 def exact_error_parallel(m: HypothesisModel, strategy: Strategy, n: int) -> ErrorEstimate:
     """Exact error probabilities of a parallel strategy by type-class sums."""
-    logp0, logp1, sums = _parallel_table(m, strategy, n, "a parallel strategy")
-    decide1 = sums >= strategy.fusion_threshold
-    return _estimate_from_logs(n, _lse(logp0[decide1]), _lse(logp1[~decide1]), "exact")
+    im = _parallel_induced(m, strategy, n, "a parallel strategy")
+    split = _fold_split(im, n, strategy.fusion_threshold)
+    return _estimate_from_logs(n, split[0, 1], split[1, 0], "exact")
 
 
 def _stage_sizes(n: int, r: float) -> tuple[int, int]:
@@ -242,6 +396,17 @@ def _two_stage_setup(
     return n1, n2, im1, ims2
 
 
+def _aggregator_bit(im1: InducedModel, n1: int, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Log masses and log-odds of the aggregator bit U = 1{first-stage LLR
+    sum >= t * n1}: entry [j, u] of the first is log P_j(U = u), entry u of
+    the second log P_1(U = u) - log P_0(U = u).  A value that U never takes
+    gets log-odds 0, and so does one it always takes, exactly."""
+    logm = _fold_split(im1, n1, t * n1)
+    logit = np.zeros(2)
+    np.subtract(logm[1], logm[0], out=logit, where=logm[0] > -math.inf)
+    return logm, logit
+
+
 def _first_stage_split(im1: InducedModel, n1: int, t: float) -> list[tuple[int, _LogAtoms]]:
     """(u, classes) for each value u of the aggregator bit U = 1{first-stage
     LLR sum >= t * n1} that some first-stage type class selects, u = 0 first."""
@@ -259,7 +424,10 @@ def _restricted_atoms(im1: InducedModel, ims2: list[InducedModel], n1: int, n2: 
     """(log q0, log q1, llr) of a restricted chain's transcript atoms.
 
     One atom per (U, second-stage type class) pair, u = 0 first; its LLR
-    is the exact log-odds of U plus the second-stage sum.
+    is the exact log-odds of U plus the second-stage sum.  The masses of U
+    are summed over the first-stage class table, not folded, so the atoms
+    keep their last bits: ``sgb_lower_bound`` takes a golden-section argmin
+    over them, which moves by about 1e-8 when they move by one ulp.
     """
     parts = []
     for u, (lp0, lp1, _) in _first_stage_split(im1, n1, t):
@@ -277,9 +445,9 @@ def exact_error_daisy(m: HypothesisModel, strategy: Strategy, n: int) -> ErrorEs
     U = 1{mean first-stage LLR >= t}; the rest quantize with delta0 or
     delta1 according to U.  For DaisyRestricted and Tree the fusion center
     sees (U, second-stage messages) and the transcript LLR is the exact
-    log-odds of U plus the second-stage sum; for DaisyFull it sees the
-    first-stage messages too, handled by convolving each first-stage class
-    with the matching second-stage tail.
+    log-odds of U plus the second-stage sum, so both stages fold; for
+    DaisyFull it sees the first-stage messages too, handled by convolving
+    each first-stage class with the matching second-stage tail.
     """
     validate_model(m)
     if strategy.kind not in TWO_STAGE_KINDS:
@@ -287,9 +455,14 @@ def exact_error_daisy(m: HypothesisModel, strategy: Strategy, n: int) -> ErrorEs
     n1, n2, im1, ims2 = _two_stage_setup(m, strategy, n, "a two-stage strategy")
     thr = strategy.fusion_threshold
     if strategy.kind in RESTRICTED_KINDS:
-        logq0, logq1, llr = _restricted_atoms(im1, ims2, n1, n2, strategy.t)
-        decide1 = llr >= thr
-        return _estimate_from_logs(n, _lse(logq0[decide1]), _lse(logq1[~decide1]), "exact")
+        logm, logit = _aggregator_bit(im1, n1, strategy.t)
+        err0, err1 = [], []
+        for u in (0, 1):
+            if logm[0, u] > -math.inf:
+                split = _fold_split(ims2[u], n2, thr, logit[u])
+                err0.append(logm[0, u] + split[0, 1])
+                err1.append(logm[1, u] + split[1, 0])
+        return _estimate_from_logs(n, logsumexp(err0), logsumexp(err1), "exact")
 
     # Fusion sees the first-stage messages as well, so the decision couples
     # the two stages; group second-stage classes into sorted tails and query
@@ -406,9 +579,7 @@ def _transcript_llr_fn(m: HypothesisModel, strategy: Strategy, n: int) -> Callab
         # transcript LLR needs the exact log-odds of U at this n.
         im1 = induce(m, strategy.gamma)
         _check_budget(n1, "the aggregator-bit distribution", im1.alphabet_size)
-        logit_u = np.zeros(2)
-        for u, (lp0, lp1, _) in _first_stage_split(im1, n1, t):
-            logit_u[u] = _lse(lp1) - _lse(lp0)
+        logit_u = _aggregator_bit(im1, n1, t)[1]
 
     def two_stage(obs: np.ndarray) -> np.ndarray:
         s1 = first[obs[:, :n1]].sum(axis=1)
@@ -550,7 +721,7 @@ def llr_distribution_parallel(m: HypothesisModel, strategy: Strategy, n: int) ->
     probabilities below the floating-point floor flush to zero mass.  Raises
     ValueError for a strategy outside the parallel-form kinds.
     """
-    logp0, logp1, sums = _parallel_table(m, strategy, n, "a parallel transcript")
+    logp0, logp1, sums = _class_table(_parallel_induced(m, strategy, n, "a parallel transcript"), n)
     return InducedModel(q0=np.exp(logp0), q1=np.exp(logp1), llr=sums)
 
 

@@ -5,6 +5,11 @@ signalling protocol literally, so it shares no arithmetic shortcuts (type
 classes, per-sensor factorization, log-domain tricks) with the library
 code it checks.  Exponential cost caps it at small n and alphabets.
 
+The class-table oracle is the exact evaluator's computation before it
+folded the last two message counts into binomial tails: it sums every type
+class of the full table.  It reuses the table that DaisyFull and the
+``llr_distribution_*`` functions still build, and nothing of the fold.
+
 The Monte Carlo oracle is the simulator's original one-thread chunk loop.
 It must match ``simulate`` bit for bit, so it keeps the library's streams,
 chunk layout and aggregator-bit log-odds, and redoes the rest the slow way.
@@ -16,8 +21,15 @@ import math
 
 import numpy as np
 
-from decdet import HypothesisModel, Strategy, induce, product_quantizer
-from decdet.evaluator import _chunk_trials, _first_stage_split, _lse
+from decdet import ErrorEstimate, HypothesisModel, Strategy, induce, product_quantizer
+from decdet.evaluator import (
+    _aggregator_bit,
+    _chunk_trials,
+    _class_table,
+    _estimate_from_logs,
+    _first_stage_split,
+    _lse,
+)
 
 
 def _cell_llr(m: HypothesisModel, qmap: tuple[int, ...], d: int) -> list[float]:
@@ -109,6 +121,33 @@ def brute_force_error(m: HypothesisModel, st: Strategy, n: int) -> tuple[float, 
     return pe0, pe1, 0.5 * (pe0 + pe1)
 
 
+def class_table_error(m: HypothesisModel, st: Strategy, n: int) -> ErrorEstimate:
+    """Exact error of a parallel strategy or a restricted chain (DaisyRestricted,
+    Tree) by summing every class of the full type-class table.
+
+    A value of the aggregator bit that every first-stage class takes has
+    probability 1.  The table's sum of all class masses rounds to 1 only
+    within a few ulps, and that noise in the bit's log-odds would decide
+    ties at the fusion threshold, so such a bit counts as certain here, as
+    it does in the evaluator.
+    """
+    thr = st.fusion_threshold
+    if st.kind in ("Parallel1", "OneMsgSequential", "Parallel2"):
+        logp0, logp1, llr = _class_table(induce(m, st.joint), n)
+    else:
+        n1 = int(round(st.r * n))
+        seconds = (induce(m, st.delta0), induce(m, st.delta1))
+        split = _first_stage_split(induce(m, st.gamma), n1, st.t)
+        parts = []
+        for u, (lp0, lp1, _) in split:
+            lu0, lu1 = (_lse(lp0), _lse(lp1)) if len(split) == 2 else (0.0, 0.0)
+            logp0_2, logp1_2, sums2 = _class_table(seconds[u], n - n1)
+            parts.append((lu0 + logp0_2, lu1 + logp1_2, (lu1 - lu0) + sums2))
+        logp0, logp1, llr = (np.concatenate(col) for col in zip(*parts))
+    decide1 = llr >= thr
+    return _estimate_from_logs(n, _lse(logp0[decide1]), _lse(logp1[~decide1]), "exact")
+
+
 def _symbol_llr_table(m: HypothesisModel, q) -> np.ndarray:
     labels = np.asarray(q.map, dtype=np.intp)
     q0 = np.bincount(labels, weights=m.pmf0, minlength=q.message_alphabet_size)
@@ -135,9 +174,7 @@ def _transcript_llr(m: HypothesisModel, st: Strategy, n: int, obs: np.ndarray) -
         s2 = np.where(u[:, None], second1, second0).sum(axis=1)
         if kind == "DaisyFull":
             return s1 + s2
-        logit_u = [0.0, 0.0]
-        for bit, (lp0, lp1, _) in _first_stage_split(induce(m, st.gamma), n1, t):
-            logit_u[bit] = _lse(lp1) - _lse(lp0)
+        logit_u = _aggregator_bit(induce(m, st.gamma), n1, t)[1]
         return np.where(u, logit_u[1], logit_u[0]) + s2
     llr1 = first[obs]
     if kind == "SequentialFeedback2":

@@ -2,16 +2,20 @@
 
 The main oracle is tests/oracles.py, which enumerates raw observation
 tuples; the library's type-class arithmetic must match it to float noise.
+The folded exact evaluator also meets the full class table it replaced,
+``oracles.class_table_error``, at larger n and on every kind of tie.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from scipy.special import gammaln
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
 from decdet import (
@@ -38,7 +42,7 @@ from decdet import (
 )
 from decdet import evaluator
 from conftest import random_model
-from oracles import brute_force_error, sequential_simulate
+from oracles import brute_force_error, class_table_error, sequential_simulate
 
 Q001 = Quantizer(map=(0, 0, 1), message_alphabet_size=2)
 Q011 = Quantizer(map=(0, 1, 1), message_alphabet_size=2)
@@ -115,6 +119,174 @@ def test_exact_matches_brute_force_offset_threshold(table_model):
         want = brute_force_error(table_model, st, n)
         got = exact_error_parallel(table_model, st, n)
         assert _rel_close(got.p_e0, want[0]) and _rel_close(got.p_e1, want[1])
+
+
+# Largest oracle table per stage; it caps n near 14 at six atoms, while
+# two atoms reach n = 80.
+_ORACLE_CLASSES = 20_000
+_SYMMETRIC = validate_model(HypothesisModel(pmf0=(0.8, 0.15, 0.05), pmf1=(0.05, 0.15, 0.8)))
+
+
+def _largest_n(k: int) -> int:
+    return max(n for n in range(1, 81) if math.comb(n + k - 1, k - 1) <= _ORACLE_CLASSES)
+
+
+@hs.composite
+def _fold_cases(draw):
+    """(model, strategy, n) for the fold-versus-table property test.
+
+    Models have 1-6 symbols with masses down to 1e-12, sometimes with the
+    last symbol given the first one's LLR (the same masses, or both scaled
+    by one factor, which can move the LLR by an ulp), or are the symmetric
+    table model.  Thresholds are 0, +-inf, random, or the exact LLR sum of
+    a class: one of the two modal classes, whose mass makes a tie sent to
+    the wrong side show, or any class.  For a chain the fusion threshold
+    is a second-stage class sum, since the bit's log-odds that the
+    transcript LLR adds is summed in another order by the table.
+
+    Two kinds of case are left out, because there the answer turns on
+    rounding: atoms whose LLRs differ, but by 1e-9 or less, where class
+    sums round across one another; and a chain with a transcript LLR
+    within 1e-9 of the fusion threshold whose bit log-odds the table and
+    the fold sum to different floats.
+    """
+    if draw(hs.integers(0, 4)) == 0:
+        m = _SYMMETRIC
+    else:
+        k = draw(hs.integers(1, 6))
+        exps = hs.floats(min_value=-12.0, max_value=0.0)
+        w0 = [10.0 ** draw(exps) for _ in range(k)]
+        w1 = [10.0 ** draw(exps) for _ in range(k)]
+        if k > 1 and draw(hs.booleans()):
+            f = draw(hs.sampled_from([1.0, 2.0, 3.0]))
+            w0[-1], w1[-1] = f * w0[0], f * w1[0]
+        m = validate_model(HypothesisModel(pmf0=np.array(w0) / sum(w0), pmf1=np.array(w1) / sum(w1)))
+    k = m.alphabet_size
+
+    def quantizer():
+        labels = draw(hs.lists(hs.integers(0, k - 1), min_size=k, max_size=k))
+        return Quantizer(map=tuple(labels), message_alphabet_size=k)
+
+    def threshold(table):
+        logp0, logp1, sums = table
+        pick = draw(hs.sampled_from(["zero", "+inf", "-inf", "random", "mode0", "mode1", "class"]))
+        if pick == "zero":
+            return 0.0
+        if pick in ("+inf", "-inf"):
+            return float(pick)
+        if pick == "random":
+            return draw(hs.floats(min_value=-30.0, max_value=30.0))
+        if pick == "class":
+            return float(sums[draw(hs.integers(0, sums.size - 1))])
+        return float(sums[np.argmax(logp0 if pick == "mode0" else logp1)])
+
+    kind = draw(hs.sampled_from(["Parallel1", "Parallel2", "DaisyRestricted", "Tree"]))
+    gamma, delta0, delta1 = quantizer(), quantizer(), quantizer()
+    if kind in ("Parallel1", "Parallel2"):
+        st = Strategy(kind=kind, gamma=gamma, delta0=delta0 if kind == "Parallel2" else None)
+        im = induce(m, st.joint)
+        assume(_llrs_resolve(im))
+        n = draw(hs.integers(1, _largest_n(im.alphabet_size)))
+        return m, dataclasses.replace(st, fusion_threshold=threshold(evaluator._class_table(im, n))), n
+    if kind == "Tree":
+        delta1 = delta0
+    ims = [induce(m, q) for q in (gamma, delta0, delta1)]
+    assume(all(_llrs_resolve(im) for im in ims))
+    n_max = min(_largest_n(im.alphabet_size) for im in ims)
+    n = draw(hs.integers(2, max(2, n_max)))
+    n1 = draw(hs.integers(1, n - 1))
+    t = threshold(evaluator._class_table(ims[0], n1)) / n1
+    fusion = threshold(evaluator._class_table(ims[1 + draw(hs.integers(0, 1))], n - n1))
+    st = Strategy(kind=kind, gamma=gamma, delta0=delta0, delta1=delta1, t=t, r=n1 / n, fusion_threshold=fusion)
+    assume(not _rounding_tie(m, st, n))
+    return m, st, n
+
+
+def _llrs_resolve(im) -> bool:
+    spread = float(np.ptp(im.llr))
+    return spread == 0.0 or spread > 1e-9
+
+
+def _rounding_tie(m, st, n) -> bool:
+    """Whether a chain has a transcript LLR within 1e-9 of its fusion
+    threshold under a bit log-odds that the table and the fold sum to
+    different floats."""
+    thr = st.fusion_threshold
+    if math.isinf(thr):
+        return False
+    n1 = int(round(st.r * n))
+    im1 = induce(m, st.gamma)
+    folded = evaluator._aggregator_bit(im1, n1, st.t)[1]
+    split = evaluator._first_stage_split(im1, n1, st.t)
+    for u, (lp0, lp1, _) in split:
+        table = evaluator._lse(lp1) - evaluator._lse(lp0) if len(split) == 2 else 0.0
+        sums2 = evaluator._class_table(induce(m, (st.delta0, st.delta1)[u]), n - n1)[2]
+        if table != folded[u] and np.any(np.abs(table + sums2 - thr) <= 1e-9 * (1.0 + abs(thr))):
+            return True
+    return False
+
+
+def _same_error(got, want) -> bool:
+    """p_e0 and p_e1 within 1e-12 relative where they are normal floats, and
+    log_p_e within 1e-12 of its magnitude."""
+    for a, b in ((got.p_e0, want.p_e0), (got.p_e1, want.p_e1)):
+        if max(a, b) >= 1e-290 and abs(a - b) > 1e-12 * b:
+            return False
+    if math.isinf(want.log_p_e):
+        return got.log_p_e == want.log_p_e
+    return abs(got.log_p_e - want.log_p_e) <= 1e-12 * max(1.0, abs(want.log_p_e))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=_fold_cases())
+def test_fold_matches_class_table(case):
+    m, st, n = case
+    want = class_table_error(m, st, n)
+    got = exact_error(m, st, n)
+    assert _same_error(got, want), (got, want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=hs.integers(1, 600),
+    exps=hs.lists(hs.floats(min_value=-12.0, max_value=0.0), min_size=4, max_size=4),
+    seed=hs.integers(0, 2**32 - 1),
+)
+def test_window_tails_match_whole_rows(n, exps, seed):
+    # The window kernel drops the terms beyond 5 sqrt(m + 2) of each tail's
+    # largest and takes the side holding the mode as the row total less the
+    # other.  Check both against whole-row accumulation, deep tails
+    # included, at m beyond what the class-table oracle reaches.
+    q = 10.0 ** np.array(exps).reshape(2, 2)
+    qa, qb = (q / np.maximum(q.sum(axis=0), 1.0)).tolist()
+    qa, qb = np.array(qa), np.array(qb)
+    rng = np.random.default_rng(seed)
+    m = rng.integers(0, n + 1, size=64)
+    c = np.minimum(rng.integers(0, n + 2, size=64), m + 1)
+    lg = gammaln(np.arange(n + 1) + 1.0)
+    window = evaluator._window_tails(m, c, qa, qb, lg)
+    rows = evaluator._row_tails(m, c, qa, qb, lg)
+    finite = np.isfinite(rows)
+    np.testing.assert_array_equal(np.isfinite(window), finite)
+    np.testing.assert_array_equal(window[~finite], rows[~finite])
+    assert np.all(np.abs(window[finite] - rows[finite]) <= 1e-12 * np.maximum(1.0, np.abs(rows[finite])))
+
+
+def test_window_tails_blocks_keep_every_bit(monkeypatch):
+    # The window kernel takes its entries in blocks of bounded size; one
+    # entry per block and one block for all must give the same floats,
+    # blocks whose every window is empty (c = 0 or c = m + 1) included.
+    n = 1500
+    rng = np.random.default_rng(7)
+    m = rng.integers(0, n + 1, size=900)
+    c = np.minimum(rng.integers(0, n + 2, size=900), m + 1)
+    c[::5], c[1::5] = 0, m[1::5] + 1
+    qa, qb = np.array([0.3, 1e-9]), np.array([0.5, 0.7])
+    lg = gammaln(np.arange(n + 1) + 1.0)
+    blocked = evaluator._window_tails(m, c, qa, qb, lg)
+    for terms in (1, 1 << 40):
+        monkeypatch.setattr(evaluator, "_WINDOW_BLOCK_TERMS", terms)
+        np.testing.assert_array_equal(evaluator._window_tails(m, c, qa, qb, lg), blocked)
 
 
 def test_exact_rejects_adaptive_kinds(table_model):
@@ -285,6 +457,33 @@ def test_too_large_hint_names_an_evaluable_n(monkeypatch, table_model, st):
         exact_error(table_model, st, hinted + 1)
 
 
+def test_budget_edge_evaluates_in_bounded_memory():
+    # Four joint messages at n=389 is the largest n within CLASS_BUDGET
+    # (9.96e6 classes).  The full table of those classes took about 0.9 GB
+    # under tracemalloc; the fold enumerates 76,245 prefixes of three counts.
+    # The pin is the full table's value, recorded once.
+    st = Strategy(
+        kind="Parallel2",
+        gamma=Quantizer(map=(0, 0, 1, 1), message_alphabet_size=2),
+        delta0=Quantizer(map=(0, 1, 0, 1), message_alphabet_size=2),
+    )
+    assert induce(PIN_MODEL, st.joint).alphabet_size == 4
+    tracemalloc.start()
+    try:
+        e = exact_error(PIN_MODEL, st, 389)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert abs(e.log_p_e - -110.33901792978989) <= 1e-12 * 110.33901792978989
+    with pytest.raises(TooLarge) as info:
+        exact_error(PIN_MODEL, st, 390)
+    assert str(info.value) == (
+        "exact evaluation of a parallel strategy at n=390 exceeds the 10000000 "
+        "type-class budget; largest feasible n here is 389"
+    )
+
+
 def test_sgb_bound_holds_for_exact_errors(table_model):
     im = induce(table_model, Q001)
     st = _parallel1(Q001)
@@ -433,11 +632,11 @@ def _pinned_strategy(kind):
 @pytest.mark.parametrize(
     "kind,log_p_e",
     [
-        ("Parallel1", -5.976210715607335),
-        ("Parallel2", -13.518197826519298),
-        ("OneMsgSequential", -5.976210715607335),
+        ("Parallel1", -5.976210715607334),
+        ("Parallel2", -13.5181978265193),
+        ("OneMsgSequential", -5.976210715607334),
         ("DaisyRestricted", -5.7330774175531705),
-        ("Tree", -8.584635539767843),
+        ("Tree", -8.58463553976784),
         ("DaisyFull", -5.920297633196844),
     ],
 )
