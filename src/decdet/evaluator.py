@@ -33,18 +33,21 @@ adaptive second-stage quantizer choice u_k is a deterministic function of
 known data and the transcript LLR is just a sum of per-sensor terms under
 the matching joint quantizer; the simulators exploit that to apply the
 exactly optimal fusion rule, not an approximation to it.
+
+``import decdet`` loads numpy and the standard library only, because the
+exponent searches need nothing more.  ``scipy.special`` is imported inside
+the exact-evaluation functions that call it, and ``concurrent.futures``
+inside ``simulate``, so a process pays for each on its first use alone.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .architectures import (
     ADAPTIVE_KINDS,
@@ -135,18 +138,32 @@ class FitResult:
 
 
 def _compositions(n: int, k: int) -> np.ndarray:
-    """All nonnegative k-part compositions of n, one row each."""
-    if k == 1:
-        return np.array([[n]], dtype=np.int64)
-    if k == 2:
-        first = np.arange(n + 1, dtype=np.int64)
-        return np.stack([first, n - first], axis=1)
-    blocks = []
-    for c0 in range(n + 1):
-        rest = _compositions(n - c0, k - 1)
-        first = np.full((rest.shape[0], 1), c0, dtype=np.int64)
-        blocks.append(np.hstack([first, rest]))
-    return np.vstack(blocks)
+    """All nonnegative k-part compositions of n, one row each, in
+    lexicographic order.
+
+    Built a column at a time: each row so far, with r of n left, takes
+    every next count 0..r in turn, and each count fills as many rows of
+    its column as there are ways to split what it leaves over the parts
+    after it.  The last two columns need no such repeat: each of their
+    rows is one composition.
+    """
+    out = np.empty((math.comb(n + k - 1, k - 1), k), dtype=np.int64)
+    rest = np.array([n], dtype=np.int64)
+    for i in range(k - 1):
+        size = rest + 1
+        # In place: fresh pages cost more here than the arithmetic.
+        col = np.arange(size.sum())
+        col -= np.repeat(np.cumsum(size) - size, size)
+        rest = np.repeat(rest, size)
+        rest -= col
+        # Counts still free after this column; the last is what is left.
+        free = k - 2 - i
+        if free:
+            ways = np.array([math.comb(r + free, free) for r in range(n + 1)], dtype=np.int64)
+            col = np.repeat(col, ways[rest])
+        out[:, i] = col
+    out[:, -1] = rest
+    return out
 
 
 def _stage_classes(n: int, k1: int, k2: int, r: float | None) -> int:
@@ -195,8 +212,13 @@ def _check_budget(n: int, what: str, k1: int, k2: int = 1, r: float | None = Non
 
 def _class_table(im: InducedModel, n: int) -> _LogAtoms:
     """(logp0, logp1, llr_sum) over all message type classes at blocklength n."""
+    from scipy.special import gammaln
+
     counts = _compositions(n, im.alphabet_size)
-    logcoef = gammaln(n + 1) - gammaln(counts + 1.0).sum(axis=1)
+    lg = gammaln(np.arange(n + 1) + 1.0)
+    logcoef = lg[n] - lg[counts].sum(axis=1)
+    # numpy would cast the int64 counts to float for each product anyway.
+    counts = counts.astype(np.float64)
     logp0 = logcoef + counts @ np.log(im.q0)
     logp1 = logcoef + counts @ np.log(im.q1)
     sums = counts @ im.llr
@@ -311,7 +333,7 @@ def _fold_split(im: InducedModel, n: int, thr: float, shift: float = 0.0) -> np.
         # the table takes, which rounds each row alike whatever the other
         # rows are; one row would go through a dot product, which can round
         # differently.
-        counts = np.empty((rows.size, k), dtype=np.int64)
+        counts = np.empty((rows.size, k))
         counts[:, mid] = pre[rows]
         counts[:, hi] = cc
         counts[:, lo] = m[rows] - cc
@@ -331,6 +353,8 @@ def _fold_split(im: InducedModel, n: int, thr: float, shift: float = 0.0) -> np.
         out[:, int(c[0] == 0)] = 0.0
         return out
 
+    from scipy.special import gammaln, logsumexp
+
     lg = gammaln(np.arange(n + 1) + 1.0)
     q = np.stack([im.q0, im.q1])
     # With three or fewer atoms each m has one prefix; with more, many
@@ -341,6 +365,8 @@ def _fold_split(im: InducedModel, n: int, thr: float, shift: float = 0.0) -> np.
 
 
 def _lse(values: np.ndarray) -> float:
+    from scipy.special import logsumexp
+
     return float(logsumexp(values)) if values.size else -math.inf
 
 
@@ -359,11 +385,19 @@ def _estimate_from_logs(n: int, log_pe0: float, log_pe1: float, method: str) -> 
     )
 
 
+def _check_integer(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer: a float count would
+    be truncated or fail deep in numpy."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _parallel_induced(m: HypothesisModel, strategy: Strategy, n: int, what: str) -> InducedModel:
     """Joint-message model of a parallel-form strategy, budget-checked at n."""
     validate_model(m)
     if strategy.kind not in ONE_STAGE_KINDS:
         raise ValueError(f"{strategy.kind} is not a parallel-form strategy")
+    _check_integer("n", n)
     if n < 1:
         raise ValueError("blocklength n must be positive")
     im = induce(m, strategy.joint)
@@ -389,6 +423,7 @@ def _two_stage_setup(
     m: HypothesisModel, strategy: Strategy, n: int, what: str
 ) -> tuple[int, int, InducedModel, list[InducedModel]]:
     """Stage sizes and induced models of a two-stage strategy, budget-checked."""
+    _check_integer("n", n)
     n1, n2 = _stage_sizes(n, strategy.r)
     im1 = induce(m, strategy.gamma)
     ims2 = [induce(m, strategy.delta0), induce(m, strategy.delta1)]
@@ -449,6 +484,8 @@ def exact_error_daisy(m: HypothesisModel, strategy: Strategy, n: int) -> ErrorEs
     DaisyFull it sees the first-stage messages too, handled by convolving
     each first-stage class with the matching second-stage tail.
     """
+    from scipy.special import logsumexp
+
     validate_model(m)
     if strategy.kind not in TWO_STAGE_KINDS:
         raise ValueError(f"{strategy.kind} is not a two-stage strategy")
@@ -608,9 +645,12 @@ def simulate(
     threads, one each; every chunk's stream is fixed by its key, so the
     result depends neither on the chunking nor on the threading.  ``ci``
     is the 95 percent normal-theory half-width on the averaged error
-    probability.  ``seed`` must be an integer in [0, 2**64).
+    probability.  ``n`` and ``num_trials`` must be positive integers and
+    ``seed`` an integer in [0, 2**64).
     """
     validate_model(m)
+    _check_integer("n", n)
+    _check_integer("num_trials", num_trials)
     if n < 1 or num_trials < 1:
         raise ValueError("n and num_trials must be positive")
     if not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
@@ -630,6 +670,8 @@ def simulate(
             chose1 = int(np.count_nonzero(llr >= strategy.fusion_threshold))
             errors += chose1 if j == 0 else rows - chose1
         return errors
+
+    from concurrent.futures import ThreadPoolExecutor
 
     # Each hypothesis owns its streams and its integer count, and numpy
     # releases the GIL in the draws, compares, gathers and sums, so the two
@@ -664,10 +706,13 @@ def fit_exponent(
     ``strategy_for_n`` may be a fixed strategy or a callable building one
     per blocklength (needed when the stage split must track n).  Points
     whose Monte Carlo estimate saw zero errors are kept in ``estimates``
-    but excluded from the fit.
+    but excluded from the fit.  Every entry of ``ns`` must be an integer.
     """
     if method not in ("exact", "mc"):
         raise ValueError(f"unknown method: {method!r}")
+    ns = list(ns)
+    for n in ns:
+        _check_integer("each of ns", n)
     ns = sorted(int(n) for n in ns)
     if len(set(ns)) < 2:
         raise ValueError("need at least two distinct blocklengths to fit a slope")

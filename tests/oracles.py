@@ -9,6 +9,8 @@ The class-table oracle is the exact evaluator's computation before it
 folded the last two message counts into binomial tails: it sums every type
 class of the full table.  It reuses the table that DaisyFull and the
 ``llr_distribution_*`` functions still build, and nothing of the fold.
+That table itself meets its first form here: compositions from the
+recursive builder, a log-gamma per count, and int64 count products.
 
 The Monte Carlo oracle is the simulator's original one-thread chunk loop.
 It must match ``simulate`` bit for bit, so it keeps the library's streams,
@@ -16,12 +18,14 @@ chunk layout and aggregator-bit log-odds, and redoes the rest the slow way.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
 import numpy as np
+from scipy.special import gammaln
 
-from decdet import ErrorEstimate, HypothesisModel, Strategy, induce, product_quantizer
+from decdet import ErrorEstimate, HypothesisModel, InducedModel, Strategy, induce, product_quantizer
 from decdet.evaluator import (
     _aggregator_bit,
     _chunk_trials,
@@ -119,6 +123,39 @@ def brute_force_error(m: HypothesisModel, st: Strategy, n: int) -> tuple[float, 
         else:
             pe1 += w1
     return pe0, pe1, 0.5 * (pe0 + pe1)
+
+
+def compositions(n: int, k: int) -> np.ndarray:
+    """All nonnegative k-part compositions of n, one row each: one block per
+    leading count, each the compositions of the rest into k - 1 parts.
+
+    Sub-tables are memoised within one call, which changes no row and
+    keeps n = 40 at k = 6 quick.
+    """
+
+    @functools.cache
+    def build(n: int, k: int) -> np.ndarray:
+        if k == 1:
+            return np.array([[n]], dtype=np.int64)
+        if k == 2:
+            first = np.arange(n + 1, dtype=np.int64)
+            return np.stack([first, n - first], axis=1)
+        blocks = []
+        for c0 in range(n + 1):
+            rest = build(n - c0, k - 1)
+            first = np.full((rest.shape[0], 1), c0, dtype=np.int64)
+            blocks.append(np.hstack([first, rest]))
+        return np.vstack(blocks)
+
+    return build(n, k)
+
+
+def class_table(im: InducedModel, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(logp0, logp1, llr_sum) over all type classes at n, by the formula
+    the evaluator's class table started from."""
+    counts = compositions(n, im.alphabet_size)
+    logcoef = gammaln(n + 1) - gammaln(counts + 1.0).sum(axis=1)
+    return logcoef + counts @ np.log(im.q0), logcoef + counts @ np.log(im.q1), counts @ im.llr
 
 
 def class_table_error(m: HypothesisModel, st: Strategy, n: int) -> ErrorEstimate:

@@ -42,7 +42,7 @@ from decdet import (
 )
 from decdet import evaluator
 from conftest import random_model
-from oracles import brute_force_error, class_table_error, sequential_simulate
+from oracles import brute_force_error, class_table, class_table_error, compositions, sequential_simulate
 
 Q001 = Quantizer(map=(0, 0, 1), message_alphabet_size=2)
 Q011 = Quantizer(map=(0, 1, 1), message_alphabet_size=2)
@@ -287,6 +287,55 @@ def test_window_tails_blocks_keep_every_bit(monkeypatch):
     for terms in (1, 1 << 40):
         monkeypatch.setattr(evaluator, "_WINDOW_BLOCK_TERMS", terms)
         np.testing.assert_array_equal(evaluator._window_tails(m, c, qa, qb, lg), blocked)
+
+
+def test_compositions_match_recursive_builder():
+    # Same rows in the same order: the fold and the class table both read
+    # a class by its row.
+    cases = [(n, k) for k in range(1, 7) for n in range(41)] + [(750, 3), (389, 3)]
+    for n, k in cases:
+        got, want = evaluator._compositions(n, k), compositions(n, k)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (n, k)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(k=hs.integers(1, 6), data=hs.data())
+def test_class_table_matches_first_formula(k, data):
+    # One log-gamma row and float counts in place of a log-gamma per count
+    # and int64 counts: every entry keeps every bit.
+    n = data.draw(hs.integers(1, {1: 400, 2: 400, 3: 200, 4: 50, 5: 25, 6: 15}[k]))
+    m = random_model(np.random.default_rng(data.draw(hs.integers(0, 2**32 - 1))), k=6, floor=1e-6)
+    im = induce(m, Quantizer(map=tuple(min(x, k - 1) for x in range(6)), message_alphabet_size=k))
+    for got, want in zip(evaluator._class_table(im, n), class_table(im, n)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name,call", [
+    ("n", lambda m, par, chain: exact_error(m, par, 4.0)),
+    ("n", lambda m, par, chain: exact_error_parallel(m, par, 4.5)),
+    ("n", lambda m, par, chain: exact_error_daisy(m, chain, 6.0)),
+    ("n", lambda m, par, chain: llr_distribution_parallel(m, par, 4.0)),
+    ("n", lambda m, par, chain: llr_distribution_daisy(m, chain, 6.0)),
+    ("n", lambda m, par, chain: simulate(m, par, 4.0, num_trials=10)),
+    ("num_trials", lambda m, par, chain: simulate(m, par, 4, num_trials=10.0)),
+    ("ns", lambda m, par, chain: fit_exponent(m, par, [3, 4.5])),
+    ("ns", lambda m, par, chain: fit_exponent(m, par, ["3", 4], method="mc", num_trials=10)),
+])
+def test_blocklengths_must_be_integers(table_model, name, call):
+    # A float n was truncated (fit_exponent evaluated n=4 for 4.5) or
+    # failed deep in numpy with a bare TypeError.
+    chain = Strategy(kind="DaisyRestricted", gamma=Q001, delta0=Q001, delta1=Q011, t=0.0, r=0.5)
+    with pytest.raises(ValueError, match=f"{name}.*integer"):
+        call(table_model, _parallel1(Q001), chain)
+
+
+def test_numpy_integer_blocklengths_are_accepted(table_model):
+    st = _parallel1(Q001)
+    assert exact_error(table_model, st, np.int64(7)) == exact_error(table_model, st, 7)
+    assert simulate(table_model, st, np.int32(5), num_trials=np.int64(300)) == simulate(
+        table_model, st, 5, num_trials=300
+    )
+    assert fit_exponent(table_model, st, np.array([4, 8])) == fit_exponent(table_model, st, [4, 8])
 
 
 def test_exact_rejects_adaptive_kinds(table_model):
