@@ -1,12 +1,15 @@
 """Command-line surface: exit codes, formats, and byte stability."""
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from decdet.cli import _ARCH_NAMES, main
+from conftest import random_model
 
 TABLE = "3 2\n0.8 0.15 0.05\n0.05 0.15 0.8\n"
 
@@ -52,6 +55,37 @@ def test_exponent_is_byte_stable(capsys, model_file):
     code2, out2, _ = _run(capsys, argv)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# sha256 of `decdet exponent` stdout, recorded before the three conjugate
+# solvers became one.  The 12-digit output must not move from one commit to
+# the next; criterion 9 only checks that two runs of one commit agree.
+_EXPONENT_STDOUT_SHA256 = {
+    ("table", "daisy-restricted"): "169729627aa3876f2fe52059cb9fe64831494a4f075e6ae683f5a214e0f88a84",
+    ("table", "tree"): "8a45979a1eeec640f3445295f0870348aa9b5d565674f817f4d12bf9c5fd232c",
+    ("seeded", "daisy-restricted"): "a0771ca3e254b0fe7db22bb3e3602ed7b99141d37634a0d08b7fe74180f19ba8",
+    ("seeded", "tree"): "bb962c8b53551bd5c982d6a6492c35c9e3f586b7d2b21f7411fe9876bb9afcb5",
+}
+
+
+def _pinned_model_text(which: str) -> tuple[str, str]:
+    # (model file text, --r): the table model at d=2, or a fixed-seed K=4
+    # model at d=3 with its pmfs written at full precision.
+    if which == "table":
+        return TABLE, "0.5"
+    m = random_model(np.random.default_rng(124), k=4)
+    rows = (" ".join(repr(p) for p in pmf.tolist()) for pmf in (m.pmf0, m.pmf1))
+    return "4 3\n" + "\n".join(rows) + "\n", "0.6"
+
+
+@pytest.mark.parametrize("which,arch", sorted(_EXPONENT_STDOUT_SHA256))
+def test_exponent_stdout_is_pinned_across_commits(capsys, tmp_path, which, arch):
+    text, r = _pinned_model_text(which)
+    path = tmp_path / "model.txt"
+    path.write_text(text)
+    code, out, _ = _run(capsys, ["exponent", "--model", str(path), "--arch", arch, "--r", r])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _EXPONENT_STDOUT_SHA256[which, arch]
 
 
 def test_exponent_exhaustive_matches_monotone(capsys, model_file):
