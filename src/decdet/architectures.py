@@ -52,32 +52,31 @@ one memo keyed on t, so a threshold they share is solved once.  The
 crossing bisection of delta k's two branch curves evaluates only delta k's
 two branch points, not the whole delta list.
 
-Which solver decides and which reports.  Every decision of the search (the
-grid phase, both golden sections, the crossing bisections) reads the
-conjugates from the decision kernel ``exponents._decide_rate(_grid)``: the
-closed form on two-atom quantizers (every d = 2 candidate), a log-odds
-Newton solve on quantizers with three or more atoms, one solve per
-threshold for both hypotheses, and the solvers on one-atom candidates, at
-the support edges and wherever the Newton solve cannot be certified.
-Each of the two winners is then evaluated once more at its (gamma, t) with
-the scalar solver, and its deltas, value, decay rates and branch values all
-come from that evaluation.  So every reported number is the scalar
-solver's, and :func:`reevaluate_exponent` reproduces it exactly.
-:func:`h_of_e`, :func:`reevaluate_exponent` and
-:func:`check_symmetric_rate_condition` use the solvers only.
+One solver.  Every conjugate here comes from the one solver of module
+``exponents``: the grid phase reads its grid form, and every point
+evaluation (both golden sections, the crossing bisections and the final
+sweep over the candidate thresholds) its scalar form, with one solve per
+threshold for both hypotheses.  Each report takes its deltas, value, decay
+rates and branch values from its winner's memoised point evaluation, so
+:func:`reevaluate_exponent`, which runs the same point evaluation, reproduces
+it exactly.  :func:`h_of_e` and :func:`check_symmetric_rate_condition` use
+the same solver, through :func:`~decdet.exponents.rate_function` and
+:func:`~decdet.exponents.rate_function_grid` where they need one hypothesis.
 
-Ties.  Two sweeps go through ``_Best``: the staged search's offer of each
-(gamma, t) candidate and the quantizer sweep of :func:`exponent_parallel`.
+Ties.  Every quantizer sweep goes through ``_Best``: the staged search's
+offer of each (gamma, t) candidate, the quantizer sweep of
+:func:`exponent_parallel` and both branch sweeps of :func:`h_of_e`.
 Values within ``_TIE_TOL`` count as one optimum and the lexicographically
 smallest maps win, so floating-point noise between mirror twins never picks
 the report.  On an exactly mirror-symmetric model whose branch curves cross
 at t = 0 the rounding noise still places the refined threshold, about 1e-11
-from 0, and the kernel's noise may place it elsewhere than the solvers'
-noise would; the value moves by far less than ``_TIE_TOL``.  The
-per-threshold choice of delta and the branch sweeps of :func:`h_of_e` take
-the first strict maximum in candidate order, which is lexicographic.  The two staged optima of one (model, r, d, mode) are
-searched together and kept in an LRU cache keyed on the model's pmf bytes,
-so equal models share one search and the composite checks do not repeat it.
+from 0; the value moves by far less than ``_TIE_TOL``.  The per-threshold
+choice of delta in a point evaluation takes the first strict maximum in
+candidate order, which is lexicographic.
+
+The two staged optima of one (model, r, d, mode) are searched together and
+kept in an LRU cache keyed on the model's pmf bytes, so equal models share
+one search and the composite checks do not repeat it.
 
 Strategies.  :class:`Strategy` is the one concrete strategy type, and
 ``ExponentReport.strategy`` is its JSON form (:meth:`Strategy.to_dict`,
@@ -97,8 +96,8 @@ from typing import Sequence
 import numpy as np
 
 from .exponents import (
-    _decide_rate,
-    _decide_rate_grid,
+    _rates,
+    _rates_grid,
     chernoff_exponent,
     golden_section_min,
     rate_function,
@@ -395,23 +394,19 @@ def _candidates(m: HypothesisModel, d: int, mode: str) -> list[_Cand]:
     return [_cand(m, q) for q in enumerate_quantizers(m, d, mode)]
 
 
-def _solver_rate(im: InducedModel, j: int, t: float) -> float:
-    # The conjugate every report is computed with: the scalar solver.
-    return rate_function(im, j, t).value
-
-
-def _branch_point(cand: _Cand, a: float, e_same: float, e_cross: float, r: float, rate=_solver_rate) -> float:
+def _branch_point(cand: _Cand, a: float, e_same: float, e_cross: float, r: float) -> float:
     # min of the two error flows out of one aggregator branch; see module
     # docstring.  Always finite: the +inf cases of the two flows need a
     # above and below the LLR support at once.
-    up = rate(cand.im, 0, a) if a >= cand.mean0 else 0.0
-    down = rate(cand.im, 1, a) if a <= cand.mean1 else 0.0
+    rate0, rate1 = _rates(cand.im, a)
+    up = rate0 if a >= cand.mean0 else 0.0
+    down = rate1 if a <= cand.mean1 else 0.0
     return min(r * e_same + (1.0 - r) * up, r * e_cross + (1.0 - r) * down)
 
 
 def _branch_grid(cand: _Cand, a: np.ndarray, e_same: np.ndarray, e_cross: np.ndarray, r: float) -> np.ndarray:
-    # Grid phase of the staged search only, so it decides with the kernel.
-    rate0, rate1 = _decide_rate_grid(cand.im, a)
+    # _branch_point over a vector of thresholds, by the grid form.
+    rate0, rate1 = _rates_grid(cand.im, a)
     up = np.where(a >= cand.mean0, rate0, 0.0)
     down = np.where(a <= cand.mean1, rate1, 0.0)
     return np.minimum(r * e_same + (1.0 - r) * up, r * e_cross + (1.0 - r) * down)
@@ -442,10 +437,9 @@ def _first_argmax(values: Sequence[float]) -> int:
     return best
 
 
-def _gamma_decay(g: _Cand, r: float, t: float, rate=_solver_rate) -> tuple[DecayRateVector, float, float]:
+def _gamma_decay(g: _Cand, r: float, t: float) -> tuple[DecayRateVector, float, float]:
     # First-stage decay rates at threshold t and the two branch thresholds.
-    l0 = rate(g.im, 0, t)
-    l1 = rate(g.im, 1, t)
+    l0, l1 = _rates(g.im, t)
     e = DecayRateVector(
         e01=l0 if t >= g.mean0 else 0.0,
         e00=l0 if t < g.mean0 else 0.0,
@@ -457,18 +451,17 @@ def _gamma_decay(g: _Cand, r: float, t: float, rate=_solver_rate) -> tuple[Decay
     return e, a0, a1
 
 
-def _tree_diff(g: _Cand, dc: _Cand, r: float, t: float, rate=_solver_rate) -> float:
+def _tree_diff(g: _Cand, dc: _Cand, r: float, t: float) -> float:
     # bv0 - bv1 of the single second-stage candidate dc; equals
-    # _point_eval(g, deltas, r, t, rate).bv0[k] - .bv1[k] for dc = deltas[k].
-    e, a0, a1 = _gamma_decay(g, r, t, rate)
-    return _branch_point(dc, a0, e.e00, e.e10, r, rate) - _branch_point(dc, a1, e.e01, e.e11, r, rate)
+    # _point_eval(g, deltas, r, t).bv0[k] - .bv1[k] for dc = deltas[k].
+    e, a0, a1 = _gamma_decay(g, r, t)
+    return _branch_point(dc, a0, e.e00, e.e10, r) - _branch_point(dc, a1, e.e01, e.e11, r)
 
 
-def _point_eval(g: _Cand, deltas: list[_Cand], r: float, t: float, rate=_solver_rate) -> _PointEval:
-    # ``rate`` is the conjugate (im, j, t) -> R_j(t) the evaluation uses.
-    e, a0, a1 = _gamma_decay(g, r, t, rate)
-    bv0 = [_branch_point(dc, a0, e.e00, e.e10, r, rate) for dc in deltas]
-    bv1 = [_branch_point(dc, a1, e.e01, e.e11, r, rate) for dc in deltas]
+def _point_eval(g: _Cand, deltas: list[_Cand], r: float, t: float) -> _PointEval:
+    e, a0, a1 = _gamma_decay(g, r, t)
+    bv0 = [_branch_point(dc, a0, e.e00, e.e10, r) for dc in deltas]
+    bv1 = [_branch_point(dc, a1, e.e01, e.e11, r) for dc in deltas]
     i0, i1 = _first_argmax(bv0), _first_argmax(bv1)
     joint = [min(v0, v1) for v0, v1 in zip(bv0, bv1)]
     it = _first_argmax(joint)
@@ -573,7 +566,7 @@ def _staged_optima(pmf0: bytes, pmf1: bytes, r: float, d: int, mode: str) -> tup
 
     for g in cands:
         ts = np.linspace(g.zmin, g.zmax, T_GRID_POINTS)
-        l0, l1 = _decide_rate_grid(g.im, ts)
+        l0, l1 = _rates_grid(g.im, ts)
         e01 = np.where(ts >= g.mean0, l0, 0.0)
         e00 = np.where(ts >= g.mean0, 0.0, l0)
         e10 = np.where(ts <= g.mean1, l1, 0.0)
@@ -595,7 +588,7 @@ def _staged_optima(pmf0: bytes, pmf1: bytes, r: float, d: int, mode: str) -> tup
         def point(t: float) -> _PointEval:
             p = memo.get(t)
             if p is None:
-                p = memo[t] = _point_eval(g, deltas, r, t, _decide_rate)
+                p = memo[t] = _point_eval(g, deltas, r, t)
             return p
 
         tcands: list[float] = []
@@ -615,7 +608,7 @@ def _staged_optima(pmf0: bytes, pmf1: bytes, r: float, d: int, mode: str) -> tup
             tcands.append(_bisect_crossing(diff_daisy, lo, hi))
         for k, dc in enumerate(deltas):
             for lo, hi in _sign_change_ts(ts, bv0[k] - bv1[k]):
-                tcands.append(_bisect_crossing(lambda t, dc=dc: _tree_diff(g, dc, r, t, _decide_rate), lo, hi))
+                tcands.append(_bisect_crossing(lambda t, dc=dc: _tree_diff(g, dc, r, t), lo, hi))
 
         for t in sorted(set(tcands)):
             p = point(t)
@@ -624,14 +617,13 @@ def _staged_optima(pmf0: bytes, pmf1: bytes, r: float, d: int, mode: str) -> tup
             tkey = (g.q.map, deltas[p.i_tree].q.map, deltas[p.i_tree].q.map, p.t)
             best_tree.offer(p.tree, tkey, (g, p))
 
-    # Each winner is evaluated once more with the scalar solver, and the
-    # report takes every number and index from that evaluation.
+    # Each report takes every number and index from its winner's memoised
+    # point evaluation.
     out = []
     for best, kind in ((best_daisy, "DaisyRestricted"), (best_tree, "Tree")):
         if best.item is None:
             raise ValueError(f"{kind} search found no finite candidate threshold")
         g, p = best.item
-        p = _point_eval(g, deltas, r, p.t)
         if kind == "DaisyRestricted":
             i0, i1, value = p.i_daisy0, p.i_daisy1, p.daisy
         else:
@@ -807,21 +799,20 @@ def h_of_e(
     a1 = -r / (1.0 - r) * (e.e01 - e.e11)
 
     def literal_branch(a: float, j: int, offset: float) -> tuple[float, Quantizer | None]:
-        feasible = []
+        best = _Best()
         for dc in deltas:
             scale = max(1.0, abs(dc.zmin), abs(dc.zmax))
             if dc.zmin - 1e-12 * scale <= a <= dc.zmax + 1e-12 * scale:
-                feasible.append(dc)
-        if not feasible:
+                best.offer(rate_function(dc.im, j, a).value, dc.q.map, dc.q)
+        if best.item is None:
             return math.inf, None
-        vals = [rate_function(dc.im, j, a).value for dc in feasible]
-        i = _first_argmax(vals)
-        return (1.0 - r) * vals[i] + r * offset, feasible[i].q
+        return (1.0 - r) * best.value + r * offset, best.item
 
     def physical_branch(a: float, e_same: float, e_cross: float) -> tuple[float, Quantizer | None]:
-        vals = [_branch_point(dc, a, e_same, e_cross, r) for dc in deltas]
-        i = _first_argmax(vals)
-        return vals[i], deltas[i].q
+        best = _Best()
+        for dc in deltas:
+            best.offer(_branch_point(dc, a, e_same, e_cross, r), dc.q.map, dc.q)
+        return best.value, best.item
 
     if semantics == "literal":
         b0, q0 = literal_branch(a0, 0, e.e00)

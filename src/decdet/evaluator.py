@@ -742,8 +742,9 @@ def sgb_lower_bound(im: InducedModel, n: int = 1) -> tuple[float, float]:
     at the saddle point L'(s_star) = 0.  Indistinguishable transcripts
     (LLR identically zero) get the exact floor (0.25, 0.5); a constant
     nonzero LLR cannot come from two probability distributions and raises
-    DegenerateLLR.
+    DegenerateLLR.  A non-integer or nonpositive n raises ValueError.
     """
+    _check_integer("n", n)
     if n < 1:
         raise ValueError("n must be positive")
     zmin, zmax = im.llr_support()

@@ -15,9 +15,14 @@ recursive builder, a log-gamma per count, and int64 count products.
 The Monte Carlo oracle is the simulator's original one-thread chunk loop.
 It must match ``simulate`` bit for bit, so it keeps the library's streams,
 chunk layout and aggregator-bit log-odds, and redoes the rest the slow way.
+
+The conjugate oracle solves L'(s) = t in the stdlib ``decimal`` module at
+60 significant digits and takes s t - L(s) there, so rounding in the
+double-precision solver cannot reach it.
 """
 from __future__ import annotations
 
+import decimal
 import functools
 import itertools
 import math
@@ -253,3 +258,65 @@ def sequential_simulate(
             done += rows
             chunk_idx += 1
     return errors[0] / num_trials, errors[1] / num_trials
+
+
+_DEC = decimal.Context(prec=60, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
+def decimal_conjugate(im: InducedModel, j: int, t: float) -> float:
+    """R_j(t) = sup_s {s t - L_j(s)} to about 50 digits, for t inside the
+    massed support of hypothesis j.
+
+    Every float input is taken exactly.  A Newton iteration on the log-odds
+    phi(s) = ln(L'(s) - zmin) - ln(zmax - L'(s)), with phi' = L'' W / (u v)
+    from the tilted mean and variance, runs inside a bracket on s that it
+    bisects (or widens) whenever a step would leave it.
+    """
+    with decimal.localcontext(_DEC):
+        D = decimal.Decimal
+        q = im.q1 if j == 1 else im.q0
+        atoms = [(D(float(z)), D(float(p)).ln()) for z, p in zip(im.llr, q) if p > 0.0]
+        zmin, zmax = min(z for z, _ in atoms), max(z for z, _ in atoms)
+        tt = D(float(t))
+        if not zmin < tt < zmax:
+            raise ValueError("t must lie strictly inside the massed support")
+        width = zmax - zmin
+        target = (tt - zmin).ln() - (zmax - tt).ln()
+
+        def tilt(s):
+            a = [lq + s * z for z, lq in atoms]
+            amax = max(a)
+            w = [(x - amax).exp() for x in a]
+            tot = sum(w)
+            mean = sum(wi * z for wi, (z, _) in zip(w, atoms)) / tot
+            var = sum(wi * (z - mean) ** 2 for wi, (z, _) in zip(w, atoms)) / tot
+            return amax + tot.ln(), mean, var
+
+        s, lo, hi = D(0), None, None
+        for _ in range(2000):
+            _, mean, var = tilt(s)
+            u, v = mean - zmin, zmax - mean
+            if u > 0 and v > 0:
+                f = u.ln() - v.ln() - target
+                step = f / (var * width / (u * v)) if var > 0 else None
+            else:
+                f, step = (D(1) if u > 0 else D(-1)), None
+            if f > 0:
+                hi = s
+            else:
+                lo = s
+            if step is not None and abs(step) <= D("1e-45") * max(D(1), abs(s)):
+                break
+            s_new = None if step is None else s - step
+            if s_new is None or (lo is not None and s_new <= lo) or (hi is not None and s_new >= hi):
+                if hi is None:
+                    s_new = lo + max(D(1), abs(lo))
+                elif lo is None:
+                    s_new = hi - max(D(1), abs(hi))
+                else:
+                    s_new = (lo + hi) / 2
+            s = s_new
+        else:
+            raise RuntimeError("decimal conjugate did not converge")
+        val, _, _ = tilt(s)
+        return float(s * tt - val)

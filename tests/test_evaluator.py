@@ -317,6 +317,7 @@ def test_class_table_matches_first_formula(k, data):
     ("n", lambda m, par, chain: llr_distribution_parallel(m, par, 4.0)),
     ("n", lambda m, par, chain: llr_distribution_daisy(m, chain, 6.0)),
     ("n", lambda m, par, chain: simulate(m, par, 4.0, num_trials=10)),
+    ("n", lambda m, par, chain: sgb_lower_bound(induce(m, Q001), 2.5)),
     ("num_trials", lambda m, par, chain: simulate(m, par, 4, num_trials=10.0)),
     ("ns", lambda m, par, chain: fit_exponent(m, par, [3, 4.5])),
     ("ns", lambda m, par, chain: fit_exponent(m, par, ["3", 4], method="mc", num_trials=10)),
