@@ -376,9 +376,6 @@ def test_scalar_and_grid_forms_agree_on_degenerate_supports(table_model):
             scalar = np.array([rate_function(im, j, t).value for t in ts.tolist()])
             assert np.allclose(grid[inside], scalar[inside], rtol=1e-14, atol=1e-14)
             assert grid[~inside].tobytes() == scalar[~inside].tobytes()
-    # The one-atom model sits at llr 0: 0 there and +inf elsewhere.
-    assert rate_function(one, 0, 0.0).value == 0.0
-    assert np.isinf(rate_function_grid(one, 1, np.array([-1e-6, 1e-6]))).all()
 
 
 def _atoms_model(x0: list[float], x1: list[float]) -> InducedModel:
