@@ -104,14 +104,15 @@ class _RateConstants:
     """Per-(model, hypothesis) constants of the log-MGF and of the solver.
 
     ``llr`` and ``logq`` cover every atom; ``logq`` is -inf on atoms whose
-    mass underflowed to zero, so they drop out of every log-sum-exp.  The
-    solver works on the massed atoms only: their log masses ``lq`` and their
-    distances ``da`` and ``db`` to the lower and upper support edge.
-    ``rate_lo`` and ``rate_hi`` are the conjugate values at the two edges,
-    -log of the edge mass.  ``lq_ends`` holds the (lower, upper) log masses
-    when exactly two atoms carry mass, and is None otherwise.  ``shared``
-    says that both hypotheses have mass on the same atoms.  ``float_lists``
-    is built on the scalar form's first Newton solve only.
+    mass underflowed to zero, so they drop out of every log-sum-exp.
+    ``rate_lo`` and ``rate_hi`` are the conjugate values at the two support
+    edges, -log of the edge mass.  ``lq_ends`` holds the (lower, upper) log
+    masses when exactly two atoms carry mass, and is None otherwise.  The
+    Newton solve's constants are built on its first use only, so that the
+    log-MGF of a large transcript model never pays for them: ``massed``
+    gives the massed atoms' log masses and their distances to the lower and
+    upper edge, ``shared`` says that both hypotheses have mass on the same
+    atoms, and ``float_lists`` serves the scalar form.
     """
 
     def __init__(self, im: InducedModel, j: int) -> None:
@@ -121,8 +122,8 @@ class _RateConstants:
             self.logq = np.log(q)
         # The support is where this hypothesis has mass: a massless atom's
         # LLR is no value the sample mean can reach.
-        keep = q > 0.0
-        massed, self.lq = z[keep], self.logq[keep]
+        self._keep, self._q_other = q > 0.0, im.q0 if j == 1 else im.q1
+        massed = z[self._keep]
         self.zmin, self.zmax = float(massed.min()), float(massed.max())
         self.tol_lo = _EDGE_RTOL * max(1.0, abs(self.zmin))
         self.tol_hi = _EDGE_RTOL * max(1.0, abs(self.zmax))
@@ -130,17 +131,26 @@ class _RateConstants:
         mass_hi = float(q[z >= self.zmax - self.tol_hi].sum())
         self.rate_lo = -math.log(mass_lo) if mass_lo > 0.0 else math.inf
         self.rate_hi = -math.log(mass_hi) if mass_hi > 0.0 else math.inf
-        self.da, self.db = massed - self.zmin, self.zmax - massed
-        self.dab = self.da * self.db
         self.lq_ends = None
         if len(massed) == 2 and self.zmax > self.zmin:
+            lq = self.logq[self._keep]
             lo, hi = (0, 1) if massed[0] < massed[1] else (1, 0)
-            self.lq_ends = (float(self.lq[lo]), float(self.lq[hi]))
-        self.shared = bool(np.array_equal(im.q0 > 0.0, im.q1 > 0.0))
+            self.lq_ends = (float(lq[lo]), float(lq[hi]))
+
+    @cached_property
+    def massed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        z = self.llr[self._keep]
+        da, db = z - self.zmin, self.zmax - z
+        return self.logq[self._keep], da, db, da * db
+
+    @cached_property
+    def shared(self) -> bool:
+        return bool(np.array_equal(self._keep, self._q_other > 0.0))
 
     @cached_property
     def float_lists(self) -> tuple[list[float], list[float], list[float]]:
-        return self.lq.tolist(), self.da.tolist(), self.db.tolist()
+        lq, da, db, _ = self.massed
+        return lq.tolist(), da.tolist(), db.tolist()
 
 
 # Keyed weakly on the (immutable, identity-hashed) InducedModel so the memo
@@ -154,15 +164,23 @@ def _check_hypothesis(j: int) -> int:
     return j
 
 
-def _constants(im: InducedModel) -> tuple[_RateConstants, _RateConstants]:
-    cs = _RATE_CONSTANTS.get(im)
-    if cs is None:
-        cs = _RATE_CONSTANTS[im] = (_RateConstants(im, 0), _RateConstants(im, 1))
-    return cs
-
-
 def _rate_constants(im: InducedModel, j: int) -> _RateConstants:
-    return _constants(im)[_check_hypothesis(j)]
+    _check_hypothesis(j)
+    per_model = _RATE_CONSTANTS.get(im)
+    if per_model is None:
+        per_model = _RATE_CONSTANTS[im] = [None, None]
+    consts = per_model[j]
+    if consts is None:
+        consts = per_model[j] = _RateConstants(im, j)
+    return consts
+
+
+def _constants(im: InducedModel) -> list[_RateConstants]:
+    # Both hypotheses' constants, as the solver needs them.
+    cs = _RATE_CONSTANTS.get(im)
+    if cs is None or None in cs:
+        cs = [_rate_constants(im, 0), _rate_constants(im, 1)]
+    return cs
 
 
 def _tilt(logq: np.ndarray, x: np.ndarray, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -328,8 +346,8 @@ def _newton(c: _RateConstants, t: float) -> tuple[float, float]:
     s, lo, hi = 0.0, -math.inf, math.inf
     dx = dx_old = math.inf  # the last two moves of s
     for i in range(_NEWTON_CAP):
-        # k = -|s|, and the distances of t and of each atom to the edge.
-        k, dt, ds = (s, ta, das) if s <= 0.0 else (-s, tb, dbs)
+        # k = -|s|, and each atom's distance to the edge the tilt leans toward.
+        k, ds = (s, das) if s <= 0.0 else (-s, dbs)
         avals = [lq + k * x for lq, x in zip(lqs, ds)]
         amax = max(avals)
         tot = u = v = uv = 0.0
@@ -360,54 +378,59 @@ def _newton(c: _RateConstants, t: float) -> tuple[float, float]:
             break
         dx, dx_old = abs(s_new - s), dx
         s = s_new
-    return k * dt - (amax + math.log(tot)), s
+    return k * (ta if s <= 0.0 else tb) - (amax + math.log(tot)), s
 
 
 def _newton_grid(c: _RateConstants, t: np.ndarray) -> np.ndarray:
     """:func:`_newton`'s values over a vector of interior t, on ``_tilt``.
 
-    A row is frozen once it stops, so its value never depends on the rest
-    of the batch.
+    The iteration state holds the rows still running; a row leaves it once
+    it stops, so its value never depends on the rest of the batch.
     """
+    lq, da, db, dab = c.massed
     width = c.zmax - c.zmin
+    n = len(t)
+    val, idx = np.empty(n), np.arange(n)
     ta, tb = t - c.zmin, c.zmax - t
     target = np.log(ta) - np.log(tb)
-    n = len(t)
     s, lo, hi = np.zeros(n), np.full(n, -np.inf), np.full(n, np.inf)
-    dx, dx_old = np.full(n, np.inf), np.full(n, np.inf)
-    val = np.empty(n)
-    rows = np.arange(n)
+    dx = dx_old = np.full(n, np.inf)  # the last two moves of each s
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(_NEWTON_CAP):
-            if not len(rows):
-                break
-            sr = s[rows]
-            low = sr <= 0.0
-            k = -np.abs(sr)
-            m, w, tot = _tilt(c.lq, np.where(low[:, None], c.da, c.db), k)
-            u, v, uv = (w * c.da).sum(-1), (w * c.db).sum(-1), (w * c.dab).sum(-1)
+            low = s <= 0.0
+            k = -np.abs(s)
+            m, w, tot = _tilt(lq, np.where(low[:, None], da, db), k)
+            u, v, uv = (w * da).sum(-1), (w * db).sum(-1), (w * dab).sum(-1)
             valid = (u > 0.0) & (v > 0.0)
-            f = np.where(valid, np.log(u) - np.log(v) - target[rows], np.where(u > 0.0, np.inf, -np.inf))
+            f = np.where(valid, np.log(u) - np.log(v) - target, np.where(u > 0.0, np.inf, -np.inf))
             slope = width * (1.0 - uv * tot / (u * v))
             step = np.where(valid & (slope > 0.0), f / slope, np.nan)
-            done = np.abs(step) <= _STEP_TOL * np.maximum(1.0, np.abs(sr))
-            lo_r = np.where(f > 0.0, lo[rows], sr)
-            hi_r = np.where(f > 0.0, sr, hi[rows])
-            s_new = sr - step
-            newton = (lo_r < s_new) & (s_new < hi_r) & (np.abs(step) < 0.5 * dx_old[rows])
-            s_new = np.where(newton, s_new, _safeguard(lo_r, hi_r))
-            done |= ~((lo_r < s_new) & (s_new < hi_r)) | (i == _NEWTON_CAP - 1)
-            stop = rows[done]
-            dt = np.where(low[done], ta[stop], tb[stop])
-            val[stop] = k[done] * dt - (m[done] + np.log(tot[done]))
-            go = ~done
-            rows, prev = rows[go], dx[rows[go]]
-            dx[rows], dx_old[rows] = np.abs(s_new - sr)[go], prev
-            s[rows], lo[rows], hi[rows] = s_new[go], lo_r[go], hi_r[go]
+            done = np.abs(step) <= _STEP_TOL * np.maximum(1.0, np.abs(s))
+            up = f > 0.0
+            lo, hi = np.where(up, lo, s), np.where(up, s, hi)
+            s_new = s - step
+            bisect = ~((lo < s_new) & (s_new < hi) & (np.abs(step) < 0.5 * dx_old))
+            if bisect.any():
+                lo_b, hi_b = lo[bisect], hi[bisect]
+                s_b = s_new[bisect] = _safeguard(lo_b, hi_b)
+                # No float left inside the bracket: the row stops.
+                done[bisect] |= ~((lo_b < s_b) & (s_b < hi_b))
+            if i == _NEWTON_CAP - 1:
+                done[:] = True
+            dx, dx_old = np.abs(s_new - s), dx
+            if done.any():
+                dt = np.where(low[done], ta[done], tb[done])
+                val[idx[done]] = k[done] * dt - (m[done] + np.log(tot[done]))
+                go = ~done
+                if not go.any():
+                    break
+                idx, s_new, lo, hi, dx, dx_old = idx[go], s_new[go], lo[go], hi[go], dx[go], dx_old[go]
+                ta, tb, target = ta[go], tb[go], target[go]
+            s = s_new
     return val
 
 
-def _solve(cs: tuple[_RateConstants, _RateConstants], j: int, t: float) -> tuple[float, float]:
+def _solve(cs: list[_RateConstants], j: int, t: float) -> tuple[float, float]:
     """(R_j(t), argmax): the scalar form of the solver."""
     c = cs[j]
     edge = _edge(c, t)

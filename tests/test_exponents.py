@@ -238,12 +238,14 @@ def test_rate_constants_memo_does_not_keep_models_alive(table_model):
 
 def test_array_solvers_leave_float_lists_unbuilt(table_model):
     # The plain-float lists serve only the scalar form's Newton solve, so a
-    # large transcript model evaluated by the array forms is never listed.
+    # large transcript model evaluated by the array forms is never listed;
+    # the log-MGF alone builds no solver constants and only its hypothesis.
     im = induce(table_model, Quantizer(map=(0, 1, 2), message_alphabet_size=3))
-    rate_function_grid(im, 0, np.linspace(-1.0, 1.0, 5))
     log_mgf_derivs(im, 0, 0.3)
     chernoff_exponent(im)
     consts = _RATE_CONSTANTS[im][0]
+    assert _RATE_CONSTANTS[im][1] is None and "massed" not in vars(consts)
+    rate_function_grid(im, 0, np.linspace(-1.0, 1.0, 5))
     assert "float_lists" not in vars(consts)
     rate_function(im, 0, 0.1)
     assert "float_lists" in vars(consts)
