@@ -40,8 +40,9 @@ the search's threshold grid).  At an interior t:
 * three or more: a safeguarded Newton iteration from s = 0 on the log-odds
   phi(s) = log(L'(s) - zmin) - log(zmax - L'(s)), which is linear for two
   atoms and asymptotically linear at both ends, so it takes about 5 steps.
-  Where a Newton step leaves the bracket on s, or is undefined, it bisects
-  the bracket (or steps out of a half-infinite one), until the step test
+  Where a Newton step would leave the bracket on s, is undefined, or
+  would not shrink below half the move before last, it bisects the
+  bracket (or steps out of a half-infinite one), until the step test
   passes or no float is left inside the bracket.  The grid form freezes
   each t once it stops, so a t's value does not depend on its batch.
 
