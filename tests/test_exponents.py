@@ -386,6 +386,93 @@ def _atoms_model(x0: list[float], x1: list[float]) -> InducedModel:
     return InducedModel(q0=q0, q1=q1, llr=np.log(q1) - np.log(q0))
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    x0=hs.floats(min_value=-12.0, max_value=12.0),
+    x1=hs.floats(min_value=-12.0, max_value=12.0),
+    frac=hs.floats(min_value=0.0, max_value=1.0),
+    k=hs.integers(min_value=-5, max_value=5),
+)
+def test_two_atom_closed_form_matches_the_solvers(x0, x1, frac, k):
+    # On two atoms R_j(t) is the Bernoulli divergence of the tilted mass
+    # p = (t - zmin) / (zmax - zmin) on the high atom from q_j there.
+    im = _atoms_model([0.0, x0], [0.0, x1])
+    zmin, zmax = im.llr_support()
+    assume(zmin < zmax)
+    hi = int(np.argmax(im.llr))
+    tol_lo, tol_hi = (_EDGE_RTOL * max(1.0, abs(z)) for z in (zmin, zmax))
+    ts = np.array([
+        zmin + frac * (zmax - zmin),  # inside, or on an edge at frac 0 or 1
+        zmin + k * 1e-12 * max(1.0, abs(zmin)),  # a few 1e-12 about each edge
+        zmax + k * 1e-12 * max(1.0, abs(zmax)),
+        zmin - 1.0 - frac,  # beyond the support
+        zmax + 1.0 + frac,
+    ])
+    inside = (ts > zmin + tol_lo) & (ts < zmax - tol_hi)
+    rates = []
+    for j, q in ((0, im.q0), (1, im.q1)):
+        grid = rate_function_grid(im, j, ts)
+        scalar = np.array([rate_function(im, j, t).value for t in ts.tolist()])
+        assert (grid >= 0.0).all() and (scalar >= 0.0).all()
+        for t, g, v in zip(ts[inside].tolist(), grid[inside], scalar[inside]):
+            p = (t - zmin) / (zmax - zmin)
+            want = p * math.log(p / q[hi]) + (1.0 - p) * math.log((1.0 - p) / q[1 - hi])
+            assert abs(g - want) <= 1e-12, (j, t, g, want)
+            assert abs(v - want) <= 1e-12, (j, t, v, want)
+        # Edges and points beyond the support follow one convention, and
+        # both atoms carry mass, so the sample mean never gets past them.
+        assert grid[~inside].tobytes() == scalar[~inside].tobytes()
+        assert np.isinf(grid[3:]).all()
+        rates.append(scalar)
+    # Duality: R_1(t) = R_0(t) - t on the interior.
+    assert np.abs(rates[1][inside] - (rates[0][inside] - ts[inside])).max(initial=0.0) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    xs=hs.lists(
+        hs.tuples(hs.floats(min_value=-12.0, max_value=12.0), hs.floats(min_value=-12.0, max_value=12.0)),
+        min_size=3,
+        max_size=6,
+    ),
+    fracs=hs.lists(hs.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=4),
+    k=hs.integers(min_value=-5, max_value=5),
+)
+def test_newton_kernel_matches_the_solvers(xs, fracs, k):
+    # Three or more atoms take the log-odds Newton: its scalar and grid
+    # forms agree inside the support, keep one convention on and beyond
+    # its edges, and keep R_1(t) = R_0(t) - t.
+    im = _atoms_model([x0 for x0, _ in xs], [x1 for _, x1 in xs])
+    zmin, zmax = im.llr_support()
+    assume(zmin < zmax)
+    tol_lo, tol_hi = (_EDGE_RTOL * max(1.0, abs(z)) for z in (zmin, zmax))
+    ts = np.array([
+        *(zmin + f * (zmax - zmin) for f in fracs),  # inside, or on an edge at 0 or 1
+        zmin + k * 1e-12 * max(1.0, abs(zmin)),  # a few 1e-12 about each edge
+        zmax + k * 1e-12 * max(1.0, abs(zmax)),
+        zmin - 1.0 - fracs[0],  # beyond the support
+        zmax + 1.0 + fracs[0],
+    ])
+    inside = (ts > zmin + tol_lo) & (ts < zmax - tol_hi)
+    grids, scalars = [], []
+    for j in (0, 1):
+        grid = rate_function_grid(im, j, ts)
+        scalar = np.array([rate_function(im, j, t).value for t in ts.tolist()])
+        assert (grid >= 0.0).all() and (scalar >= 0.0).all()
+        assert np.allclose(grid[inside], scalar[inside], rtol=1e-12, atol=1e-12)
+        assert grid[~inside].tobytes() == scalar[~inside].tobytes()
+        assert np.isinf(grid[-2:]).all()
+        grids.append(grid)
+        scalars.append(scalar)
+        # A row solved alone equals the same row inside the batch.
+        for i in range(len(ts)):
+            assert rate_function_grid(im, j, ts[i : i + 1])[0] == grid[i]
+    t_in = ts[inside]
+    for r0, r1 in (grids, scalars):
+        gap = np.abs(r1[inside] - (r0[inside] - t_in))
+        assert (gap <= 1e-12 * np.maximum(1.0, np.abs(t_in))).all()
+
+
 # The three models where the earlier solvers lost digits next to near-equal
 # atoms (|s| of 1e6 to 3e9), as (log10 q0, log10 q1) per atom, each with
 # the offset above zmin, relative to the support width, that exposed it.
