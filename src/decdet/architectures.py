@@ -53,15 +53,16 @@ crossing bisection of delta k's two branch curves evaluates only delta k's
 two branch points, not the whole delta list.
 
 One solver.  Every conjugate here comes from the one solver of module
-``exponents``: the grid phase reads its grid form, and every point
-evaluation (both golden sections, the crossing bisections and the final
-sweep over the candidate thresholds) its scalar form, with one solve per
-threshold for both hypotheses.  Each report takes its deltas, value, decay
+``exponents``, through its two public forms: the grid phase calls
+:func:`~decdet.exponents.rate_function_grid`, and every point evaluation
+(both golden sections, the crossing bisections and the final sweep over the
+candidate thresholds) calls :func:`~decdet.exponents.rate_function`, once
+per hypothesis it needs; the solver keeps its last solve, so R_0 and R_1 at
+one threshold cost one solve.  Each report takes its deltas, value, decay
 rates and branch values from its winner's memoised point evaluation, so
 :func:`reevaluate_exponent`, which runs the same point evaluation, reproduces
-it exactly.  :func:`h_of_e` and :func:`check_symmetric_rate_condition` use
-the same solver, through :func:`~decdet.exponents.rate_function` and
-:func:`~decdet.exponents.rate_function_grid` where they need one hypothesis.
+it exactly.  :func:`h_of_e` and :func:`check_symmetric_rate_condition` call
+the same two functions.
 
 Ties.  Every quantizer sweep goes through ``_Best``: the staged search's
 offer of each (gamma, t) candidate, the quantizer sweep of
@@ -96,8 +97,6 @@ from typing import Sequence
 import numpy as np
 
 from .exponents import (
-    _rates,
-    _rates_grid,
     chernoff_exponent,
     golden_section_min,
     rate_function,
@@ -398,17 +397,15 @@ def _branch_point(cand: _Cand, a: float, e_same: float, e_cross: float, r: float
     # min of the two error flows out of one aggregator branch; see module
     # docstring.  Always finite: the +inf cases of the two flows need a
     # above and below the LLR support at once.
-    rate0, rate1 = _rates(cand.im, a)
-    up = rate0 if a >= cand.mean0 else 0.0
-    down = rate1 if a <= cand.mean1 else 0.0
+    up = rate_function(cand.im, 0, a).value if a >= cand.mean0 else 0.0
+    down = rate_function(cand.im, 1, a).value if a <= cand.mean1 else 0.0
     return min(r * e_same + (1.0 - r) * up, r * e_cross + (1.0 - r) * down)
 
 
 def _branch_grid(cand: _Cand, a: np.ndarray, e_same: np.ndarray, e_cross: np.ndarray, r: float) -> np.ndarray:
     # _branch_point over a vector of thresholds, by the grid form.
-    rate0, rate1 = _rates_grid(cand.im, a)
-    up = np.where(a >= cand.mean0, rate0, 0.0)
-    down = np.where(a <= cand.mean1, rate1, 0.0)
+    up = np.where(a >= cand.mean0, rate_function_grid(cand.im, 0, a), 0.0)
+    down = np.where(a <= cand.mean1, rate_function_grid(cand.im, 1, a), 0.0)
     return np.minimum(r * e_same + (1.0 - r) * up, r * e_cross + (1.0 - r) * down)
 
 
@@ -439,7 +436,7 @@ def _first_argmax(values: Sequence[float]) -> int:
 
 def _gamma_decay(g: _Cand, r: float, t: float) -> tuple[DecayRateVector, float, float]:
     # First-stage decay rates at threshold t and the two branch thresholds.
-    l0, l1 = _rates(g.im, t)
+    l0, l1 = rate_function(g.im, 0, t).value, rate_function(g.im, 1, t).value
     e = DecayRateVector(
         e01=l0 if t >= g.mean0 else 0.0,
         e00=l0 if t < g.mean0 else 0.0,
@@ -566,7 +563,7 @@ def _staged_optima(pmf0: bytes, pmf1: bytes, r: float, d: int, mode: str) -> tup
 
     for g in cands:
         ts = np.linspace(g.zmin, g.zmax, T_GRID_POINTS)
-        l0, l1 = _rates_grid(g.im, ts)
+        l0, l1 = rate_function_grid(g.im, 0, ts), rate_function_grid(g.im, 1, ts)
         e01 = np.where(ts >= g.mean0, l0, 0.0)
         e00 = np.where(ts >= g.mean0, 0.0, l0)
         e10 = np.where(ts <= g.mean1, l1, 0.0)

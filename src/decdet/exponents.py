@@ -31,9 +31,9 @@ transcript atom whose mass underflowed to zero (see ``model.InducedModel``)
 is a value the sample mean can never reach.
 
 The conjugate solver.  Every R_j(t) comes from one solver, in a plain-float
-scalar form (:func:`rate_function`, and the staged search's point
-evaluations) and a grid form on ``_tilt`` (:func:`rate_function_grid`, and
-the search's threshold grid).  At an interior t:
+scalar form (:func:`rate_function`) and a grid form on ``_tilt``
+(:func:`rate_function_grid`); every caller in the package, the staged
+search included, goes through these two.  At an interior t:
 
 * two massed atoms z_lo < z_hi: the closed form, the Bernoulli divergence
   of the tilted mass p = (t - z_lo) / (z_hi - z_lo) from q_j[hi];
@@ -52,6 +52,8 @@ no term grows with |s| and nothing cancels even where |s| reaches 1e9
 (next to near-equal atoms).  Where both hypotheses have mass on the same
 atoms, L_1(s) = L_0(s + 1) gives R_1(t) = R_0(t) - t, so one Newton solve
 serves both; otherwise each hypothesis is solved over its own massed atoms.
+Each form keeps its last Newton solve, so R_0 and R_1 at one t cost one
+solve.
 
 The golden-section search uses absolute tolerance 1e-10 on its argument.
 :func:`rate_function` returns the argmax along with the value.
@@ -61,8 +63,8 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,13 +89,14 @@ _NEWTON_CAP = 200
 _EDGE_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class RateFunctionValue:
+class RateFunctionValue(NamedTuple):
     """Conjugate value at t: nonnegative, +inf beyond the LLR support.
 
     ``argmax_s`` is the solution of L'(s) = t for interior t; it is +inf or
     -inf when t sits at (or beyond) the upper or lower end of the support,
-    where the supremum is approached but never attained.
+    where the supremum is approached but never attained.  A named tuple,
+    not a frozen dataclass: the staged search builds one per scalar solve,
+    and a tuple is built in about half the time.
     """
 
     t: float
@@ -113,7 +116,11 @@ class _RateConstants:
     log-MGF of a large transcript model never pays for them: ``massed``
     gives the massed atoms' log masses and their distances to the lower and
     upper edge, ``shared`` says that both hypotheses have mass on the same
-    atoms, and ``float_lists`` serves the scalar form.
+    atoms, and ``float_lists`` serves the scalar form.  ``last`` and
+    ``last_grid`` hold the last scalar and grid Newton solve as (t, result),
+    and ``dual`` is hypothesis 0's constants once hypothesis 1 has been
+    solved through them.  Concurrent callers can at worst solve a t twice:
+    a result depends on nothing but the constants and t.
     """
 
     def __init__(self, im: InducedModel, j: int) -> None:
@@ -132,7 +139,7 @@ class _RateConstants:
         mass_hi = float(q[z >= self.zmax - self.tol_hi].sum())
         self.rate_lo = -math.log(mass_lo) if mass_lo > 0.0 else math.inf
         self.rate_hi = -math.log(mass_hi) if mass_hi > 0.0 else math.inf
-        self.lq_ends = None
+        self.lq_ends = self.last = self.last_grid = self.dual = None
         if len(massed) == 2 and self.zmax > self.zmin:
             lq = self.logq[self._keep]
             lo, hi = (0, 1) if massed[0] < massed[1] else (1, 0)
@@ -159,14 +166,9 @@ class _RateConstants:
 _RATE_CONSTANTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _check_hypothesis(j: int) -> int:
-    if j not in (0, 1):
-        raise ValueError("hypothesis must be 0 or 1")
-    return j
-
-
 def _rate_constants(im: InducedModel, j: int) -> _RateConstants:
-    _check_hypothesis(j)
+    if j != 0 and j != 1:
+        raise ValueError("hypothesis must be 0 or 1")
     per_model = _RATE_CONSTANTS.get(im)
     if per_model is None:
         per_model = _RATE_CONSTANTS[im] = [None, None]
@@ -174,14 +176,6 @@ def _rate_constants(im: InducedModel, j: int) -> _RateConstants:
     if consts is None:
         consts = per_model[j] = _RateConstants(im, j)
     return consts
-
-
-def _constants(im: InducedModel) -> list[_RateConstants]:
-    # Both hypotheses' constants, as the solver needs them.
-    cs = _RATE_CONSTANTS.get(im)
-    if cs is None or None in cs:
-        cs = [_rate_constants(im, 0), _rate_constants(im, 1)]
-    return cs
 
 
 def _tilt(logq: np.ndarray, x: np.ndarray, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -338,8 +332,13 @@ def _newton(c: _RateConstants, t: float) -> tuple[float, float]:
     so Newton cannot cycle where phi bends; otherwise the bracket is
     bisected.  The weights, and so the value, are taken in the frame of the
     edge the tilt leans toward: lower for s <= 0, upper for s > 0.  The
-    value is not clamped at 0.
+    value is not clamped at 0.  It runs on plain floats: message alphabets
+    are tiny, so array dispatch would dominate, and the staged search's
+    point evaluations solve tens of thousands of times per search.
     """
+    last = c.last
+    if last is not None and last[0] == t:
+        return last[1]
     lqs, das, dbs = c.float_lists
     width = c.zmax - c.zmin
     ta, tb = t - c.zmin, c.zmax - t
@@ -379,7 +378,9 @@ def _newton(c: _RateConstants, t: float) -> tuple[float, float]:
             break
         dx, dx_old = abs(s_new - s), dx
         s = s_new
-    return k * (ta if s <= 0.0 else tb) - (amax + math.log(tot)), s
+    out = k * (ta if s <= 0.0 else tb) - (amax + math.log(tot)), s
+    c.last = (t, out)
+    return out
 
 
 def _newton_grid(c: _RateConstants, t: np.ndarray) -> np.ndarray:
@@ -388,6 +389,9 @@ def _newton_grid(c: _RateConstants, t: np.ndarray) -> np.ndarray:
     The iteration state holds the rows still running; a row leaves it once
     it stops, so its value never depends on the rest of the batch.
     """
+    last = c.last_grid
+    if last is not None and np.array_equal(last[0], t):
+        return last[1]
     lq, da, db, dab = c.massed
     width = c.zmax - c.zmin
     n = len(t)
@@ -428,67 +432,44 @@ def _newton_grid(c: _RateConstants, t: np.ndarray) -> np.ndarray:
                 idx, s_new, lo, hi, dx, dx_old = idx[go], s_new[go], lo[go], hi[go], dx[go], dx_old[go]
                 ta, tb, target = ta[go], tb[go], target[go]
             s = s_new
+    c.last_grid = (t, val)
     return val
 
 
-def _solve(cs: list[_RateConstants], j: int, t: float) -> tuple[float, float]:
-    """(R_j(t), argmax): the scalar form of the solver."""
-    c = cs[j]
-    edge = _edge(c, t)
-    if edge is not None:
-        return edge
-    if c.lq_ends is not None:
-        return _two_atom(c, t)
+def _newton_source(im: InducedModel, j: int, c: _RateConstants) -> tuple[_RateConstants, bool]:
+    """The constants whose Newton solve gives R_j, and whether to shift it.
+
+    Where both hypotheses have mass on the same atoms, L_1(s) = L_0(s + 1)
+    gives R_1(t) = R_0(t) - t at s_1 = s_0 - 1, so hypothesis 0's solve
+    serves both.  The Newton forms keep their last solve, so R_0 and R_1 at
+    one t cost one solve.
+    """
     if j == 1 and c.shared:
-        # One solve serves both hypotheses where they share their massed
-        # atoms: R_1(t) = R_0(t) - t at s_1 = s_0 - 1.
-        raw, s = _newton(cs[0], t)
-        return max(raw - t, 0.0), s - 1.0
-    raw, s = _newton(c, t)
-    return max(raw, 0.0), s
-
-
-def _rates(im: InducedModel, t: float) -> tuple[float, float]:
-    """(R_0(t), R_1(t)) by the scalar form, with one solve for both where
-    the hypotheses share their massed atoms."""
-    cs = _constants(im)
-    c0 = cs[0]
-    if c0.shared and c0.zmin + c0.tol_lo < t < c0.zmax - c0.tol_hi:
-        if c0.lq_ends is not None:
-            return _two_atom(c0, t)[0], _two_atom(cs[1], t)[0]
-        raw, _ = _newton(c0, t)
-        return max(raw, 0.0), max(raw - t, 0.0)
-    return _solve(cs, 0, t)[0], _solve(cs, 1, t)[0]
-
-
-def _rates_grid(im: InducedModel, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(R_0, R_1) over a vector of t: the grid form of the solver."""
-    ts = np.asarray(ts, dtype=float)
-    out = []
-    for j, c in enumerate(_constants(im)):
-        r, interior = _grid_edges(c, ts)
-        if interior.any():
-            t = ts[interior]
-            if c.lq_ends is not None:
-                r[interior] = _two_atom(c, t)
-            else:
-                raw = raw - t if j == 1 and c.shared else _newton_grid(c, t)
-                r[interior] = np.maximum(raw, 0.0)
-        out.append(r)
-    return out[0], out[1]
+        if c.dual is None:
+            c.dual = _rate_constants(im, 0)
+        return c.dual, True
+    return c, False
 
 
 def rate_function(im: InducedModel, j: int, t: float) -> RateFunctionValue:
     """Conjugate R_j(t) = sup_s {s t - L_j(s)}, with its argmax.
 
     The scalar form of the one solver (module docstring), with the endpoint
-    and out-of-support conventions there.  That form runs on plain floats
-    on purpose: message alphabets are tiny, so array dispatch dominates,
-    and the staged search's point evaluations run it tens of thousands of
-    times per search.
+    and out-of-support conventions there.
     """
-    value, s = _solve(_constants(im), _check_hypothesis(j), t)
-    return RateFunctionValue(t=t, value=value, argmax_s=s)
+    c = _rate_constants(im, j)
+    edge = _edge(c, t)
+    if edge is not None:
+        value, s = edge
+    elif c.lq_ends is not None:
+        value, s = _two_atom(c, t)
+    else:
+        src, dual = _newton_source(im, j, c)
+        raw, s = _newton(src, t)
+        if dual:
+            raw, s = raw - t, s - 1.0
+        value = max(raw, 0.0)
+    return RateFunctionValue(t, value, s)
 
 
 def rate_function_grid(im: InducedModel, j: int, ts: np.ndarray) -> np.ndarray:
@@ -498,4 +479,15 @@ def rate_function_grid(im: InducedModel, j: int, ts: np.ndarray) -> np.ndarray:
     to about 1e-14 relative, and each t's value is independent of the rest
     of ``ts``.
     """
-    return _rates_grid(im, ts)[_check_hypothesis(j)]
+    ts = np.asarray(ts, dtype=float)
+    c = _rate_constants(im, j)
+    r, interior = _grid_edges(c, ts)
+    if interior.any():
+        t = ts[interior]
+        if c.lq_ends is not None:
+            r[interior] = _two_atom(c, t)
+        else:
+            src, dual = _newton_source(im, j, c)
+            raw = _newton_grid(src, t)
+            r[interior] = np.maximum(raw - t if dual else raw, 0.0)
+    return r

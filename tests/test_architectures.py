@@ -699,6 +699,38 @@ def test_rate_function_repeats_are_exact(table_model):
             assert rate_function(induce(table_model, q), j, t) == first
 
 
+def test_every_conjugate_goes_through_the_public_solver(monkeypatch):
+    # The staged search, reevaluate_exponent and h_of_e reach the solver only
+    # through rate_function and rate_function_grid, so a wrapper around the
+    # two public functions (as in perfbench's tracer) sees every solve.
+    import decdet.architectures as arch
+
+    calls = {"rate_function": 0, "rate_function_grid": 0}
+
+    def counted(name):
+        fn = getattr(arch, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(arch, name, counted(name))
+    m = random_model(np.random.default_rng(7), k=4)
+    _staged_optima.cache_clear()
+    for d in (2, 3):
+        _search_staged(m, 0.45, d, "llr_monotone")
+        assert calls["rate_function"] > 0 and calls["rate_function_grid"] > 0
+        for name in calls:
+            calls[name] = 0
+        rep = exponent_daisy_restricted(m, 0.45, d=d)
+        assert reevaluate_exponent(m, rep) == rep.exponent
+        h_of_e(m, 0.45, DecayRateVector(**rep.decay_rates), d=d, semantics="physical")
+        assert calls["rate_function"] > 0
+
+
 def test_reevaluate_staged_report_needs_stage_fraction(table_model):
     rep = dataclasses.replace(exponent_daisy_restricted(table_model, r=0.5), r=None)
     with pytest.raises(ValueError):
