@@ -604,8 +604,15 @@ def _staged_optima(pmf0: bytes, pmf1: bytes, r: float, d: int, mode: str) -> tup
 
             tcands.append(_bisect_crossing(diff_daisy, lo, hi))
         for k, dc in enumerate(deltas):
+            def diff_tree(t: float, k: int = k, dc: _Cand = dc) -> float:
+                # A threshold the memo already holds (the daisy crossing
+                # bisection of the same interval takes the same midpoints)
+                # is read from it; _tree_diff gives the same difference.
+                p = memo.get(t)
+                return _tree_diff(g, dc, r, t) if p is None else p.bv0[k] - p.bv1[k]
+
             for lo, hi in _sign_change_ts(ts, bv0[k] - bv1[k]):
-                tcands.append(_bisect_crossing(lambda t, dc=dc: _tree_diff(g, dc, r, t), lo, hi))
+                tcands.append(_bisect_crossing(diff_tree, lo, hi))
 
         for t in sorted(set(tcands)):
             p = point(t)
