@@ -50,7 +50,8 @@ all deltas at a threshold (both golden sections, the daisy crossing
 bisection and the final sweep over the candidate thresholds) goes through
 one memo keyed on t, so a threshold they share is solved once.  The
 crossing bisection of delta k's two branch curves evaluates only delta k's
-two branch points, not the whole delta list.
+two branch points, not the whole delta list, and reads a threshold the memo
+already holds from it.
 
 One solver.  Every conjugate here comes from the one solver of module
 ``exponents``, through its two public forms: the grid phase calls
