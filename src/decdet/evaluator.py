@@ -21,9 +21,15 @@ longer the bound on the folded paths' memory.
 
 Monte Carlo simulation covers the adaptive feedback protocols that have no
 product form, with a counter-based generator so every estimate is
-reproducible bit for bit from (seed, n, num_trials) alone.  The two
-hypotheses are drawn on two threads, one each, and the result does not
-depend on the chunking or the threading.
+reproducible bit for bit from (seed, n, num_trials) alone.  Trials fall
+into chunks, each with its own stream; each stream is read in order, a
+block of rows of about ``_BLOCK_CELLS`` cells at a time, so each array a
+call makes holds about max(block, n) cells however many trials it draws,
+and each thread reuses one set of such arrays for all its blocks.
+Symbols come from the raw 64-bit words by integer thresholds, and the LLR
+tables are read through one flat index.  The two hypotheses are drawn on
+two threads, one each, and the result depends neither on the blocks nor
+on the threading.
 
 The fusion rule is always a likelihood-ratio threshold: decide hypothesis
 1 when the exact log-likelihood ratio of everything the fusion center sees
@@ -86,9 +92,14 @@ __all__ = [
 ]
 
 CLASS_BUDGET = 10**7
-# Trials drawn per generator stream; sized so one chunk's arrays stay small.
+# Trials per generator stream.  The chunks fix which stream each trial's
+# draws come from, so they are part of every estimate; memory is bounded
+# by the row blocks below, not by them.
 _CHUNK_CELLS = 1 << 22
 _MAX_CHUNK_TRIALS = 8192
+# Cells per row block of ``simulate`` (at least one row): a block's arrays,
+# at most 1 MiB each at 8 bytes a cell, stay in L2 cache.
+_BLOCK_CELLS = 1 << 17
 # Binomial terms per block of the window-tail kernel: its term arrays stay
 # within 256 KiB, in cache, so its time does not hang on how the allocator
 # maps fresh memory.
@@ -554,62 +565,125 @@ def _chunk_trials(n: int) -> int:
     return max(1, min(_MAX_CHUNK_TRIALS, _CHUNK_CELLS // max(1, n)))
 
 
-def _sample_symbols(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-cdf symbols of the uniforms ``u``: how many of ``cdf[:-1]``
-    are <= each entry, in the smallest unsigned dtype that holds the count.
+def _word_edges(cdf: np.ndarray) -> np.ndarray:
+    """Integer thresholds on raw Philox words, one per entry c of
+    ``cdf[:-1]`` that a draw can reach: ``w >= e`` exactly when numpy's
+    double ``(w >> 11) * 2**-53`` is >= c.
 
-    For a nondecreasing cdf this is ``min(searchsorted(cdf, u, "right"),
-    K - 1)``, so a u at or past ``cdf[-1]`` (a sum rounded below 1) still
-    draws the last symbol.
+    That double is >= c exactly when the integer ``w >> 11`` is >=
+    ceil(c * 2**53), which the scaling by a power of two leaves exact, so
+    e is that integer shifted left by 11 bits.  An entry above
+    1 - 2**-53, the largest double a word gives, has no edge.
     """
-    obs = np.zeros(u.shape, dtype=np.min_scalar_type(cdf.size - 1))
-    for c in cdf[:-1]:
-        obs += u >= c
-    return obs
+    steps = np.ceil(cdf[:-1] * 2.0**53)
+    return steps[steps < 2.0**53].astype(np.uint64) << np.uint64(11)
 
 
-def _transcript_llr_fn(m: HypothesisModel, strategy: Strategy, n: int) -> Callable[[np.ndarray], np.ndarray]:
+def _sample_symbols(edges: np.ndarray, words: np.ndarray, out: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Inverse-cdf symbols of the raw words ``words``: how many ``edges``
+    (from :func:`_word_edges`) each word reaches, written into ``out``,
+    with ``step`` (of the same shape and dtype) as scratch.
+
+    This is ``min(searchsorted(cdf, (w >> 11) * 2**-53, "right"), K - 1)``
+    of the cdf the edges came from, so a word whose double is at or past
+    ``cdf[-1]`` (a sum rounded below 1) still draws the last symbol.
+    """
+    out.fill(0)
+    for e in edges:
+        out += np.greater_equal(words, e, out=step)
+    return out
+
+
+class _Scratch:
+    """Flat arrays that one thread of ``simulate`` reuses for every block:
+    the symbols and their 0/1 steps in the symbol dtype, an intp index and
+    two float arrays.
+
+    A freed array of a block's size can go straight back to the system,
+    and touching fresh pages again (about 2-3 us a 4 KiB page on a 2-core
+    VM) costs more than the work on them.  So every block writes into the
+    same memory; only its raw words are new, since ``random_raw`` takes
+    no output array.
+    """
+
+    def __init__(self, cells: int, dtype: np.dtype):
+        self.obs = np.empty(cells, dtype)
+        self.step = np.empty(cells, dtype)
+        self.idx = np.empty(cells, np.intp)
+        self.vals = np.empty(cells)
+        self.aux = np.empty(cells)
+
+
+def _shaped(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The first rows * cols cells of the flat ``buf``, C-contiguous."""
+    return buf[: rows * cols].reshape(rows, cols)
+
+
+def _gather(table: np.ndarray, index: np.ndarray, s: _Scratch) -> np.ndarray:
+    """``table[index]``, written C-contiguous into ``s.vals``.
+
+    The small unsigned ``index`` is copied into ``s.idx`` first: numpy
+    would otherwise cast it to a new intp array on every call.  Every index
+    is in range, so ``mode="clip"`` moves none of them; it spares numpy the
+    buffered bounds check of the default mode.
+    """
+    idx = _shaped(s.idx, *index.shape)
+    np.copyto(idx, index)
+    return np.take(table, idx, out=_shaped(s.vals, *index.shape), mode="clip")
+
+
+def _transcript_llr_fn(m: HypothesisModel, strategy: Strategy, n: int) -> Callable[[np.ndarray, _Scratch], np.ndarray]:
     """Map from sampled observations (one row per trial) to each row's exact
-    fusion-center LLR, with the per-symbol tables built once.
+    fusion-center LLR, with the per-symbol tables built once.  The map
+    works in a :class:`_Scratch` and may overwrite the observations.
 
     Where a bit u picks the second message's quantizer, its two LLR tables
-    are stacked as rows 0 and 1, so one gather at (u, observation) reads
-    each term.
+    of K entries each are laid end to end, so one gather at the flat index
+    ``symbol + K * u`` reads each term.  The observations' unsigned dtype
+    must hold that index, 2K - 1.
     """
     kind, t = strategy.kind, strategy.t
+    k = m.pmf0.size
     if kind in ONE_STAGE_KINDS:
         joint = _symbol_llr_table(m, strategy.joint)
-        return lambda obs: joint[obs].sum(axis=1)
+        return lambda obs, s: _gather(joint, obs, s).sum(axis=1)
 
     first = _symbol_llr_table(m, strategy.gamma)
     if kind in ADAPTIVE_KINDS:
-        joint = np.stack(
+        joint = np.concatenate(
             [_symbol_llr_table(m, product_quantizer(strategy.gamma, d)) for d in (strategy.delta0, strategy.delta1)]
         )
+        # Sensor k reacts to the mean of the k earlier first messages.  For
+        # FullFeedback2 an infinite t is a constant bit; scaled by n - 1 = 0
+        # it would be NaN.
+        prefix_thr = t * np.arange(1, n)
+        rest_thr = t * (n - 1) if math.isfinite(t) else t
 
-        def adaptive(obs: np.ndarray) -> np.ndarray:
-            llr1 = first[obs]
-            if kind == "SequentialFeedback2":
-                prefix = np.cumsum(llr1, axis=1)
-                u = np.zeros(obs.shape, dtype=bool)
-                # Sensor k reacts to the mean of the k earlier first messages;
-                # the first sensor has no history and uses delta0.
-                u[:, 1:] = prefix[:, :-1] >= t * np.arange(1, n)
-            elif kind == "FullFeedback2":
-                total = llr1.sum(axis=1, keepdims=True)
-                # An infinite t is a constant bit; scaled by n - 1 = 0 it
-                # would be NaN.
-                u = (total - llr1) >= (t * (n - 1) if math.isfinite(t) else t)
+        def adaptive(obs: np.ndarray, s: _Scratch) -> np.ndarray:
+            rows = obs.shape[0]
+            llr1 = _gather(first, obs, s)
+            if kind == "RestrictedFeedback2":
+                obs += (llr1.sum(axis=1, keepdims=True) >= t * n) * obs.dtype.type(k)
             else:
-                u = llr1.sum(axis=1, keepdims=True) >= t * n
-            # A bool index array would be a mask, so index with its bytes.
-            return joint[u.view(np.uint8), obs].sum(axis=1)
+                u = _shaped(s.step, rows, n)
+                if kind == "SequentialFeedback2":
+                    prefix = np.cumsum(llr1, axis=1, out=_shaped(s.aux, rows, n))
+                    # The first sensor has no history and uses delta0.
+                    u[:, 0] = 0
+                    np.greater_equal(prefix[:, :-1], prefix_thr, out=u[:, 1:])
+                else:
+                    rest = np.subtract(llr1.sum(axis=1, keepdims=True), llr1, out=_shaped(s.aux, rows, n))
+                    np.greater_equal(rest, rest_thr, out=u)
+                # The steps become the flat index's offsets K * u.
+                u *= obs.dtype.type(k)
+                obs += u
+            return _gather(joint, obs, s).sum(axis=1)
 
         return adaptive
 
     # Two-stage chains: the first n1 columns form the aggregator bit.
     n1, _ = _stage_sizes(n, strategy.r)
-    second = np.stack([_symbol_llr_table(m, d) for d in (strategy.delta0, strategy.delta1)])
+    second = np.concatenate([_symbol_llr_table(m, d) for d in (strategy.delta0, strategy.delta1)])
     logit_u = None
     if kind in RESTRICTED_KINDS:
         # The fusion center sees only the bit U from stage one, so its
@@ -618,13 +692,15 @@ def _transcript_llr_fn(m: HypothesisModel, strategy: Strategy, n: int) -> Callab
         _check_budget(n1, "the aggregator-bit distribution", im1.alphabet_size)
         logit_u = _aggregator_bit(im1, n1, t)[1]
 
-    def two_stage(obs: np.ndarray) -> np.ndarray:
-        s1 = first[obs[:, :n1]].sum(axis=1)
-        u = (s1 >= t * n1).view(np.uint8)
-        s2 = second[u[:, None], obs[:, n1:]].sum(axis=1)
+    def two_stage(obs: np.ndarray, s: _Scratch) -> np.ndarray:
+        s1 = _gather(first, obs[:, :n1], s).sum(axis=1)
+        u = s1 >= t * n1
+        obs[:, n1:] += (u * obs.dtype.type(k))[:, None]
+        s2 = _gather(second, obs[:, n1:], s).sum(axis=1)
         if logit_u is None:
             return s1 + s2
-        return logit_u[u] + s2
+        # A bool index array would be a mask, so index with its bytes.
+        return logit_u[u.view(np.uint8)] + s2
 
     return two_stage
 
@@ -641,12 +717,14 @@ def simulate(
     Draws ``num_trials`` transcripts under each hypothesis with a
     counter-based generator keyed on (seed, chunk index, hypothesis), so
     the result never depends on execution order, then applies the exact
-    transcript-LLR fusion rule.  The two hypotheses are drawn on two
-    threads, one each; every chunk's stream is fixed by its key, so the
-    result depends neither on the chunking nor on the threading.  ``ci``
-    is the 95 percent normal-theory half-width on the averaged error
-    probability.  ``n`` and ``num_trials`` must be positive integers and
-    ``seed`` an integer in [0, 2**64).
+    transcript-LLR fusion rule.  Each chunk's stream is read in order in
+    blocks of rows, so memory stays bounded whatever ``num_trials`` is.
+    The two hypotheses are drawn on two threads, one each; every chunk's
+    stream is fixed by its key, so the result depends neither on the
+    blocks nor on the threading.  ``ci`` is the 95 percent normal-theory
+    half-width on the averaged error probability.  ``n`` and
+    ``num_trials`` must be positive integers and ``seed`` an integer in
+    [0, 2**64).
     """
     validate_model(m)
     _check_integer("n", n)
@@ -657,18 +735,31 @@ def simulate(
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     transcript_llr = _transcript_llr_fn(m, strategy, n)
     chunk = _chunk_trials(n)
+    block = max(1, _BLOCK_CELLS // n)
+    # The smallest unsigned dtype that holds a symbol and the flat index
+    # symbol + K * u of the stacked LLR tables.
+    dtype = np.min_scalar_type(2 * m.pmf0.size - 1)
     # A uint64 array, so numpy never routes a seed of 2**63 or more through float64.
     key = np.array([seed, 0], dtype=np.uint64)
 
     def count_errors(j: int) -> int:
-        cdf = np.cumsum(m.pmf1 if j else m.pmf0)
+        edges = _word_edges(np.cumsum(m.pmf1 if j else m.pmf0))
+        s = _Scratch(block * n, dtype)
         errors = 0
         for chunk_idx, done in enumerate(range(0, num_trials, chunk)):
             rows = min(chunk, num_trials - done)
-            rng = np.random.Generator(np.random.Philox(key=key, counter=[0, chunk_idx, j, 0]))
-            llr = transcript_llr(_sample_symbols(cdf, rng.random((rows, n))))
-            chose1 = int(np.count_nonzero(llr >= strategy.fusion_threshold))
-            errors += chose1 if j == 0 else rows - chose1
+            bitgen = np.random.Philox(key=key, counter=[0, chunk_idx, j, 0])
+            # The chunk's stream read in order, a block of rows at a time.
+            # Each block's words are freed once sampled, so the allocator
+            # hands their memory to the next block's words.
+            for start in range(0, rows, block):
+                size = min(block, rows - start)
+                words = bitgen.random_raw(size * n).reshape(size, n)
+                obs = _sample_symbols(edges, words, _shaped(s.obs, size, n), _shaped(s.step, size, n))
+                del words
+                llr = transcript_llr(obs, s)
+                chose1 = int(np.count_nonzero(llr >= strategy.fusion_threshold))
+                errors += chose1 if j == 0 else size - chose1
         return errors
 
     from concurrent.futures import ThreadPoolExecutor

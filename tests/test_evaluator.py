@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.special import gammaln
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hs
 
 from decdet import (
@@ -747,26 +747,82 @@ def test_simulate_matches_sequential_oracle(kind):
     assert (e.p_e0, e.p_e1) == sequential_simulate(PIN_MODEL, st, 9, 20_000, 29)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("block_rows", [1, 7])
+def test_simulate_is_block_invariant(monkeypatch, kind, block_rows):
+    # 9000 trials at n=9 are a chunk of 8192 and one of 808; neither is a
+    # multiple of 7 rows, so both chunks end in a partial block.
+    monkeypatch.setattr(evaluator, "_BLOCK_CELLS", block_rows * 9)
+    st = dataclasses.replace(_pinned_strategy(kind), fusion_threshold=0.05)
+    e = simulate(PIN_MODEL, st, 9, num_trials=9000, seed=31)
+    assert (e.p_e0, e.p_e1) == sequential_simulate(PIN_MODEL, st, 9, 9000, 31)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_simulate_matches_oracle_on_a_wide_alphabet(kind):
+    # 150 symbols: symbols and flat indices symbol + K * u (up to 299) are
+    # drawn in uint16, not uint8.  Random maps give LLRs near 0, so t = 0
+    # sets u = 1 on about half the rows.
+    rng = np.random.default_rng(5)
+    k = 150
+    massless = rng.random(k) < 0.2
+    pmfs = [np.where(massless, 0.0, rng.random(k)) for _ in range(2)]
+    m = HypothesisModel(*(tuple(p / p.sum()) for p in pmfs))
+
+    def q():
+        return Quantizer(map=tuple(int(x) for x in rng.integers(0, 3, k)), message_alphabet_size=3)
+
+    st = _pinned_strategy(kind)
+    maps = {f: q() for f in ("gamma", "delta0", "delta1") if getattr(st, f) is not None}
+    st = dataclasses.replace(st, **maps, t=0.0, fusion_threshold=0.05)
+    e = simulate(m, st, 7, num_trials=3000, seed=3)
+    assert (e.p_e0, e.p_e1) == sequential_simulate(m, st, 7, 3000, 3)
+
+
+@pytest.mark.parametrize("kind", ["Tree", "SequentialFeedback2"])
+def test_simulate_runs_in_bounded_memory(kind):
+    # 20000 trials at n=3000 are 60M cells a hypothesis.  Whole chunks of
+    # 1398 rows took 80-210 MB under tracemalloc; blocks of 43 rows, in
+    # arrays each thread reuses, stay within a few MB.
+    tracemalloc.start()
+    try:
+        simulate(PIN_MODEL, _pinned_strategy(kind), 3000, num_trials=20_000, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     weights=hs.lists(
         hs.one_of(hs.just(0.0), hs.floats(min_value=1e-9, max_value=1.0)), min_size=1, max_size=40
     ),
-    scale=hs.floats(min_value=0.5, max_value=1.0),
-    extra=hs.lists(hs.floats(min_value=0.0, max_value=1.0), max_size=16),
+    scale=hs.one_of(hs.just(1.0), hs.floats(min_value=0.5, max_value=1.0)),
+    extra=hs.lists(hs.integers(min_value=0, max_value=2**64 - 1), max_size=16),
 )
+@example(weights=[1.0, 0.0], scale=1.0, extra=[])
+@example(weights=[1.0 - 2.0**-53, 2.0**-53], scale=1.0, extra=[])
 def test_symbol_draw_matches_searchsorted(weights, scale, extra):
-    # Zero-mass symbols repeat cdf entries; a scale below 1 leaves uniforms
-    # at and past cdf[-1], where the last symbol must still be drawn.
+    # Zero-mass symbols repeat cdf entries; a scale below 1 leaves words
+    # whose doubles are at and past cdf[-1], where the last symbol must
+    # still be drawn.  Entries that reach 1 have no word on their side.
+    # Words sit at each entry's step k << 11, just below it, and at both
+    # ends of the range.
     pmf = np.asarray(weights)
     if pmf.sum() > 0.0:
         pmf = scale * pmf / pmf.sum()
     cdf = np.cumsum(pmf)
     k = cdf.size
-    edges = np.concatenate([cdf, np.nextafter(cdf, -np.inf), np.nextafter(cdf, np.inf)])
-    u = np.concatenate([edges, [0.0, 1.0], extra]).clip(0.0, 1.0).reshape(1, -1)
-    got = evaluator._sample_symbols(cdf, u)
-    assert got.dtype == np.min_scalar_type(k - 1) and got.dtype.kind == "u"
+    steps = [math.ceil(c * 2**53) << 11 for c in cdf]
+    probes = {0, 2**64 - 1, *extra}
+    probes.update(w + d for w in steps for d in (-1, 0) if 0 <= w + d < 2**64)
+    words = np.array(sorted(probes), dtype=np.uint64).reshape(1, -1)
+    dtype = np.min_scalar_type(2 * k - 1)
+    out, step = np.empty(words.shape, dtype), np.empty(words.shape, dtype)
+    got = evaluator._sample_symbols(evaluator._word_edges(cdf), words, out, step)
+    assert got is out
+    u = (words >> np.uint64(11)) * 2.0**-53
     np.testing.assert_array_equal(got, np.minimum(np.searchsorted(cdf, u, side="right"), k - 1))
 
 
