@@ -7,119 +7,17 @@ probabilities by the method of types, Monte Carlo simulation, and an error
 lower bound.  See the README for the architecture catalogue.
 """
 
-from .architectures import (
-    KINDS,
-    DecayRateVector,
-    ExponentReport,
-    InfeasibleRate,
-    OrderingViolation,
-    UnsupportedFormulation,
-    check_ordering,
-    check_symmetric_rate_condition,
-    exponent_daisy_restricted,
-    exponent_feedback_equivalent,
-    exponent_parallel,
-    exponent_tree,
-    h_of_e,
-    reevaluate_exponent,
-)
-from .evaluator import (
-    CLASS_BUDGET,
-    DegenerateLLR,
-    ErrorEstimate,
-    FitResult,
-    Strategy,
-    TooLarge,
-    exact_error,
-    exact_error_daisy,
-    exact_error_parallel,
-    fit_exponent,
-    llr_distribution_daisy,
-    llr_distribution_parallel,
-    sgb_lower_bound,
-    simulate,
-    strategy_from_report,
-)
-from .exponents import (
-    RateFunctionValue,
-    chernoff_exponent,
-    golden_section_min,
-    log_mgf,
-    log_mgf_derivs,
-    rate_function,
-    rate_function_grid,
-)
-from .model import (
-    HypothesisModel,
-    InducedModel,
-    NotAProbability,
-    Quantizer,
-    ShapeMismatch,
-    SupportMismatch,
-    enumerate_quantizers,
-    identity_quantizer,
-    induce,
-    likelihood_ratio_reduction,
-    load_model,
-    parse_model_text,
-    product_quantizer,
-    split_product_quantizer,
-    validate_model,
-)
+from . import architectures, evaluator, exponents, model
+from .architectures import *
+from .evaluator import *
+from .exponents import *
+from .model import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "HypothesisModel",
-    "Quantizer",
-    "InducedModel",
-    "NotAProbability",
-    "SupportMismatch",
-    "ShapeMismatch",
-    "validate_model",
-    "induce",
-    "enumerate_quantizers",
-    "identity_quantizer",
-    "product_quantizer",
-    "split_product_quantizer",
-    "likelihood_ratio_reduction",
-    "parse_model_text",
-    "load_model",
-    "RateFunctionValue",
-    "log_mgf",
-    "log_mgf_derivs",
-    "golden_section_min",
-    "chernoff_exponent",
-    "rate_function",
-    "rate_function_grid",
-    "KINDS",
-    "DecayRateVector",
-    "ExponentReport",
-    "InfeasibleRate",
-    "OrderingViolation",
-    "UnsupportedFormulation",
-    "exponent_parallel",
-    "exponent_feedback_equivalent",
-    "exponent_daisy_restricted",
-    "exponent_tree",
-    "h_of_e",
-    "reevaluate_exponent",
-    "check_symmetric_rate_condition",
-    "check_ordering",
-    "CLASS_BUDGET",
-    "Strategy",
-    "ErrorEstimate",
-    "FitResult",
-    "TooLarge",
-    "DegenerateLLR",
-    "exact_error",
-    "exact_error_parallel",
-    "exact_error_daisy",
-    "simulate",
-    "fit_exponent",
-    "sgb_lower_bound",
-    "llr_distribution_parallel",
-    "llr_distribution_daisy",
-    "strategy_from_report",
-]
+# Each public name is listed once, in its own module's __all__.
+__all__ = ["__version__"]
+__all__ += model.__all__
+__all__ += exponents.__all__
+__all__ += architectures.__all__
+__all__ += evaluator.__all__

@@ -59,11 +59,16 @@ One solver.  Every conjugate here comes from the one solver of module
 (both golden sections, the crossing bisections and the final sweep over the
 candidate thresholds) calls :func:`~decdet.exponents.rate_function`, once
 per hypothesis it needs; the solver keeps its last solve, so R_0 and R_1 at
-one threshold cost one solve.  Each report takes its deltas, value, decay
-rates and branch values from its winner's memoised point evaluation, so
+one threshold cost one solve.  Each report takes its deltas, value and
+branch values from its winner's memoised point evaluation, so
 :func:`reevaluate_exponent`, which runs the same point evaluation, reproduces
 it exactly.  :func:`h_of_e` and :func:`check_symmetric_rate_condition` call
 the same two functions.
+
+Plain floats.  The search carries the decay rates and branch thresholds of
+each point as plain floats (``_gamma_decay``); a :class:`DecayRateVector`
+is built only for a report, once per winner, from the same deterministic
+``_gamma_decay`` call at the winner's threshold.
 
 Ties.  Every quantizer sweep goes through ``_Best``: the staged search's
 offer of each (gamma, t) candidate, the quantizer sweep of
@@ -422,9 +427,6 @@ class _PointEval:
     i_tree: int
     bv0: list[float]
     bv1: list[float]
-    decay: DecayRateVector
-    a0: float
-    a1: float
 
 
 def _first_argmax(values: Sequence[float]) -> int:
@@ -435,31 +437,34 @@ def _first_argmax(values: Sequence[float]) -> int:
     return best
 
 
-def _gamma_decay(g: _Cand, r: float, t: float) -> tuple[DecayRateVector, float, float]:
-    # First-stage decay rates at threshold t and the two branch thresholds.
+def _branch_thresholds(r, e01, e10, e00, e11):
+    # Bayes thresholds (a0, a1) of the two aggregator branches; see the
+    # module docstring.  Plain arithmetic, so floats and arrays alike.
+    return r / (1.0 - r) * (e10 - e00), -r / (1.0 - r) * (e01 - e11)
+
+
+def _gamma_decay(g: _Cand, r: float, t: float) -> tuple[float, float, float, float, float, float]:
+    # First-stage decay rates (e01, e10, e00, e11) at threshold t, then the
+    # two branch thresholds (a0, a1).
     l0, l1 = rate_function(g.im, 0, t).value, rate_function(g.im, 1, t).value
-    e = DecayRateVector(
-        e01=l0 if t >= g.mean0 else 0.0,
-        e00=l0 if t < g.mean0 else 0.0,
-        e10=l1 if t <= g.mean1 else 0.0,
-        e11=l1 if t > g.mean1 else 0.0,
-    )
-    a0 = r / (1.0 - r) * (e.e10 - e.e00)
-    a1 = -r / (1.0 - r) * (e.e01 - e.e11)
-    return e, a0, a1
+    e01 = l0 if t >= g.mean0 else 0.0
+    e00 = l0 if t < g.mean0 else 0.0
+    e10 = l1 if t <= g.mean1 else 0.0
+    e11 = l1 if t > g.mean1 else 0.0
+    return e01, e10, e00, e11, *_branch_thresholds(r, e01, e10, e00, e11)
 
 
 def _tree_diff(g: _Cand, dc: _Cand, r: float, t: float) -> float:
     # bv0 - bv1 of the single second-stage candidate dc; equals
     # _point_eval(g, deltas, r, t).bv0[k] - .bv1[k] for dc = deltas[k].
-    e, a0, a1 = _gamma_decay(g, r, t)
-    return _branch_point(dc, a0, e.e00, e.e10, r) - _branch_point(dc, a1, e.e01, e.e11, r)
+    e01, e10, e00, e11, a0, a1 = _gamma_decay(g, r, t)
+    return _branch_point(dc, a0, e00, e10, r) - _branch_point(dc, a1, e01, e11, r)
 
 
 def _point_eval(g: _Cand, deltas: list[_Cand], r: float, t: float) -> _PointEval:
-    e, a0, a1 = _gamma_decay(g, r, t)
-    bv0 = [_branch_point(dc, a0, e.e00, e.e10, r) for dc in deltas]
-    bv1 = [_branch_point(dc, a1, e.e01, e.e11, r) for dc in deltas]
+    e01, e10, e00, e11, a0, a1 = _gamma_decay(g, r, t)
+    bv0 = [_branch_point(dc, a0, e00, e10, r) for dc in deltas]
+    bv1 = [_branch_point(dc, a1, e01, e11, r) for dc in deltas]
     i0, i1 = _first_argmax(bv0), _first_argmax(bv1)
     joint = [min(v0, v1) for v0, v1 in zip(bv0, bv1)]
     it = _first_argmax(joint)
@@ -472,9 +477,6 @@ def _point_eval(g: _Cand, deltas: list[_Cand], r: float, t: float) -> _PointEval
         i_tree=it,
         bv0=bv0,
         bv1=bv1,
-        decay=e,
-        a0=a0,
-        a1=a1,
     )
 
 
@@ -569,8 +571,7 @@ def _staged_optima(pmf0: bytes, pmf1: bytes, r: float, d: int, mode: str) -> tup
         e00 = np.where(ts >= g.mean0, 0.0, l0)
         e10 = np.where(ts <= g.mean1, l1, 0.0)
         e11 = np.where(ts <= g.mean1, 0.0, l1)
-        a0 = r / (1.0 - r) * (e10 - e00)
-        a1 = -r / (1.0 - r) * (e01 - e11)
+        a0, a1 = _branch_thresholds(r, e01, e10, e00, e11)
         bv0 = np.stack([_branch_grid(dc, a0, e00, e10, r) for dc in deltas])
         bv1 = np.stack([_branch_grid(dc, a1, e01, e11, r) for dc in deltas])
         sup0 = bv0.max(axis=0)
@@ -622,8 +623,9 @@ def _staged_optima(pmf0: bytes, pmf1: bytes, r: float, d: int, mode: str) -> tup
             tkey = (g.q.map, deltas[p.i_tree].q.map, deltas[p.i_tree].q.map, p.t)
             best_tree.offer(p.tree, tkey, (g, p))
 
-    # Each report takes every number and index from its winner's memoised
-    # point evaluation.
+    # Each report takes its indices, value and branch values from its
+    # winner's memoised point evaluation, and its decay rates from the
+    # _gamma_decay call that point evaluation made.
     out = []
     for best, kind in ((best_daisy, "DaisyRestricted"), (best_tree, "Tree")):
         if best.item is None:
@@ -639,7 +641,7 @@ def _staged_optima(pmf0: bytes, pmf1: bytes, r: float, d: int, mode: str) -> tup
             _StagedOptimum(
                 strategy=Strategy(kind, g.q, deltas[i0].q, deltas[i1].q, t=p.t, r=r),
                 value=value,
-                decay=p.decay,
+                decay=DecayRateVector(*_gamma_decay(g, r, p.t)[:4]),
                 branch0=p.bv0[i0],
                 branch1=p.bv1[i1],
                 at_edge=at_edge,
@@ -800,15 +802,16 @@ def h_of_e(
     if semantics not in ("literal", "physical"):
         raise ValueError(f"unknown semantics: {semantics!r}")
     deltas = _candidates(m, d, mode)
-    a0 = r / (1.0 - r) * (e.e10 - e.e00)
-    a1 = -r / (1.0 - r) * (e.e01 - e.e11)
+    a0, a1 = _branch_thresholds(r, e.e01, e.e10, e.e00, e.e11)
 
     def literal_branch(a: float, j: int, offset: float) -> tuple[float, Quantizer | None]:
+        # A quantizer is feasible where the solver's own support rule gives
+        # a finite conjugate.
         best = _Best()
         for dc in deltas:
-            scale = max(1.0, abs(dc.zmin), abs(dc.zmax))
-            if dc.zmin - 1e-12 * scale <= a <= dc.zmax + 1e-12 * scale:
-                best.offer(rate_function(dc.im, j, a).value, dc.q.map, dc.q)
+            value = rate_function(dc.im, j, a).value
+            if math.isfinite(value):
+                best.offer(value, dc.q.map, dc.q)
         if best.item is None:
             return math.inf, None
         return (1.0 - r) * best.value + r * offset, best.item

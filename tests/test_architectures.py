@@ -282,6 +282,18 @@ def test_h_of_e_one_sided_infeasibility(table_model):
     assert q1 is None  # that branch has no feasible quantizer
 
 
+def test_h_of_e_literal_uses_the_solvers_support_rule():
+    # a0 sits 3e-12 above zmax of (0, 1, 1): inside a slack of 1e-12 of
+    # max(1, |zmin|, |zmax|), outside the solver's 1e-12 of max(1, |zmax|),
+    # so that quantizer's conjugate is +inf and must not be offered.
+    m = validate_model(HypothesisModel(pmf0=(0.9, 0.05, 0.05), pmf1=(0.01, 0.5, 0.49)))
+    _, zmax = induce(m, Quantizer(map=(0, 1, 1), message_alphabet_size=2)).llr_support()
+    e = DecayRateVector(e01=4.4, e10=zmax + 3e-12, e00=0.0, e11=0.0)
+    val, q0, q1 = h_of_e(m, 0.5, e, semantics="literal")
+    assert val == pytest.approx(1.4814432542911775, rel=1e-12)
+    assert (q0.map, q1.map) == ((0, 1, 0), (0, 1, 1))
+
+
 def test_decay_rate_vector_validation():
     with pytest.raises(ValueError):
         DecayRateVector(e01=-0.1, e10=0.0, e00=0.0, e11=0.0)
@@ -764,6 +776,25 @@ def _edited(report, drop=(), **changes):
 def test_reevaluate_rejects_incomplete_strategy(table_model, build):
     with pytest.raises(ValueError):
         reevaluate_exponent(table_model, build(table_model))
+
+
+def test_staged_search_builds_one_decay_vector_per_report(monkeypatch, table_model):
+    # The search carries decay rates as plain floats; only the two winners,
+    # one per staged kind, get a DecayRateVector.
+    built = []
+    check = DecayRateVector.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(DecayRateVector, "__post_init__", counted)
+    m5 = random_model(np.random.default_rng(5), k=5)
+    for search in (lambda: exponent_daisy_restricted(table_model, r=0.5), lambda: exponent_tree(m5, r=0.5, d=3)):
+        _staged_optima.cache_clear()
+        built.clear()
+        search()
+        assert len(built) == 2
 
 
 def test_staged_search_is_shared_by_equal_models(table_model):

@@ -90,3 +90,32 @@ def test_cold_start_loads_scipy_on_first_exact_evaluation(tmp_path):
     assert seen["search"] == {"scipy": False, "concurrent.futures": False, "exit": 0}
     # The value is test_evaluator's Parallel1 pin, bit for bit.
     assert seen["exact"] == {"scipy": True, "log_p_e": -5.976210715607334}
+
+
+# The 52 public names; a refactor of the package listing may not add or drop one.
+_PUBLIC_NAMES = {
+    "__version__",
+    "CLASS_BUDGET", "DecayRateVector", "DegenerateLLR", "ErrorEstimate", "ExponentReport", "FitResult",
+    "HypothesisModel", "InducedModel", "InfeasibleRate", "KINDS", "NotAProbability", "OrderingViolation",
+    "Quantizer", "RateFunctionValue", "ShapeMismatch", "Strategy", "SupportMismatch", "TooLarge",
+    "UnsupportedFormulation", "check_ordering", "check_symmetric_rate_condition", "chernoff_exponent",
+    "enumerate_quantizers", "exact_error", "exact_error_daisy", "exact_error_parallel",
+    "exponent_daisy_restricted", "exponent_feedback_equivalent", "exponent_parallel", "exponent_tree",
+    "fit_exponent", "golden_section_min", "h_of_e", "identity_quantizer", "induce",
+    "likelihood_ratio_reduction", "llr_distribution_daisy", "llr_distribution_parallel", "load_model",
+    "log_mgf", "log_mgf_derivs", "parse_model_text", "product_quantizer", "rate_function",
+    "rate_function_grid", "reevaluate_exponent", "sgb_lower_bound", "simulate", "split_product_quantizer",
+    "strategy_from_report", "validate_model",
+}
+
+
+def test_package_lists_each_module_name_once():
+    import decdet
+    from decdet import architectures, evaluator, exponents, model
+
+    modules = (model, exponents, architectures, evaluator)
+    assert len(decdet.__all__) == len(set(decdet.__all__))
+    for name in decdet.__all__:
+        getattr(decdet, name)
+    assert set(decdet.__all__) == {"__version__"}.union(*(mod.__all__ for mod in modules))
+    assert set(decdet.__all__) == _PUBLIC_NAMES
