@@ -116,7 +116,6 @@ from .model import (
     induce,
     product_quantizer,
     split_product_quantizer,
-    validate_model,
 )
 
 __all__ = [
@@ -547,9 +546,8 @@ def _search_staged(m: HypothesisModel, r: float, d: int, mode: str) -> tuple[_St
     matrix, and because evaluating the daisy objective at the tree's best
     threshold (and vice versa) keeps the reported pair consistent: the
     daisy value can never fall below the tree value at any threshold either
-    search visited.  The model is validated here, before the cache lookup.
+    search visited.  Only ``r`` is checked here; the model checked itself.
     """
-    validate_model(m)
     if not 0.0 < r < 1.0:
         raise ValueError("stage fraction r must lie in (0, 1)")
     return _staged_optima(m.pmf0.tobytes(), m.pmf1.tobytes(), float(r), int(d), mode)
@@ -727,7 +725,6 @@ def exponent_parallel(
     an alphabet of size d*d, so the pair search runs over joint quantizers
     and the report splits the winner back into its components.
     """
-    validate_model(m)
     formulation = _norm_formulation(formulation)
     if messages_per_sensor not in (1, 2):
         raise ValueError("messages_per_sensor must be 1 or 2")
@@ -796,7 +793,6 @@ def h_of_e(
     (the module-docstring form), which is finite everywhere and equals the
     literal value wherever the literal value is sane.
     """
-    validate_model(m)
     if not 0.0 < r < 1.0:
         raise ValueError("stage fraction r must lie in (0, 1)")
     if semantics not in ("literal", "physical"):
@@ -806,7 +802,9 @@ def h_of_e(
 
     def literal_branch(a: float, j: int, offset: float) -> tuple[float, Quantizer | None]:
         # A quantizer is feasible where the solver's own support rule gives
-        # a finite conjugate.
+        # a finite conjugate; none is at a NaN (inf - inf) threshold.
+        if math.isnan(a):
+            return math.inf, None
         best = _Best()
         for dc in deltas:
             value = rate_function(dc.im, j, a).value
@@ -841,7 +839,6 @@ def reevaluate_exponent(m: HypothesisModel, report: ExponentReport) -> float:
     Used to confirm that every report is reproducible from its own strategy
     without rerunning the search.
     """
-    validate_model(m)
     kind = report.architecture
     if kind in RESTRICTED_KINDS and report.strategy.get("t") is None:
         # Strategy.for_kind would read a missing threshold as 0.
@@ -914,7 +911,6 @@ def check_ordering(
     two hypotheses are distinguishable.  Violations raise OrderingViolation
     because they can only come from an implementation bug.
     """
-    validate_model(m)
     daisy_res, tree_res = _search_staged(m, r, d, mode)
     e_tree = -tree_res.value + 0.0
     e_daisy = -daisy_res.value + 0.0

@@ -21,7 +21,7 @@ import numpy as np
 from . import architectures as arch
 from . import evaluator as ev
 from .exponents import rate_function_grid
-from .model import HypothesisModel, Quantizer, identity_quantizer, induce, load_model, validate_model
+from .model import HypothesisModel, Quantizer, identity_quantizer, induce, load_model
 
 # Example model used throughout: three symbols, strongly skewed both ways.
 _TABLE_PMF0 = (0.8, 0.15, 0.05)
@@ -73,10 +73,7 @@ def _emit(text: str, path: str | None) -> None:
 
 def _load(args) -> tuple[HypothesisModel, int]:
     m, d_file = load_model(args.model)
-    d = args.d if args.d is not None else d_file
-    if d < 2:
-        raise ValueError("message alphabet size d must be at least 2")
-    return m, d
+    return m, args.d if args.d is not None else d_file
 
 
 def _parse_map(text: str, name: str) -> Quantizer:
@@ -214,7 +211,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_example1(args) -> int:
-    m = validate_model(HypothesisModel(pmf0=_TABLE_PMF0, pmf1=_TABLE_PMF1))
+    m = HypothesisModel(pmf0=_TABLE_PMF0, pmf1=_TABLE_PMF1)
     daisy = arch.exponent_daisy_restricted(m, r=0.5, d=2)
     tree = arch.exponent_tree(m, r=0.5, d=2)
     par = arch.exponent_parallel(m, d=2, messages_per_sensor=1)

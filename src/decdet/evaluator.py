@@ -70,7 +70,6 @@ from .model import (
     Quantizer,
     induce,
     product_quantizer,
-    validate_model,
 )
 
 __all__ = [
@@ -396,21 +395,18 @@ def _estimate_from_logs(n: int, log_pe0: float, log_pe1: float, method: str) -> 
     )
 
 
-def _check_integer(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is an integer: a float count would
-    be truncated or fail deep in numpy."""
-    if not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+def _check_count(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is a positive integer: a float count
+    would be truncated or fail deep in numpy."""
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def _parallel_induced(m: HypothesisModel, strategy: Strategy, n: int, what: str) -> InducedModel:
     """Joint-message model of a parallel-form strategy, budget-checked at n."""
-    validate_model(m)
     if strategy.kind not in ONE_STAGE_KINDS:
         raise ValueError(f"{strategy.kind} is not a parallel-form strategy")
-    _check_integer("n", n)
-    if n < 1:
-        raise ValueError("blocklength n must be positive")
+    _check_count("n", n)
     im = induce(m, strategy.joint)
     _check_budget(n, what, im.alphabet_size)
     return im
@@ -434,7 +430,7 @@ def _two_stage_setup(
     m: HypothesisModel, strategy: Strategy, n: int, what: str
 ) -> tuple[int, int, InducedModel, list[InducedModel]]:
     """Stage sizes and induced models of a two-stage strategy, budget-checked."""
-    _check_integer("n", n)
+    _check_count("n", n)
     n1, n2 = _stage_sizes(n, strategy.r)
     im1 = induce(m, strategy.gamma)
     ims2 = [induce(m, strategy.delta0), induce(m, strategy.delta1)]
@@ -497,7 +493,6 @@ def exact_error_daisy(m: HypothesisModel, strategy: Strategy, n: int) -> ErrorEs
     """
     from scipy.special import logsumexp
 
-    validate_model(m)
     if strategy.kind not in TWO_STAGE_KINDS:
         raise ValueError(f"{strategy.kind} is not a two-stage strategy")
     n1, n2, im1, ims2 = _two_stage_setup(m, strategy, n, "a two-stage strategy")
@@ -726,11 +721,8 @@ def simulate(
     ``num_trials`` must be positive integers and ``seed`` an integer in
     [0, 2**64).
     """
-    validate_model(m)
-    _check_integer("n", n)
-    _check_integer("num_trials", num_trials)
-    if n < 1 or num_trials < 1:
-        raise ValueError("n and num_trials must be positive")
+    _check_count("n", n)
+    _check_count("num_trials", num_trials)
     if not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     transcript_llr = _transcript_llr_fn(m, strategy, n)
@@ -797,13 +789,14 @@ def fit_exponent(
     ``strategy_for_n`` may be a fixed strategy or a callable building one
     per blocklength (needed when the stage split must track n).  Points
     whose Monte Carlo estimate saw zero errors are kept in ``estimates``
-    but excluded from the fit.  Every entry of ``ns`` must be an integer.
+    but excluded from the fit.  Every entry of ``ns`` must be a positive
+    integer.
     """
     if method not in ("exact", "mc"):
         raise ValueError(f"unknown method: {method!r}")
     ns = list(ns)
     for n in ns:
-        _check_integer("each of ns", n)
+        _check_count("each of ns", n)
     ns = sorted(int(n) for n in ns)
     if len(set(ns)) < 2:
         raise ValueError("need at least two distinct blocklengths to fit a slope")
@@ -835,9 +828,7 @@ def sgb_lower_bound(im: InducedModel, n: int = 1) -> tuple[float, float]:
     nonzero LLR cannot come from two probability distributions and raises
     DegenerateLLR.  A non-integer or nonpositive n raises ValueError.
     """
-    _check_integer("n", n)
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_count("n", n)
     zmin, zmax = im.llr_support()
     scale = max(1.0, abs(zmin), abs(zmax))
     if zmax - zmin <= 1e-12 * scale:
@@ -869,7 +860,6 @@ def llr_distribution_daisy(m: HypothesisModel, strategy: Strategy, n: int) -> In
     exact mixture probabilities; the LLR entry of each atom includes the
     bit's log-odds, matching what the fusion rule thresholds.
     """
-    validate_model(m)
     if strategy.kind not in RESTRICTED_KINDS:
         raise ValueError("transcript atoms with an aggregator bit need a restricted chain")
     n1, n2, im1, ims2 = _two_stage_setup(m, strategy, n, "a two-stage transcript")

@@ -455,8 +455,10 @@ def rate_function(im: InducedModel, j: int, t: float) -> RateFunctionValue:
     """Conjugate R_j(t) = sup_s {s t - L_j(s)}, with its argmax.
 
     The scalar form of the one solver (module docstring), with the endpoint
-    and out-of-support conventions there.
+    and out-of-support conventions there.  A NaN ``t`` raises ValueError.
     """
+    if t != t:
+        raise ValueError("t must not be NaN")
     c = _rate_constants(im, j)
     edge = _edge(c, t)
     if edge is not None:
@@ -477,9 +479,11 @@ def rate_function_grid(im: InducedModel, j: int, ts: np.ndarray) -> np.ndarray:
 
     The grid form of the one solver: it agrees with :func:`rate_function`
     to about 1e-14 relative, and each t's value is independent of the rest
-    of ``ts``.
+    of ``ts``.  A NaN entry raises ValueError.
     """
     ts = np.asarray(ts, dtype=float)
+    if np.isnan(ts).any():
+        raise ValueError("t must not be NaN")
     c = _rate_constants(im, j)
     r, interior = _grid_edges(c, ts)
     if interior.any():

@@ -65,9 +65,9 @@ def _frozen_array(values) -> np.ndarray:
 class HypothesisModel:
     """Pair of pmfs (pmf0, pmf1) over a finite observation alphabet.
 
-    Invariants (enforced by :func:`validate_model`): each pmf sums to one,
-    entries are nonnegative, and a symbol has zero mass under one hypothesis
-    iff it has zero mass under the other (mutual absolute continuity).
+    Construction checks the invariants with :func:`validate_model`: each pmf
+    has finite nonnegative entries summing to one, and a symbol has zero mass
+    under one hypothesis iff under the other (mutual absolute continuity).
     """
 
     pmf0: np.ndarray
@@ -80,6 +80,7 @@ class HypothesisModel:
             raise ShapeMismatch("pmfs must be one-dimensional")
         if self.pmf0.shape != self.pmf1.shape or self.pmf0.size == 0:
             raise ShapeMismatch("pmf0 and pmf1 must be nonempty and equal length")
+        validate_model(self)
 
     @property
     def alphabet_size(self) -> int:
@@ -140,9 +141,9 @@ class InducedModel:
     """Message-alphabet model induced by a quantizer, with its LLR vector.
 
     Messages carrying zero mass under both hypotheses are dropped; a message
-    with mass under exactly one hypothesis cannot occur for a validated
-    model, and :func:`induce` raises SupportMismatch on one.  ``llr[y]`` is
-    ``log(q1[y] / q0[y])`` and every kept entry is finite.
+    with mass under exactly one hypothesis cannot occur, as every
+    :class:`HypothesisModel` checks its support when built.  ``llr[y]`` is
+    ``log(q1[y] / q0[y])``, finite for every kept message.
 
     Transcript models from ``evaluator.llr_distribution_*`` are the
     exception: their atoms carry exact log-domain LLRs, but an atom's mass
@@ -177,9 +178,10 @@ class InducedModel:
 def validate_model(m: HypothesisModel) -> HypothesisModel:
     """Check the model invariants and return the model unchanged.
 
-    Raises NotAProbability when a pmf has negative entries or does not sum
-    to one within 1e-12, and SupportMismatch when some symbol has zero mass
-    under exactly one hypothesis.
+    Every :class:`HypothesisModel` construction calls it.  Raises
+    NotAProbability when a pmf has non-finite or negative entries or does
+    not sum to one within 1e-12, and SupportMismatch when some symbol has
+    zero mass under exactly one hypothesis.
     """
     for name, pmf in (("pmf0", m.pmf0), ("pmf1", m.pmf1)):
         if not np.all(np.isfinite(pmf)):
@@ -211,9 +213,6 @@ def induce(m: HypothesisModel, q: Quantizer) -> InducedModel:
     q1 = np.bincount(labels, weights=m.pmf1, minlength=q.message_alphabet_size)
     keep = (q0 > 0.0) | (q1 > 0.0)
     q0, q1 = q0[keep], q1[keep]
-    # One-sided zeros are impossible once the model passed validate_model.
-    if np.any((q0 == 0.0) != (q1 == 0.0)):
-        raise SupportMismatch("a message has zero mass under exactly one hypothesis")
     llr = np.log(q1) - np.log(q0)
     return InducedModel(q0=q0, q1=q1, llr=llr)
 
@@ -341,11 +340,10 @@ def enumerate_quantizers(m: HypothesisModel, d: int, mode: str = "llr_monotone")
     if d < 2:
         raise ValueError("message alphabet size must be at least 2")
     if mode == "all":
-        qs = [
+        return [
             Quantizer(map=t, message_alphabet_size=d)
             for t in _all_canonical_maps(m.alphabet_size, d)
         ]
-        return sorted(qs, key=lambda q: q.map)
     if mode == "llr_monotone":
         return _monotone_maps(m, d)
     raise ValueError(f"unknown enumeration mode: {mode!r}")
@@ -356,11 +354,12 @@ def parse_model_text(text: str) -> tuple[HypothesisModel, int]:
 
     Line 1: ``K D`` (alphabet size and default message alphabet size).
     Line 2: K whitespace-separated pmf entries for hypothesis 0.
-    Line 3: the same for hypothesis 1.
+    Line 3: the same for hypothesis 1.  Blank lines are skipped; any
+    other line after these raises ValueError.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 3:
-        raise ValueError("model text needs a header line and two pmf lines")
+    if len(lines) != 3:
+        raise ValueError(f"model text needs a header line and two pmf lines, got {len(lines)} lines")
     header = lines[0].split()
     if len(header) != 2:
         raise ValueError("header must be two integers: alphabet size and message size")
@@ -377,8 +376,7 @@ def parse_model_text(text: str) -> tuple[HypothesisModel, int]:
         if len(row) != k:
             raise ValueError(f"expected {k} entries per pmf line, got {len(row)}")
         rows.append(row)
-    model = validate_model(HypothesisModel(pmf0=rows[0], pmf1=rows[1]))
-    return model, d
+    return HypothesisModel(pmf0=rows[0], pmf1=rows[1]), d
 
 
 def load_model(path: str | Path) -> tuple[HypothesisModel, int]:
@@ -388,4 +386,4 @@ def load_model(path: str | Path) -> tuple[HypothesisModel, int]:
 
 def likelihood_ratio_reduction(m: HypothesisModel) -> InducedModel:
     """Induced model of the identity quantizer: per-symbol LLR atoms."""
-    return induce(validate_model(m), identity_quantizer(m))
+    return induce(m, identity_quantizer(m))

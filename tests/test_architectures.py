@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 
@@ -22,6 +23,7 @@ from decdet import (
     check_symmetric_rate_condition,
     chernoff_exponent,
     enumerate_quantizers,
+    exact_error,
     exponent_daisy_restricted,
     exponent_feedback_equivalent,
     exponent_parallel,
@@ -31,9 +33,11 @@ from decdet import (
     likelihood_ratio_reduction,
     rate_function,
     reevaluate_exponent,
+    strategy_from_report,
     validate_model,
 )
 from decdet.architectures import (
+    ONE_STAGE_KINDS,
     PARALLEL_EQUIVALENT,
     _candidates,
     _point_eval,
@@ -280,6 +284,17 @@ def test_h_of_e_one_sided_infeasibility(table_model):
     val, q0, q1 = h_of_e(table_model, 0.5, e, semantics="literal")
     assert math.isfinite(val)
     assert q1 is None  # that branch has no feasible quantizer
+
+
+def test_h_of_e_literal_skips_a_branch_neither_hypothesis_reaches(table_model):
+    # e_j u = inf under both hypotheses makes that branch's threshold
+    # inf - inf = NaN; the branch is infeasible, not an error.
+    inf = math.inf
+    phys, _, _ = h_of_e(table_model, 0.5, DecayRateVector(e01=0.0, e10=inf, e00=inf, e11=0.0), semantics="physical")
+    val, q0, q1 = h_of_e(table_model, 0.5, DecayRateVector(e01=0.0, e10=inf, e00=inf, e11=0.0), semantics="literal")
+    assert (val, q0, q1.map) == (pytest.approx(phys, rel=1e-12), None, (0, 0, 1))
+    val, q0, q1 = h_of_e(table_model, 0.5, DecayRateVector(e01=inf, e10=0.0, e00=0.0, e11=inf), semantics="literal")
+    assert (val, q0.map, q1) == (pytest.approx(phys, rel=1e-12), (0, 0, 1), None)
 
 
 def test_h_of_e_literal_uses_the_solvers_support_rule():
@@ -830,3 +845,44 @@ def test_parallel_report_is_smallest_map_among_noise_ties(raw):
     best = min(values.values())
     want = min(key for key, v in values.items() if v <= best + 1e-9)
     assert exponent_parallel(m, d=2).strategy["gamma"] == list(want)
+
+
+def _partitions(rep) -> list[Quantizer]:
+    # The symbol partitions a report names: one joint map for a one-stage
+    # strategy (its split into two messages is not unique), else each
+    # stage's map.
+    s = Strategy.from_dict(PARALLEL_EQUIVALENT.get(rep.architecture, (rep.architecture,))[0], rep.strategy, r=rep.r)
+    return [s.joint] if s.kind in ONE_STAGE_KINDS else [s.gamma, s.delta0, s.delta1]
+
+
+def test_reports_ignore_the_symbol_labels():
+    # Relabelling the observation symbols relabels every reported map and
+    # leaves every exponent, and the exact errors of the relabelled
+    # strategy, unchanged up to summation order.
+    rng = np.random.default_rng(83)
+    for k in (3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5, 5):
+        m = random_model(rng, k=k)
+        perm = rng.permutation(k)
+        mp = HypothesisModel(pmf0=m.pmf0[perm], pmf1=m.pmf1[perm])
+
+        def relabel(q: Quantizer) -> Quantizer:
+            return Quantizer(map=tuple(q.map[x] for x in perm), message_alphabet_size=q.message_alphabet_size)
+
+        for d in (2, 3):
+            builders = [
+                functools.partial(exponent_parallel, d=d, formulation=f, messages_per_sensor=msgs)
+                for f in ("Bayesian", "NeymanPearson")
+                for msgs in (1, 2)
+            ]
+            builders += [functools.partial(exponent_feedback_equivalent, d=d, kind=kind) for kind in PARALLEL_EQUIVALENT]
+            builders += [functools.partial(search, r=0.5, d=d) for search in (exponent_daisy_restricted, exponent_tree)]
+            for build in builders:
+                a, b = build(m), build(mp)
+                assert abs(a.exponent - b.exponent) <= 1e-12 * abs(a.exponent), (k, d, build)
+                assert [relabel(q).map for q in _partitions(a)] == [q.map for q in _partitions(b)]
+        st = strategy_from_report(exponent_parallel(m))
+        stp = dataclasses.replace(st, gamma=relabel(st.gamma))
+        for n in (30, 200):
+            e, ep = exact_error(m, st, n), exact_error(mp, stp, n)
+            assert ep.p_e0 == pytest.approx(e.p_e0, rel=1e-12, abs=0.0)
+            assert ep.p_e1 == pytest.approx(e.p_e1, rel=1e-12, abs=0.0)

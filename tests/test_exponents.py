@@ -162,6 +162,16 @@ def test_rate_function_endpoint_convention(table_model):
     assert math.isinf(rate_function(im, 0, zmin - 0.5).value)
 
 
+def test_rate_function_rejects_nan_threshold(table_model):
+    # A NaN t ran the 3-atom Newton to its step cap and returned nan.
+    for im in (_gamma2(table_model), likelihood_ratio_reduction(table_model)):
+        for j in (0, 1):
+            with pytest.raises(ValueError, match="NaN"):
+                rate_function(im, j, math.nan)
+            with pytest.raises(ValueError, match="NaN"):
+                rate_function_grid(im, j, np.array([0.0, math.nan, 1.0]))
+
+
 def test_rate_function_grid_matches_scalar(table_model):
     rng = np.random.default_rng(47)
     models = [_gamma2(table_model)] + [

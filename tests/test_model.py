@@ -45,13 +45,22 @@ def test_validate_rejects_negative_mass():
 
 
 def test_validate_rejects_one_sided_support():
-    m = HypothesisModel(pmf0=(1.0, 0.0), pmf1=(0.5, 0.5))
     with pytest.raises(SupportMismatch) as exc:
-        validate_model(m)
+        HypothesisModel(pmf0=(1.0, 0.0), pmf1=(0.5, 0.5))
     assert "mutually absolutely continuous" in str(exc.value)
-    # Induction of the unvalidated model must not hand back an infinite LLR.
-    with pytest.raises(SupportMismatch):
-        induce(m, identity_quantizer(m))
+
+
+@pytest.mark.parametrize("pmf0,pmf1,error", [
+    ((0.5, 0.4), (0.5, 0.5), NotAProbability),
+    ((1.2, -0.2), (0.5, 0.5), NotAProbability),
+    ((math.nan, 1.0), (0.5, 0.5), NotAProbability),
+    ((0.5, 0.5), (math.inf, 0.5), NotAProbability),
+    ((0.5, 0.5), (1.0, 0.0), SupportMismatch),
+])
+def test_construction_checks_the_model(pmf0, pmf1, error):
+    # No invalid model can exist, so no entry point has to remember a check.
+    with pytest.raises(error):
+        HypothesisModel(pmf0=pmf0, pmf1=pmf1)
 
 
 def test_validate_rejects_length_mismatch():
@@ -159,6 +168,12 @@ def test_enumerate_all_counts(table_model):
     assert len(set(q.map for q in qs)) == 4
     monotone = set(q.map for q in enumerate_quantizers(table_model, 2, mode="llr_monotone"))
     assert monotone <= set(q.map for q in qs)
+    # Candidate order picks ties, so "all" must come out sorted by map.
+    for k in range(3, 7):
+        m = HypothesisModel(pmf0=np.full(k, 1.0 / k), pmf1=np.arange(1, k + 1) / (k * (k + 1) / 2))
+        for d in (2, 3, 4):
+            maps = [q.map for q in enumerate_quantizers(m, d, mode="all")]
+            assert maps == sorted(maps)
 
 
 def test_enumerate_monotone_cell_count():
@@ -222,6 +237,7 @@ def test_parse_model_text_roundtrip():
         "3 2\n0.8 0.15\n0.05 0.15 0.8\n",
         "3 2\n0.8 0.15 0.05\n",
         "x 2\n0.8 0.15 0.05\n0.05 0.15 0.8\n",
+        "3 2\n0.8 0.15 0.05\n0.05 0.15 0.8\n0.3 0.3 0.4\ngarbage here\n",
     ],
 )
 def test_parse_model_text_rejects_malformed(text):
