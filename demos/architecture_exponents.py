@@ -21,10 +21,9 @@ from decdet import (
     exponent_tree,
     h_of_e,
     DecayRateVector,
-    validate_model,
 )
 
-m = validate_model(HypothesisModel(pmf0=(0.8, 0.15, 0.05), pmf1=(0.05, 0.15, 0.8)))
+m = HypothesisModel(pmf0=(0.8, 0.15, 0.05), pmf1=(0.05, 0.15, 0.8))
 
 print("=== single-shot optima (more negative = faster error decay) ===")
 par1 = exponent_parallel(m, messages_per_sensor=1)

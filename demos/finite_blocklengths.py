@@ -15,10 +15,9 @@ from decdet import (
     fit_exponent,
     simulate,
     strategy_from_report,
-    validate_model,
 )
 
-m = validate_model(HypothesisModel(pmf0=(0.8, 0.15, 0.05), pmf1=(0.05, 0.15, 0.8)))
+m = HypothesisModel(pmf0=(0.8, 0.15, 0.05), pmf1=(0.05, 0.15, 0.8))
 ns = (20, 30, 40, 50, 60)
 
 for label, report in (

@@ -24,10 +24,9 @@ from decdet import (
     sgb_lower_bound,
     simulate,
     strategy_from_report,
-    validate_model,
 )
 
-m = validate_model(HypothesisModel(pmf0=(0.8, 0.15, 0.05), pmf1=(0.05, 0.15, 0.8)))
+m = HypothesisModel(pmf0=(0.8, 0.15, 0.05), pmf1=(0.05, 0.15, 0.8))
 gamma2 = Quantizer(map=(0, 0, 1), message_alphabet_size=2)
 par = Strategy(kind="Parallel1", gamma=gamma2)
 im = induce(m, gamma2)
@@ -57,7 +56,7 @@ for _ in range(25):
     p1 = rng.dirichlet(np.ones(3))
     if min(p0.min(), p1.min()) < 5e-3:
         continue
-    mm = validate_model(HypothesisModel(pmf0=p0, pmf1=p1))
+    mm = HypothesisModel(pmf0=p0, pmf1=p1)
     qq = Quantizer(map=(0, 0, 1), message_alphabet_size=2)
     st = Strategy(kind="Parallel1", gamma=qq)
     for n in (1, 6, 18):

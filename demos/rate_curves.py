@@ -19,10 +19,9 @@ from decdet import (
     log_mgf_derivs,
     rate_function,
     rate_function_grid,
-    validate_model,
 )
 
-m = validate_model(HypothesisModel(pmf0=(0.8, 0.15, 0.05), pmf1=(0.05, 0.15, 0.8)))
+m = HypothesisModel(pmf0=(0.8, 0.15, 0.05), pmf1=(0.05, 0.15, 0.8))
 print("model: pmf0 =", np.asarray(m.pmf0), " pmf1 =", np.asarray(m.pmf1))
 
 for qmap in ((0, 0, 1), (0, 1, 1)):

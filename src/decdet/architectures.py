@@ -98,7 +98,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -185,6 +185,9 @@ PARALLEL_EQUIVALENT = {
         "adds nothing asymptotically; equals the one-message parallel optimum",
     ),
 }
+# The chain attains that DaisyFull optimum with the parallel gamma in both
+# stages, which is how Strategy.from_dict reads a DaisyFull dict without
+# second-stage maps.
 
 T_GRID_POINTS = 401
 _REFINE_TOL = 1e-10
@@ -246,33 +249,6 @@ class Strategy:
                 raise ValueError(f"{self.kind} {name} must not be NaN")
 
     @classmethod
-    def for_kind(
-        cls,
-        kind: str,
-        gamma: Quantizer,
-        delta0: Quantizer | None = None,
-        delta1: Quantizer | None = None,
-        t: float | None = None,
-        r: float | None = None,
-        fusion_threshold: float = 0.0,
-    ) -> Strategy:
-        """Strategy of ``kind`` keeping only the fields that kind uses.
-
-        ``t`` defaults to 0 for the kinds with an aggregator threshold and
-        is dropped for the rest; ``r`` is dropped for the kinds without
-        stages.  :meth:`from_dict` and the CLI build through here.
-        """
-        return cls(
-            kind=kind,
-            gamma=gamma,
-            delta0=delta0,
-            delta1=delta1,
-            t=(0.0 if t is None else t) if kind not in ONE_STAGE_KINDS else None,
-            r=r if kind in TWO_STAGE_KINDS else None,
-            fusion_threshold=fusion_threshold,
-        )
-
-    @classmethod
     def from_dict(
         cls,
         kind: str,
@@ -281,27 +257,37 @@ class Strategy:
         t: float | None = None,
         fusion_threshold: float = 0.0,
     ) -> Strategy:
-        """Strategy of ``kind`` from the JSON form :meth:`to_dict` writes.
+        """Strategy of ``kind`` from a strategy dict, the form :meth:`to_dict` writes.
 
-        ``t``, when given, replaces the threshold in ``maps``.  Raises
-        ValueError when gamma is missing, when only one of delta0 and delta1
-        is given, or when a map is not an integer label list.
+        Every strategy built from outside input (a report's maps or the
+        CLI's) is built here, keeping only the fields the kind uses: ``t``,
+        which when given replaces the threshold in ``maps``, defaults to 0
+        for the kinds with an aggregator threshold and is dropped for the
+        rest; ``r`` is dropped for the kinds without stages.  A DaisyFull
+        dict without second-stage maps is the chain that attains its
+        Parallel1 optimum (see ``PARALLEL_EQUIVALENT``).  Raises ValueError
+        when gamma is missing, when only one of delta0 and delta1 is given,
+        or when a map is not an integer label list.
         """
 
         def quantizer(key: str) -> Quantizer | None:
             labels = maps.get(key)
             return None if labels is None else Quantizer.from_labels(labels)
 
+        gamma = Quantizer.from_labels(maps.get("gamma"))
         delta0, delta1 = quantizer("delta0"), quantizer("delta1")
         if (delta0 is None) != (delta1 is None):
             raise ValueError("a strategy dict holds both of delta0 and delta1 or neither")
-        return cls.for_kind(
-            kind,
-            Quantizer.from_labels(maps.get("gamma")),
+        if kind == "DaisyFull" and delta0 is None:
+            delta0 = delta1 = gamma
+        t = maps.get("t") if t is None else t
+        return cls(
+            kind=kind,
+            gamma=gamma,
             delta0=delta0,
             delta1=delta1,
-            t=maps.get("t") if t is None else t,
-            r=r,
+            t=(0.0 if t is None else t) if kind not in ONE_STAGE_KINDS else None,
+            r=r if kind in TWO_STAGE_KINDS else None,
             fusion_threshold=fusion_threshold,
         )
 
@@ -400,8 +386,9 @@ def _candidates(m: HypothesisModel, d: int, mode: str) -> list[_Cand]:
 
 def _branch_point(cand: _Cand, a: float, e_same: float, e_cross: float, r: float) -> float:
     # min of the two error flows out of one aggregator branch; see module
-    # docstring.  Always finite: the +inf cases of the two flows need a
-    # above and below the LLR support at once.
+    # docstring.  Finite when e_same and e_cross are, since the +inf cases
+    # of the two flows need a above and below the LLR support at once.  The
+    # search's decay rates always are; h_of_e's inputs need not be.
     up = rate_function(cand.im, 0, a).value if a >= cand.mean0 else 0.0
     down = rate_function(cand.im, 1, a).value if a <= cand.mean1 else 0.0
     return min(r * e_same + (1.0 - r) * up, r * e_cross + (1.0 - r) * down)
@@ -790,8 +777,10 @@ def h_of_e(
     threshold as infeasible; if both branches are infeasible for every
     quantizer the value would be vacuous and InfeasibleRate is raised.
     semantics "physical" scores each branch by min of its two error flows
-    (the module-docstring form), which is finite everywhere and equals the
-    literal value wherever the literal value is sane.
+    (the module-docstring form), which is finite wherever the decay rates
+    are and equals the literal value wherever the literal value is sane.
+    Either way a branch no quantizer scores finitely has value +inf and no
+    quantizer (None).
     """
     if not 0.0 < r < 1.0:
         raise ValueError("stage fraction r must lie in (0, 1)")
@@ -800,36 +789,31 @@ def h_of_e(
     deltas = _candidates(m, d, mode)
     a0, a1 = _branch_thresholds(r, e.e01, e.e10, e.e00, e.e11)
 
-    def literal_branch(a: float, j: int, offset: float) -> tuple[float, Quantizer | None]:
-        # A quantizer is feasible where the solver's own support rule gives
-        # a finite conjugate; none is at a NaN (inf - inf) threshold.
-        if math.isnan(a):
-            return math.inf, None
+    def branch(a: float, score: Callable[[_Cand], float]) -> tuple[float, Quantizer | None]:
+        # Best finite score(dc) over the second-stage quantizers.  No score
+        # is taken at a NaN (inf - inf) threshold: neither hypothesis
+        # reaches that branch.
         best = _Best()
-        for dc in deltas:
-            value = rate_function(dc.im, j, a).value
-            if math.isfinite(value):
-                best.offer(value, dc.q.map, dc.q)
-        if best.item is None:
-            return math.inf, None
-        return (1.0 - r) * best.value + r * offset, best.item
-
-    def physical_branch(a: float, e_same: float, e_cross: float) -> tuple[float, Quantizer | None]:
-        best = _Best()
-        for dc in deltas:
-            best.offer(_branch_point(dc, a, e_same, e_cross, r), dc.q.map, dc.q)
-        return best.value, best.item
+        if not math.isnan(a):
+            for dc in deltas:
+                value = score(dc)
+                if math.isfinite(value):
+                    best.offer(value, dc.q.map, dc.q)
+        return (math.inf, None) if best.item is None else (best.value, best.item)
 
     if semantics == "literal":
-        b0, q0 = literal_branch(a0, 0, e.e00)
-        b1, q1 = literal_branch(a1, 1, e.e11)
+        # A quantizer is feasible where the solver's own support rule gives
+        # a finite conjugate.
+        b0, q0 = branch(a0, lambda dc: rate_function(dc.im, 0, a0).value)
+        b1, q1 = branch(a1, lambda dc: rate_function(dc.im, 1, a1).value)
         if math.isinf(b0) and math.isinf(b1):
             raise InfeasibleRate(
                 "both branch thresholds lie outside every candidate quantizer's LLR support"
             )
+        b0, b1 = (1.0 - r) * b0 + r * e.e00, (1.0 - r) * b1 + r * e.e11
     else:
-        b0, q0 = physical_branch(a0, e.e00, e.e10)
-        b1, q1 = physical_branch(a1, e.e01, e.e11)
+        b0, q0 = branch(a0, lambda dc: _branch_point(dc, a0, e.e00, e.e10, r))
+        b1, q1 = branch(a1, lambda dc: _branch_point(dc, a1, e.e01, e.e11, r))
     return min(b0, b1), q0, q1
 
 
@@ -841,7 +825,7 @@ def reevaluate_exponent(m: HypothesisModel, report: ExponentReport) -> float:
     """
     kind = report.architecture
     if kind in RESTRICTED_KINDS and report.strategy.get("t") is None:
-        # Strategy.for_kind would read a missing threshold as 0.
+        # Strategy.from_dict would read a missing threshold as 0.
         raise ValueError(f"{kind} report carries no aggregator threshold t")
     # A feedback-equivalent report holds its parallel kind's strategy.
     s = Strategy.from_dict(PARALLEL_EQUIVALENT.get(kind, (kind,))[0], report.strategy, r=report.r)

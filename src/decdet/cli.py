@@ -35,8 +35,6 @@ _USAGE_ERRORS = (ValueError, OSError)
 
 
 def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return str(x)
     if isinstance(x, float):
         if math.isnan(x):
             return "nan"
@@ -52,14 +50,10 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, bool):
-        return obj
     if isinstance(obj, float):
         if math.isfinite(obj):
             return float(format(obj, ".12g"))
         return _fmt(obj)
-    if isinstance(obj, (np.floating, np.integer)):
-        return _jsonable(obj.item())
     return obj
 
 
@@ -71,23 +65,25 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load(args) -> tuple[HypothesisModel, int]:
+def _load(args) -> HypothesisModel:
+    # The model file's header gives d unless --d does.
     m, d_file = load_model(args.model)
-    return m, args.d if args.d is not None else d_file
+    if args.d is None:
+        args.d = d_file
+    return m
 
 
-def _parse_map(text: str, name: str) -> Quantizer:
+def _parse_map(text: str, name: str) -> tuple[int, ...]:
     try:
-        labels = tuple(int(tok) for tok in text.split(","))
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
         raise ValueError(f"{name} must be comma-separated integer labels") from exc
-    return Quantizer.from_labels(labels)
 
 
 def _compute_report(m: HypothesisModel, args) -> arch.ExponentReport:
     kind = _ARCH_NAMES[args.arch]
     opts = {
-        "d": args.d if args.d is not None else 2,
+        "d": args.d,
         "mode": "all" if args.exhaustive else "llr_monotone",
         "formulation": args.formulation,
     }
@@ -102,17 +98,15 @@ def _compute_report(m: HypothesisModel, args) -> arch.ExponentReport:
 
 
 def cmd_exponent(args) -> int:
-    m, d = _load(args)
-    args.d = d
-    report = _compute_report(m, args)
+    report = _compute_report(_load(args), args)
     text = json.dumps(_jsonable(report.to_dict()), indent=2) + "\n"
     _emit(text, args.output)
     return 0
 
 
 def cmd_curve(args) -> int:
-    m, _ = _load(args)
-    q = _parse_map(args.quantizer, "--quantizer") if args.quantizer else identity_quantizer(m)
+    m = _load(args)
+    q = Quantizer.from_labels(_parse_map(args.quantizer, "--quantizer")) if args.quantizer else identity_quantizer(m)
     im = induce(m, q)
     zmin, zmax = im.llr_support()
     lo = args.t_lo if args.t_lo is not None else zmin
@@ -134,25 +128,17 @@ def _strategy_from_args(m: HypothesisModel, args) -> ev.Strategy:
     if args.quantizer is None:
         # No explicit maps given: evaluate the optimal strategy for this
         # architecture, which keeps the common workflow to one command.
-        if kind != "DaisyFull":
-            return ev.strategy_from_report(_compute_report(m, args), t=args.t, fusion_threshold=args.fusion_threshold)
-        # The DaisyFull report carries the one-message parallel optimum,
-        # which the chain attains by quantizing both stages with gamma.
-        if args.r is None:
+        if kind == "DaisyFull" and args.r is None:
             raise ValueError("daisy-full needs --r in (0, 1)")
-        gamma = ev.Strategy.from_dict("Parallel1", _compute_report(m, args).strategy).gamma
-        return ev.Strategy.for_kind(
-            kind, gamma, delta0=gamma, t=args.t, r=args.r, fusion_threshold=args.fusion_threshold
-        )
-    return ev.Strategy.for_kind(
-        kind,
-        _parse_map(args.quantizer, "--quantizer"),
-        delta0=_parse_map(args.delta0, "--delta0") if args.delta0 else None,
-        delta1=_parse_map(args.delta1, "--delta1") if args.delta1 else None,
-        t=args.t,
-        r=args.r,
-        fusion_threshold=args.fusion_threshold,
-    )
+        maps = _compute_report(m, args).strategy
+    else:
+        delta0 = _parse_map(args.delta0, "--delta0") if args.delta0 else None
+        maps = {
+            "gamma": _parse_map(args.quantizer, "--quantizer"),
+            "delta0": delta0,
+            "delta1": _parse_map(args.delta1, "--delta1") if args.delta1 else delta0,
+        }
+    return ev.Strategy.from_dict(kind, maps, r=args.r, t=args.t, fusion_threshold=args.fusion_threshold)
 
 
 def _parse_n_grid(text: str) -> list[int]:
@@ -186,8 +172,7 @@ def _emit_estimates(args, estimates: Sequence[ev.ErrorEstimate], fit: ev.FitResu
 
 
 def cmd_simulate(args) -> int:
-    m, d = _load(args)
-    args.d = d
+    m = _load(args)
     strategy = _strategy_from_args(m, args)
     rows = []
     for n in _parse_n_grid(args.n_grid):
@@ -200,8 +185,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    m, d = _load(args)
-    args.d = d
+    m = _load(args)
     strategy = _strategy_from_args(m, args)
     result = ev.fit_exponent(
         m, strategy, _parse_n_grid(args.n_grid), method=args.method, num_trials=args.samples, seed=args.seed

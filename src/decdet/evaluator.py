@@ -176,16 +176,25 @@ def _compositions(n: int, k: int) -> np.ndarray:
     return out
 
 
-def _stage_classes(n: int, k1: int, k2: int, r: float | None) -> int:
-    """Most type classes a stage enumerates at n: one stage of k1 messages,
-    or with ``r`` round(r * n) sensors of k1 and the rest of k2 (none when
-    that split leaves a stage empty)."""
-    if r is None:
-        return math.comb(n + k1 - 1, k1 - 1)
+def _stage_sizes(n: int, r: float) -> tuple[int, int]:
+    # round(r * n) sensors in stage one, the rest in stage two, neither empty.
     n1 = int(round(r * n))
     if n1 < 1 or n1 > n - 1:
+        raise ValueError(f"stage split round({r} * {n}) leaves an empty stage")
+    return n1, n - n1
+
+
+def _stage_classes(n: int, k1: int, k2: int, r: float | None) -> int:
+    """Most type classes a stage enumerates at n: one stage of k1 messages,
+    or with ``r`` the two stages of :func:`_stage_sizes`, of k1 and k2
+    messages (none when that split leaves a stage empty)."""
+    if r is None:
+        return math.comb(n + k1 - 1, k1 - 1)
+    try:
+        n1, n2 = _stage_sizes(n, r)
+    except ValueError:
         return 0
-    return max(math.comb(n1 + k1 - 1, k1 - 1), math.comb(n - n1 + k2 - 1, k2 - 1))
+    return max(math.comb(n1 + k1 - 1, k1 - 1), math.comb(n2 + k2 - 1, k2 - 1))
 
 
 def _check_budget(n: int, what: str, k1: int, k2: int = 1, r: float | None = None) -> None:
@@ -417,13 +426,6 @@ def exact_error_parallel(m: HypothesisModel, strategy: Strategy, n: int) -> Erro
     im = _parallel_induced(m, strategy, n, "a parallel strategy")
     split = _fold_split(im, n, strategy.fusion_threshold)
     return _estimate_from_logs(n, split[0, 1], split[1, 0], "exact")
-
-
-def _stage_sizes(n: int, r: float) -> tuple[int, int]:
-    n1 = int(round(r * n))
-    if n1 < 1 or n1 > n - 1:
-        raise ValueError(f"stage split round({r} * {n}) leaves an empty stage")
-    return n1, n - n1
 
 
 def _two_stage_setup(
@@ -875,8 +877,12 @@ def strategy_from_report(
     """Turn an exponent report's strategy block into a simulatable Strategy.
 
     The feedback kinds carry no threshold in their reports (their optimum
-    is threshold-free); pass ``t`` to choose one, default 0.  Raises
-    ValueError when the report's gamma is missing or its maps are not
-    integer label lists.
+    is threshold-free); pass ``t`` to choose one, default 0.  A DaisyFull
+    report carries the one-message parallel optimum, which the chain
+    attains with gamma in both stages; that strategy also needs a stage
+    fraction r, which the report does not carry, so this raises ValueError
+    for it (build it with ``Strategy.from_dict(report.architecture,
+    report.strategy, r)``).  Also raises ValueError when the report's gamma
+    is missing or its maps are not integer label lists.
     """
     return Strategy.from_dict(report.architecture, report.strategy, report.r, t, fusion_threshold)

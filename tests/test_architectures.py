@@ -143,6 +143,30 @@ def test_reevaluate_round_trip(table_model):
                     assert reevaluate_exponent(m, rep) == rep.exponent
 
 
+def test_strategy_from_dict_applies_the_kind_rules(table_model):
+    assert not hasattr(Strategy, "for_kind")
+    g = {"gamma": [0, 0, 1]}
+    # DaisyFull without second-stage maps: the chain that attains the
+    # one-message parallel optimum, gamma in both stages.
+    s = Strategy.from_dict("DaisyFull", g, r=0.5)
+    assert (s.delta0, s.delta1, s.t, s.r) == (s.gamma, s.gamma, 0.0, 0.5)
+    # t is dropped on one-stage kinds and defaults to 0 on the others; r is
+    # dropped on kinds without stages.
+    s = Strategy.from_dict("Parallel1", {"gamma": [0, 0, 1], "t": 0.3}, r=0.5, fusion_threshold=0.2)
+    assert (s.t, s.r, s.fusion_threshold) == (None, None, 0.2)
+    s = Strategy.from_dict("FullFeedback2", {**g, "delta0": [0, 1, 1], "delta1": [0, 0, 1]}, r=0.5)
+    assert (s.t, s.r) == (0.0, None)
+    s = Strategy.from_dict("Tree", {**g, "delta0": [0, 1, 1], "delta1": [0, 1, 1], "t": 0.3}, r=0.5, t=-0.1)
+    assert (s.t, s.r) == (-0.1, 0.5)
+    with pytest.raises(ValueError, match="both of delta0 and delta1 or neither"):
+        Strategy.from_dict("Parallel1", {**g, "delta1": [0, 1, 1]})
+    with pytest.raises(ValueError, match="needs a second-stage quantizer"):
+        Strategy.from_dict("DaisyRestricted", g, r=0.5)
+    # A DaisyFull report carries no stage fraction r.
+    with pytest.raises(ValueError, match="stage fraction r"):
+        strategy_from_report(exponent_feedback_equivalent(table_model, kind="DaisyFull"))
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_strategy_dict_round_trip(table_model, kind):
     rep = _REPORTS[kind](table_model)
@@ -290,11 +314,22 @@ def test_h_of_e_literal_skips_a_branch_neither_hypothesis_reaches(table_model):
     # e_j u = inf under both hypotheses makes that branch's threshold
     # inf - inf = NaN; the branch is infeasible, not an error.
     inf = math.inf
-    phys, _, _ = h_of_e(table_model, 0.5, DecayRateVector(e01=0.0, e10=inf, e00=inf, e11=0.0), semantics="physical")
+    phys, p0, p1 = h_of_e(table_model, 0.5, DecayRateVector(e01=0.0, e10=inf, e00=inf, e11=0.0), semantics="physical")
+    # Neither semantics names a quantizer for a branch it cannot score.
+    assert (p0, p1.map) == (None, (0, 0, 1))
     val, q0, q1 = h_of_e(table_model, 0.5, DecayRateVector(e01=0.0, e10=inf, e00=inf, e11=0.0), semantics="literal")
     assert (val, q0, q1.map) == (pytest.approx(phys, rel=1e-12), None, (0, 0, 1))
     val, q0, q1 = h_of_e(table_model, 0.5, DecayRateVector(e01=inf, e10=0.0, e00=0.0, e11=inf), semantics="literal")
     assert (val, q0.map, q1) == (pytest.approx(phys, rel=1e-12), (0, 0, 1), None)
+
+
+def test_h_of_e_physical_names_no_quantizer_for_an_infinite_branch(table_model):
+    # e00 = inf puts a0 at -inf, where every quantizer's branch value is
+    # +inf; the other branch keeps its finite value and its quantizer.
+    e = DecayRateVector(e01=0.0, e10=0.3, e00=math.inf, e11=0.0)
+    val, q0, q1 = h_of_e(table_model, 0.5, e, semantics="physical")
+    assert (q0, q1.map) == (None, (0, 0, 1))
+    assert val == pytest.approx(h_of_e(table_model, 0.5, e, semantics="literal")[0], rel=1e-12)
 
 
 def test_h_of_e_literal_uses_the_solvers_support_rule():
@@ -855,30 +890,42 @@ def _partitions(rep) -> list[Quantizer]:
     return [s.joint] if s.kind in ONE_STAGE_KINDS else [s.gamma, s.delta0, s.delta1]
 
 
+def _oracle_models() -> list[tuple[HypothesisModel, np.ndarray]]:
+    # Twelve seeded models, K 3-5, each with a permutation of its symbols.
+    rng = np.random.default_rng(83)
+    out = []
+    for k in (3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5, 5):
+        m = random_model(rng, k=k)
+        out.append((m, rng.permutation(k)))
+    return out
+
+
+def _bayesian_builders(d: int) -> list:
+    # The Bayesian report of every kind at message alphabet size d.
+    builders = [functools.partial(exponent_parallel, d=d, messages_per_sensor=msgs) for msgs in (1, 2)]
+    builders += [functools.partial(exponent_feedback_equivalent, d=d, kind=kind) for kind in PARALLEL_EQUIVALENT]
+    builders += [functools.partial(search, r=0.5, d=d) for search in (exponent_daisy_restricted, exponent_tree)]
+    return builders
+
+
 def test_reports_ignore_the_symbol_labels():
     # Relabelling the observation symbols relabels every reported map and
     # leaves every exponent, and the exact errors of the relabelled
     # strategy, unchanged up to summation order.
-    rng = np.random.default_rng(83)
-    for k in (3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5, 5):
-        m = random_model(rng, k=k)
-        perm = rng.permutation(k)
+    for m, perm in _oracle_models():
         mp = HypothesisModel(pmf0=m.pmf0[perm], pmf1=m.pmf1[perm])
 
         def relabel(q: Quantizer) -> Quantizer:
             return Quantizer(map=tuple(q.map[x] for x in perm), message_alphabet_size=q.message_alphabet_size)
 
         for d in (2, 3):
-            builders = [
-                functools.partial(exponent_parallel, d=d, formulation=f, messages_per_sensor=msgs)
-                for f in ("Bayesian", "NeymanPearson")
+            builders = _bayesian_builders(d) + [
+                functools.partial(exponent_parallel, d=d, formulation="NeymanPearson", messages_per_sensor=msgs)
                 for msgs in (1, 2)
             ]
-            builders += [functools.partial(exponent_feedback_equivalent, d=d, kind=kind) for kind in PARALLEL_EQUIVALENT]
-            builders += [functools.partial(search, r=0.5, d=d) for search in (exponent_daisy_restricted, exponent_tree)]
             for build in builders:
                 a, b = build(m), build(mp)
-                assert abs(a.exponent - b.exponent) <= 1e-12 * abs(a.exponent), (k, d, build)
+                assert abs(a.exponent - b.exponent) <= 1e-12 * abs(a.exponent), (m, d, build)
                 assert [relabel(q).map for q in _partitions(a)] == [q.map for q in _partitions(b)]
         st = strategy_from_report(exponent_parallel(m))
         stp = dataclasses.replace(st, gamma=relabel(st.gamma))
@@ -886,3 +933,27 @@ def test_reports_ignore_the_symbol_labels():
             e, ep = exact_error(m, st, n), exact_error(mp, stp, n)
             assert ep.p_e0 == pytest.approx(e.p_e0, rel=1e-12, abs=0.0)
             assert ep.p_e1 == pytest.approx(e.p_e1, rel=1e-12, abs=0.0)
+
+
+def test_reports_are_symmetric_in_the_hypotheses():
+    # Swapping pmf0 and pmf1 negates every LLR.  The Bayesian exponent of
+    # every kind stays; a staged report keeps gamma, and its aggregator bit
+    # flips, so delta0 and delta1 trade and t goes to -t; a parallel rule
+    # cut at -threshold swaps the two error probabilities (0.137 keeps the
+    # cut off every class's LLR, so no tie decides differently).
+    for m, _ in _oracle_models():
+        ms = HypothesisModel(pmf0=m.pmf1, pmf1=m.pmf0)
+        for d in (2, 3):
+            for build in _bayesian_builders(d):
+                a, b = build(m), build(ms)
+                assert abs(a.exponent - b.exponent) <= 1e-10, (m, d, build)
+                if a.architecture in ("DaisyRestricted", "Tree"):
+                    sa, sb = a.strategy, b.strategy
+                    assert (sb["gamma"], sb["delta0"], sb["delta1"]) == (sa["gamma"], sa["delta1"], sa["delta0"])
+                    assert abs(sb["t"] + sa["t"]) <= 1e-9, (m, d, build)
+        st = dataclasses.replace(strategy_from_report(exponent_parallel(m)), fusion_threshold=0.137)
+        sts = dataclasses.replace(st, fusion_threshold=-0.137)
+        for n in (30, 200):
+            e, es = exact_error(m, st, n), exact_error(ms, sts, n)
+            assert es.p_e0 == pytest.approx(e.p_e1, rel=1e-12, abs=0.0)
+            assert es.p_e1 == pytest.approx(e.p_e0, rel=1e-12, abs=0.0)

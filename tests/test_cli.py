@@ -4,6 +4,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,6 +308,25 @@ def test_daisy_full_optimizes_when_no_maps_given(capsys, model_file, method):
     assert "--r" in err
 
 
+def test_daisy_full_quantizer_alone_means_gamma_in_both_stages(capsys, model_file):
+    base = ["simulate", "--model", model_file, "--arch", "daisy-full", "--r", "0.5", "--quantizer", "0,0,1",
+            "--n-grid", "10", "--method", "exact"]
+    code, out, err = _run(capsys, base)
+    assert code == 0 and err == ""
+    assert _run(capsys, base + ["--delta0", "0,0,1", "--delta1", "0,0,1"]) == (0, out, "")
+    # --delta0 alone serves both branches.
+    assert _run(capsys, base + ["--delta0", "0,0,1"]) == (0, out, "")
+
+
+@pytest.mark.parametrize("arch", sorted(_ARCH_NAMES))
+def test_delta1_needs_delta0(capsys, model_file, arch):
+    argv = ["simulate", "--model", model_file, "--arch", arch, "--r", "0.5", "--quantizer", "0,0,1",
+            "--delta1", "0,1,1", "--n-grid", "10", "--method", "exact"]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "both of delta0 and delta1 or neither" in err
+
+
 def test_simulate_explicit_maps_default_t_to_zero(capsys, model_file):
     argv = [
         "simulate",
@@ -420,3 +443,24 @@ def test_check_sweep_passes(capsys):
     code, out, _ = _run(capsys, ["check", "--models", "3", "--seed", "1"])
     assert code == 0
     assert "all checks passed" in out
+
+
+def test_module_entry_point(capsys, model_file):
+    # `python -m decdet.cli` in a fresh interpreter: the exit code reaches
+    # the shell and stdout matches an in-process run byte for byte.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+
+    def run(argv):
+        return subprocess.run([sys.executable, "-m", "decdet.cli", *argv], env=env, capture_output=True, text=True)
+
+    argv = ["exponent", "--model", model_file, "--arch", "daisy-restricted", "--r", "0.5"]
+    proc = run(argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == _run(capsys, argv)[1]
+
+    proc = run(["simulate", "--model", model_file, "--arch", "parallel-1", "--quantizer", "0,0,1",
+                "--delta1", "0,1,1", "--n-grid", "10", "--method", "exact"])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error:") and "delta0" in proc.stderr
