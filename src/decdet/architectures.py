@@ -97,8 +97,9 @@ import dataclasses
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -209,6 +210,12 @@ class UnsupportedFormulation(ValueError):
     """The requested formulation is not defined for this architecture here."""
 
 
+def _check_stage_fraction(r) -> None:
+    """Raise ValueError unless ``r``, the first-stage fraction, is a real number in (0, 1)."""
+    if not (isinstance(r, numbers.Real) and 0.0 < r < 1.0):
+        raise ValueError(f"stage fraction r must lie in (0, 1), got {r!r}")
+
+
 @dataclass(frozen=True)
 class Strategy:
     """Concrete, simulatable strategy for one architecture kind.
@@ -237,11 +244,12 @@ class Strategy:
                 raise ValueError(f"{self.kind} needs a second-stage quantizer delta0")
             if self.delta1 is None:
                 object.__setattr__(self, "delta1", self.delta0)
+        elif self.delta0 is not None or self.delta1 is not None:
+            raise ValueError(f"{self.kind} takes no second-stage quantizer")
         if self.kind not in ONE_STAGE_KINDS and self.t is None:
             raise ValueError(f"{self.kind} needs an aggregator threshold t")
         if self.kind in TWO_STAGE_KINDS:
-            if self.r is None or not (0.0 < self.r < 1.0):
-                raise ValueError(f"{self.kind} needs a stage fraction r in (0, 1)")
+            _check_stage_fraction(self.r)
         elif self.r is not None:
             raise ValueError(f"{self.kind} takes no stage fraction r")
         for name, v in (("t", self.t), ("fusion_threshold", self.fusion_threshold)):
@@ -415,14 +423,6 @@ class _PointEval:
     bv1: list[float]
 
 
-def _first_argmax(values: Sequence[float]) -> int:
-    best = 0
-    for i in range(1, len(values)):
-        if values[i] > values[best]:
-            best = i
-    return best
-
-
 def _branch_thresholds(r, e01, e10, e00, e11):
     # Bayes thresholds (a0, a1) of the two aggregator branches; see the
     # module docstring.  Plain arithmetic, so floats and arrays alike.
@@ -451,9 +451,10 @@ def _point_eval(g: _Cand, deltas: list[_Cand], r: float, t: float) -> _PointEval
     e01, e10, e00, e11, a0, a1 = _gamma_decay(g, r, t)
     bv0 = [_branch_point(dc, a0, e00, e10, r) for dc in deltas]
     bv1 = [_branch_point(dc, a1, e01, e11, r) for dc in deltas]
-    i0, i1 = _first_argmax(bv0), _first_argmax(bv1)
+    i0 = max(range(len(bv0)), key=bv0.__getitem__)
+    i1 = max(range(len(bv1)), key=bv1.__getitem__)
     joint = [min(v0, v1) for v0, v1 in zip(bv0, bv1)]
-    it = _first_argmax(joint)
+    it = max(range(len(joint)), key=joint.__getitem__)
     return _PointEval(
         t=t,
         daisy=min(bv0[i0], bv1[i1]),
@@ -535,8 +536,7 @@ def _search_staged(m: HypothesisModel, r: float, d: int, mode: str) -> tuple[_St
     daisy value can never fall below the tree value at any threshold either
     search visited.  Only ``r`` is checked here; the model checked itself.
     """
-    if not 0.0 < r < 1.0:
-        raise ValueError("stage fraction r must lie in (0, 1)")
+    _check_stage_fraction(r)
     return _staged_optima(m.pmf0.tobytes(), m.pmf1.tobytes(), float(r), int(d), mode)
 
 
@@ -782,8 +782,7 @@ def h_of_e(
     Either way a branch no quantizer scores finitely has value +inf and no
     quantizer (None).
     """
-    if not 0.0 < r < 1.0:
-        raise ValueError("stage fraction r must lie in (0, 1)")
+    _check_stage_fraction(r)
     if semantics not in ("literal", "physical"):
         raise ValueError(f"unknown semantics: {semantics!r}")
     deltas = _candidates(m, d, mode)

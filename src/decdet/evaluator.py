@@ -780,19 +780,17 @@ def simulate(
 
 def fit_exponent(
     m: HypothesisModel,
-    strategy_for_n: Strategy | Callable[[int], Strategy],
+    strategy: Strategy,
     ns: Sequence[int],
     method: str = "exact",
     num_trials: int = 100_000,
     seed: int = 0,
 ) -> FitResult:
-    """Estimate the error exponent as the slope of log P_e against n.
+    """Estimate the error exponent of ``strategy`` as the slope of log P_e against n.
 
-    ``strategy_for_n`` may be a fixed strategy or a callable building one
-    per blocklength (needed when the stage split must track n).  Points
-    whose Monte Carlo estimate saw zero errors are kept in ``estimates``
-    but excluded from the fit.  Every entry of ``ns`` must be a positive
-    integer.
+    Points whose Monte Carlo estimate saw zero errors are kept in
+    ``estimates`` but excluded from the fit.  Every entry of ``ns`` must be
+    a positive integer.
     """
     if method not in ("exact", "mc"):
         raise ValueError(f"unknown method: {method!r}")
@@ -804,11 +802,10 @@ def fit_exponent(
         raise ValueError("need at least two distinct blocklengths to fit a slope")
     estimates = []
     for n in ns:
-        strat = strategy_for_n(n) if callable(strategy_for_n) else strategy_for_n
         if method == "exact":
-            estimates.append(exact_error(m, strat, n))
+            estimates.append(exact_error(m, strategy, n))
         else:
-            estimates.append(simulate(m, strat, n, num_trials=num_trials, seed=seed))
+            estimates.append(simulate(m, strategy, n, num_trials=num_trials, seed=seed))
     xs = [e.n for e in estimates if e.log_p_e > -math.inf]
     ys = [e.log_p_e for e in estimates if e.log_p_e > -math.inf]
     if len(set(xs)) < 2:

@@ -162,6 +162,12 @@ def test_strategy_from_dict_applies_the_kind_rules(table_model):
         Strategy.from_dict("Parallel1", {**g, "delta1": [0, 1, 1]})
     with pytest.raises(ValueError, match="needs a second-stage quantizer"):
         Strategy.from_dict("DaisyRestricted", g, r=0.5)
+    # The one-message kinds other than Parallel2 read no second-stage map.
+    for kind in ("Parallel1", "OneMsgSequential"):
+        with pytest.raises(ValueError, match=f"{kind} takes no second-stage quantizer"):
+            Strategy.from_dict(kind, {**g, "delta0": [0, 1, 1], "delta1": [0, 1, 1]})
+        with pytest.raises(ValueError, match=f"{kind} takes no second-stage quantizer"):
+            Strategy(kind=kind, gamma=Quantizer.from_labels([0, 0, 1]), delta1=Quantizer.from_labels([0, 1]))
     # A DaisyFull report carries no stage fraction r.
     with pytest.raises(ValueError, match="stage fraction r"):
         strategy_from_report(exponent_feedback_equivalent(table_model, kind="DaisyFull"))
@@ -212,9 +218,19 @@ def test_neyman_pearson_staged_rejected(table_model):
 
 
 def test_stage_fraction_bounds(table_model):
-    for bad in (0.0, 1.0, -0.2, 1.7):
-        with pytest.raises(ValueError):
-            exponent_daisy_restricted(table_model, r=bad)
+    # A missing or non-numeric r is bad input too, not a failed comparison.
+    e = DecayRateVector(e01=0.1, e10=0.0, e00=0.0, e11=0.2)
+    for bad in (0.0, 1.0, -0.2, 1.7, None, "0.5"):
+        for call in (
+            lambda: exponent_tree(table_model, bad),
+            lambda: exponent_daisy_restricted(table_model, bad),
+            lambda: h_of_e(table_model, bad, e),
+            lambda: check_ordering(table_model, bad),
+            lambda: check_symmetric_rate_condition(table_model, r=bad),
+            lambda: Strategy.from_dict("Tree", {"gamma": [0, 0, 1], "delta0": [0, 1, 1], "delta1": [0, 1, 1]}, r=bad),
+        ):
+            with pytest.raises(ValueError, match=r"stage fraction r must lie in \(0, 1\), got"):
+                call()
 
 
 def test_daisy_approaches_parallel_for_thin_first_stage(table_model):

@@ -103,7 +103,7 @@ def test_exponent_exhaustive_matches_monotone(capsys, model_file):
 def test_exponent_requires_r_for_staged(capsys, model_file):
     code, _, err = _run(capsys, ["exponent", "--model", model_file, "--arch", "tree"])
     assert code == 2
-    assert "error:" in err and "r" in err
+    assert err == "error: stage fraction r must lie in (0, 1), got None\n"
 
 
 def test_exponent_rejects_neyman_pearson_staged(capsys, model_file):
@@ -162,8 +162,13 @@ def test_arch_roster():
         ["simulate", "--seed", "-1", "--samples", "10", "--n-grid", "5"],
         ["simulate", "--seed", "18446744073709551616", "--samples", "10", "--n-grid", "5"],
         ["fit", "--n-grid", "10,10", "--method", "exact", "--format", "json"],
+        ["simulate", "--arch", "one-msg-sequential", "--quantizer", "0,0,1", "--delta0", "0,1", "--n-grid", "10",
+         "--method", "exact"],
+        ["simulate", "--arch", "parallel-1", "--quantizer", "0,0,1", "--delta0", "0,1,1", "--n-grid", "10",
+         "--method", "exact"],
     ],
-    ids=["nan-fusion-threshold", "nan-t", "negative-seed", "seed-2**64", "one-distinct-n"],
+    ids=["nan-fusion-threshold", "nan-t", "negative-seed", "seed-2**64", "one-distinct-n",
+         "delta0-on-one-msg-sequential", "delta0-on-parallel-1"],
 )
 def test_invalid_strategy_seed_or_grid_exits_two(capsys, model_file, argv):
     code, out, err = _run(capsys, argv[:1] + ["--model", model_file] + argv[1:])
@@ -327,6 +332,32 @@ def test_delta1_needs_delta0(capsys, model_file, arch):
     assert "both of delta0 and delta1 or neither" in err
 
 
+@pytest.mark.parametrize(
+    "subcommand,grid,message",
+    [
+        ("simulate", "0", "n must be a positive integer, got 0"),
+        ("simulate", "10,0", "n must be a positive integer, got 0"),
+        ("fit", "0,10", "each of ns must be a positive integer, got 0"),
+        ("fit", "10,-3", "each of ns must be a positive integer, got -3"),
+    ],
+)
+def test_nonpositive_blocklength_exits_two(capsys, model_file, subcommand, grid, message):
+    argv = [subcommand, "--model", model_file, "--quantizer", "0,0,1", "--n-grid", grid, "--method", "exact"]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("subcommand", ["exponent", "simulate", "fit"])
+def test_search_flags_have_one_help_text(capsys, monkeypatch, subcommand):
+    monkeypatch.setenv("COLUMNS", "200")  # no wrapping inside a help line
+    code, out, _ = _run(capsys, [subcommand, "--help"])
+    assert code == 0
+    text = " ".join(out.split())
+    assert "--r R first-stage fraction for staged kinds" in text
+    assert "--exhaustive search all quantizers, not only LLR-interval ones" in text
+
+
 def test_simulate_explicit_maps_default_t_to_zero(capsys, model_file):
     argv = [
         "simulate",
@@ -437,6 +468,17 @@ def test_example1_passes(capsys):
     assert code == 0
     assert "all reference checks passed" in out
     assert "-0.365439407866" in out and "-0.355791269751" in out
+
+
+# sha256 of `decdet example1` stdout, recorded before it printed the ordering
+# line from its own reports.
+_EXAMPLE1_STDOUT_SHA256 = "0da41021ba0ad0680cc621be97c2fa2647b6ed88dfd0fa0113543121d6314bcb"
+
+
+def test_example1_stdout_is_pinned_across_commits(capsys):
+    code, out, _ = _run(capsys, ["example1"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _EXAMPLE1_STDOUT_SHA256
 
 
 def test_check_sweep_passes(capsys):

@@ -616,14 +616,6 @@ def test_fit_exponent_slope(coin_model):
     assert all(e.method == "exact" for e in fit.estimates)
 
 
-def test_fit_exponent_accepts_strategy_factory(table_model):
-    rep = exponent_daisy_restricted(table_model, r=0.5)
-    fit = fit_exponent(
-        table_model, lambda n: strategy_from_report(rep), ns=(10, 20), method="exact"
-    )
-    assert fit.slope < -0.2
-
-
 def test_fit_exponent_needs_two_points(table_model):
     # At n=300 Monte Carlo sees no error, which leaves the one n of 5 5.
     for ns, method in (((10,), "exact"), ((10, 10), "exact"), ((5, 5, 300), "mc")):
