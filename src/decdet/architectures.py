@@ -121,6 +121,7 @@ from .model import (
 
 __all__ = [
     "KINDS",
+    "Strategy",
     "DecayRateVector",
     "ExponentReport",
     "InfeasibleRate",
@@ -226,6 +227,8 @@ class Strategy:
     stage; the first round(r * n) sensors form it.  ``fusion_threshold`` is
     the absolute transcript-LLR cut for the final decision, ties to 1.
     Either threshold may be infinite (a constant bit or decision), never NaN.
+    ``delta1`` defaults to ``delta0``; Parallel2 sends delta0 as its second
+    message, so its delta1 must have the same map.
     """
 
     kind: str
@@ -244,6 +247,8 @@ class Strategy:
                 raise ValueError(f"{self.kind} needs a second-stage quantizer delta0")
             if self.delta1 is None:
                 object.__setattr__(self, "delta1", self.delta0)
+            if self.kind == "Parallel2" and self.delta1.map != self.delta0.map:
+                raise ValueError("Parallel2 sends delta0 as its second message; delta1 must equal it")
         elif self.delta0 is not None or self.delta1 is not None:
             raise ValueError(f"{self.kind} takes no second-stage quantizer")
         if self.kind not in ONE_STAGE_KINDS and self.t is None:
@@ -514,13 +519,13 @@ class _Best:
 
 @dataclass(frozen=True)
 class _StagedOptimum:
-    """Best strategy of one staged objective; ``value`` is minus its exponent.
+    """Best strategy of one staged objective and its exponent.
 
     ``at_edge`` flags a threshold on the edge of gamma's LLR support.
     """
 
     strategy: Strategy
-    value: float
+    exponent: float
     decay: DecayRateVector
     branch0: float
     branch1: float
@@ -625,7 +630,8 @@ def _staged_optima(pmf0: bytes, pmf1: bytes, r: float, d: int, mode: str) -> tup
         out.append(
             _StagedOptimum(
                 strategy=Strategy(kind, g.q, deltas[i0].q, deltas[i1].q, t=p.t, r=r),
-                value=value,
+                # + 0.0 turns a -0.0 exponent into 0.0.
+                exponent=-value + 0.0,
                 decay=DecayRateVector(*_gamma_decay(g, r, p.t)[:4]),
                 branch0=p.bv0[i0],
                 branch1=p.bv1[i1],
@@ -649,7 +655,7 @@ def _staged_report(m: HypothesisModel, r: float, d: int, mode: str, formulation:
         architecture=kind,
         formulation="Bayesian",
         r=r,
-        exponent=-res.value + 0.0,
+        exponent=res.exponent,
         strategy=res.strategy.to_dict(),
         decay_rates=dataclasses.asdict(res.decay),
         branch_values={"branch0": res.branch0, "branch1": res.branch1},
@@ -866,16 +872,16 @@ def check_symmetric_rate_condition(
         shortcut = max(_point_eval(g, cands, r, 0.0).tree for g in cands)
         common_value = -shortcut
         consistent = (
-            abs(common_value - (-daisy_res.value)) <= 1e-7
-            and abs(common_value - (-tree_res.value)) <= 1e-7
+            abs(common_value - daisy_res.exponent) <= 1e-7
+            and abs(common_value - tree_res.exponent) <= 1e-7
         )
     return {
         "applies": applies,
         "witness": list(witness.map),
         "max_gap": max_gap,
         "common_value": common_value,
-        "daisy_exponent": -daisy_res.value + 0.0,
-        "tree_exponent": -tree_res.value + 0.0,
+        "daisy_exponent": daisy_res.exponent,
+        "tree_exponent": tree_res.exponent,
         "consistent": consistent,
     }
 
@@ -895,8 +901,7 @@ def check_ordering(
     because they can only come from an implementation bug.
     """
     daisy_res, tree_res = _search_staged(m, r, d, mode)
-    e_tree = -tree_res.value + 0.0
-    e_daisy = -daisy_res.value + 0.0
+    e_tree, e_daisy = tree_res.exponent, daisy_res.exponent
     e_par = exponent_parallel(m, d=d, messages_per_sensor=1, formulation="Bayesian", mode=mode).exponent
     tv = 0.5 * float(np.abs(m.pmf0 - m.pmf1).sum())
     degenerate = tv <= 1e-9

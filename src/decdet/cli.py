@@ -35,13 +35,7 @@ _USAGE_ERRORS = (ValueError, OSError)
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return format(x, ".12g")
-    return str(x)
+    return format(x, ".12g") if isinstance(x, float) else str(x)
 
 
 def _jsonable(obj):
@@ -121,7 +115,7 @@ def cmd_curve(args) -> int:
     return 0
 
 
-def _strategy_from_args(m: HypothesisModel, args) -> ev.Strategy:
+def _strategy_from_args(m: HypothesisModel, args) -> arch.Strategy:
     kind = _ARCH_NAMES[args.arch]
     if args.quantizer is None:
         # No explicit maps given: evaluate the optimal strategy for this
@@ -136,7 +130,7 @@ def _strategy_from_args(m: HypothesisModel, args) -> ev.Strategy:
             "delta0": delta0,
             "delta1": _parse_map(args.delta1, "--delta1") if args.delta1 else delta0,
         }
-    return ev.Strategy.from_dict(kind, maps, r=args.r, t=args.t, fusion_threshold=args.fusion_threshold)
+    return arch.Strategy.from_dict(kind, maps, r=args.r, t=args.t, fusion_threshold=args.fusion_threshold)
 
 
 def _parse_n_grid(text: str) -> list[int]:
@@ -171,9 +165,10 @@ def _emit_estimates(args, estimates: Sequence[ev.ErrorEstimate], fit: ev.FitResu
 
 def cmd_simulate(args) -> int:
     m = _load(args)
+    ns = _parse_n_grid(args.n_grid)
     strategy = _strategy_from_args(m, args)
     rows = []
-    for n in _parse_n_grid(args.n_grid):
+    for n in ns:
         if args.method == "exact":
             rows.append(ev.exact_error(m, strategy, n))
         else:
@@ -184,10 +179,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     m = _load(args)
+    ns = _parse_n_grid(args.n_grid)
     strategy = _strategy_from_args(m, args)
-    result = ev.fit_exponent(
-        m, strategy, _parse_n_grid(args.n_grid), method=args.method, num_trials=args.samples, seed=args.seed
-    )
+    result = ev.fit_exponent(m, strategy, ns, method=args.method, num_trials=args.samples, seed=args.seed)
     _emit_estimates(args, result.estimates, result)
     return 0
 

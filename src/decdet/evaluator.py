@@ -48,6 +48,7 @@ inside ``simulate``, so a process pays for each on its first use alone.
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 from dataclasses import dataclass
@@ -74,7 +75,6 @@ from .model import (
 
 __all__ = [
     "CLASS_BUDGET",
-    "Strategy",
     "ErrorEstimate",
     "FitResult",
     "TooLarge",
@@ -206,22 +206,13 @@ def _check_budget(n: int, what: str, k1: int, k2: int = 1, r: float | None = Non
     """
     if _stage_classes(n, k1, k2, r) <= CLASS_BUDGET:
         return
-
-    def first(pred: Callable[[int], bool]) -> int:
-        # Smallest m in [1, n] with pred(m), for pred monotone and pred(n) true.
-        lo, hi = 0, n
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if pred(mid):
-                hi = mid
-            else:
-                lo = mid
-        return hi
-
-    filled = first(lambda nn: _stage_classes(nn, k1, k2, r) > 0)
-    over = first(lambda nn: _stage_classes(nn, k1, k2, r) > CLASS_BUDGET)
+    ns = range(1, n + 1)
+    # Both are positions in ns, one below the first n that fills every stage
+    # and the first n over the budget; so `over` is the largest n within it.
+    filled = bisect.bisect_left(ns, True, key=lambda nn: _stage_classes(nn, k1, k2, r) > 0)
+    over = bisect.bisect_left(ns, True, key=lambda nn: _stage_classes(nn, k1, k2, r) > CLASS_BUDGET)
     if over > filled:
-        hint = f"; largest feasible n here is {over - 1}"
+        hint = f"; largest feasible n here is {over}"
     else:
         hint = "; no n here gives two non-empty stages within it"
     raise TooLarge(
@@ -395,9 +386,9 @@ def _estimate_from_logs(n: int, log_pe0: float, log_pe1: float, method: str) -> 
     log_p_e = float(np.logaddexp(log_pe0, log_pe1)) - math.log(2.0)
     return ErrorEstimate(
         n=n,
-        p_e0=math.exp(log_pe0) if log_pe0 > -math.inf else 0.0,
-        p_e1=math.exp(log_pe1) if log_pe1 > -math.inf else 0.0,
-        p_e=math.exp(log_p_e) if log_p_e > -math.inf else 0.0,
+        p_e0=math.exp(log_pe0),
+        p_e1=math.exp(log_pe1),
+        p_e=math.exp(log_p_e),
         log_p_e=log_p_e,
         method=method,
         ci=0.0,
@@ -432,6 +423,8 @@ def _two_stage_setup(
     m: HypothesisModel, strategy: Strategy, n: int, what: str
 ) -> tuple[int, int, InducedModel, list[InducedModel]]:
     """Stage sizes and induced models of a two-stage strategy, budget-checked."""
+    if strategy.kind not in TWO_STAGE_KINDS:
+        raise ValueError(f"{strategy.kind} is not a two-stage strategy")
     _check_count("n", n)
     n1, n2 = _stage_sizes(n, strategy.r)
     im1 = induce(m, strategy.gamma)
@@ -495,8 +488,6 @@ def exact_error_daisy(m: HypothesisModel, strategy: Strategy, n: int) -> ErrorEs
     """
     from scipy.special import logsumexp
 
-    if strategy.kind not in TWO_STAGE_KINDS:
-        raise ValueError(f"{strategy.kind} is not a two-stage strategy")
     n1, n2, im1, ims2 = _two_stage_setup(m, strategy, n, "a two-stage strategy")
     thr = strategy.fusion_threshold
     if strategy.kind in RESTRICTED_KINDS:
@@ -550,9 +541,10 @@ def _symbol_llr_table(m: HypothesisModel, q: Quantizer) -> np.ndarray:
     symbols mapped to it get LLR 0, and they are never drawn.
     """
     labels = np.asarray(q.map, dtype=np.intp)
-    kept = np.zeros(q.message_alphabet_size, dtype=bool)
+    # A canonical map's labels are exactly 0..num_cells - 1.
+    kept = np.zeros(q.num_cells, dtype=bool)
     kept[labels[(m.pmf0 > 0.0) | (m.pmf1 > 0.0)]] = True
-    msg_llr = np.zeros(q.message_alphabet_size)
+    msg_llr = np.zeros(q.num_cells)
     # induce keeps exactly these messages, in label order.
     msg_llr[kept] = induce(m, q).llr
     return msg_llr[labels]

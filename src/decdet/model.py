@@ -95,6 +95,7 @@ class Quantizer:
     use order along the observation alphabet.  Two maps that differ only by
     a relabeling of messages therefore compare equal, which deduplicates the
     search space (error exponents do not depend on labels).
+    ``message_alphabet_size`` only bounds the labels; nothing is sized by it.
     """
 
     map: tuple[int, ...]
@@ -208,9 +209,10 @@ def induce(m: HypothesisModel, q: Quantizer) -> InducedModel:
         raise ShapeMismatch(
             f"quantizer maps {len(q.map)} symbols but the model has {m.alphabet_size}"
         )
+    # A canonical map's labels are exactly 0..num_cells - 1.
     labels = np.asarray(q.map, dtype=np.intp)
-    q0 = np.bincount(labels, weights=m.pmf0, minlength=q.message_alphabet_size)
-    q1 = np.bincount(labels, weights=m.pmf1, minlength=q.message_alphabet_size)
+    q0 = np.bincount(labels, weights=m.pmf0)
+    q1 = np.bincount(labels, weights=m.pmf1)
     keep = (q0 > 0.0) | (q1 > 0.0)
     q0, q1 = q0[keep], q1[keep]
     llr = np.log(q1) - np.log(q0)

@@ -191,6 +191,33 @@ def test_criterion_04_monotone_search_is_exhaustive(capsys):
         )
 
 
+def test_criterion_04b_staged_search_is_exhaustive_at_d3(capsys):
+    # Criterion 4 runs at d=2.  At d=3 the exhaustive staged search costs
+    # about 1 s on a 4-symbol model and 6 s on a 5-symbol one, so this
+    # cross-check takes four of the first and one of the second.
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(4043)
+    models = [random_model(rng, k=4) for _ in range(4)] + [random_model(rng, k=5)]
+    worst = 0.0
+    moved = []
+    for i, m in enumerate(models):
+        for search in (exponent_daisy_restricted, exponent_tree):
+            a = search(m, r=0.5, d=3)
+            b = search(m, r=0.5, d=3, mode="all")
+            worst = max(worst, abs(a.exponent - b.exponent))
+            if any(a.strategy[key] != b.strategy[key] for key in ("gamma", "delta0", "delta1")):
+                moved.append(f"{a.architecture} on model {i}")
+    ok = worst <= 1e-9 and not moved
+    with capsys.disabled():
+        _verdict(
+            "4b",
+            ok,
+            f"llr-interval search equals exhaustive search at d=3 on 5 models (K=4, 5) x 2 staged kinds, "
+            f"largest exponent gap {worst:.2e} <= 1e-9, maps differ on {moved or 'none'}; "
+            f"{time.perf_counter() - t0:.1f}s",
+        )
+
+
 def test_criterion_05_exact_evaluator_consistency(capsys):
     rng = np.random.default_rng(505)
     worst_rel = 0.0

@@ -168,6 +168,15 @@ def test_strategy_from_dict_applies_the_kind_rules(table_model):
             Strategy.from_dict(kind, {**g, "delta0": [0, 1, 1], "delta1": [0, 1, 1]})
         with pytest.raises(ValueError, match=f"{kind} takes no second-stage quantizer"):
             Strategy(kind=kind, gamma=Quantizer.from_labels([0, 0, 1]), delta1=Quantizer.from_labels([0, 1]))
+    # Parallel2 sends delta0 as its second message: a delta1 with another
+    # map is refused, and one with the same map under a larger declared
+    # alphabet is the same quantizer.
+    with pytest.raises(ValueError, match="delta1 must equal it"):
+        Strategy.from_dict("Parallel2", {**g, "delta0": [0, 1, 1], "delta1": [0, 0, 1]})
+    d1 = Quantizer(map=(0, 1, 1), message_alphabet_size=5)
+    s = Strategy(kind="Parallel2", gamma=Quantizer.from_labels([0, 0, 1]), delta0=Quantizer.from_labels([0, 1, 1]),
+                 delta1=d1)
+    assert s.delta1 is d1
     # A DaisyFull report carries no stage fraction r.
     with pytest.raises(ValueError, match="stage fraction r"):
         strategy_from_report(exponent_feedback_equivalent(table_model, kind="DaisyFull"))

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from decdet import architectures as arch
 from decdet.cli import _ARCH_NAMES, main
 from conftest import random_model
 
@@ -166,13 +167,26 @@ def test_arch_roster():
          "--method", "exact"],
         ["simulate", "--arch", "parallel-1", "--quantizer", "0,0,1", "--delta0", "0,1,1", "--n-grid", "10",
          "--method", "exact"],
+        ["simulate", "--arch", "parallel-2", "--quantizer", "0,0,1", "--delta0", "0,1,1", "--delta1", "0,0,1",
+         "--n-grid", "10", "--method", "exact"],
     ],
     ids=["nan-fusion-threshold", "nan-t", "negative-seed", "seed-2**64", "one-distinct-n",
-         "delta0-on-one-msg-sequential", "delta0-on-parallel-1"],
+         "delta0-on-one-msg-sequential", "delta0-on-parallel-1", "delta1-on-parallel-2"],
 )
 def test_invalid_strategy_seed_or_grid_exits_two(capsys, model_file, argv):
     code, out, err = _run(capsys, argv[:1] + ["--model", model_file] + argv[1:])
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("subcommand", ["simulate", "fit"])
+def test_bad_n_grid_exits_two_before_any_search(capsys, monkeypatch, model_file, subcommand):
+    def no_search(*args, **kwargs):
+        raise RuntimeError("the staged search ran before --n-grid was parsed")
+
+    monkeypatch.setattr(arch, "exponent_tree", no_search)
+    code, out, err = _run(capsys, [subcommand, "--model", model_file, "--arch", "tree", "--r", "0.5", "--n-grid", "x"])
+    assert (code, out) == (2, "")
+    assert err == "error: --n-grid must be comma-separated integers\n"
 
 
 def test_usage_errors_exit_two(capsys, model_file):

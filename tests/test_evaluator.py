@@ -765,10 +765,37 @@ def test_simulate_matches_oracle_on_a_wide_alphabet(kind):
         return Quantizer(map=tuple(int(x) for x in rng.integers(0, 3, k)), message_alphabet_size=3)
 
     st = _pinned_strategy(kind)
-    maps = {f: q() for f in ("gamma", "delta0", "delta1") if getattr(st, f) is not None}
+    # Draw maps only for the fields the kind reads: Parallel2 sends delta0
+    # as its second message, so its delta1 follows delta0.
+    read = ("gamma", "delta0") if kind == "Parallel2" else ("gamma", "delta0", "delta1")
+    maps = {f: q() for f in read if getattr(st, f) is not None}
+    if kind == "Parallel2":
+        maps["delta1"] = maps["delta0"]
     st = dataclasses.replace(st, **maps, t=0.0, fusion_threshold=0.05)
     e = simulate(m, st, 7, num_trials=3000, seed=3)
     assert (e.p_e0, e.p_e1) == sequential_simulate(m, st, 7, 3000, 3)
+
+
+def test_declared_message_alphabet_allocates_nothing():
+    # A quantizer's declared message alphabet is a bound, not a size: at
+    # 10**7 the per-message arrays sized by it took 172 MB in induce alone.
+    wide = Quantizer(map=PIN_G.map, message_alphabet_size=10**7)
+    tracemalloc.start()
+    try:
+        im = induce(PIN_MODEL, wide)
+        induce_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        table = evaluator._symbol_llr_table(PIN_MODEL, wide)
+        table_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert induce_peak < 2**20 and table_peak < 2**20
+    tight = induce(PIN_MODEL, PIN_G)
+    for name in ("q0", "q1", "llr"):
+        assert getattr(im, name).tolist() == getattr(tight, name).tolist()
+    assert table.tolist() == evaluator._symbol_llr_table(PIN_MODEL, PIN_G).tolist()
+    e = simulate(PIN_MODEL, _parallel1(wide), 40, num_trials=5000, seed=2)
+    assert e == simulate(PIN_MODEL, _parallel1(PIN_G), 40, num_trials=5000, seed=2)
 
 
 @pytest.mark.parametrize("kind", ["Tree", "SequentialFeedback2"])

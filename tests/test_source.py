@@ -119,3 +119,15 @@ def test_package_lists_each_module_name_once():
         getattr(decdet, name)
     assert set(decdet.__all__) == {"__version__"}.union(*(mod.__all__ for mod in modules))
     assert set(decdet.__all__) == _PUBLIC_NAMES
+
+
+def test_each_module_exports_what_it_defines():
+    # A class or function is listed in the __all__ of the module that
+    # defines it, not of one that imports it.
+    from decdet import architectures, evaluator, exponents, model
+
+    for mod in (model, exponents, architectures, evaluator):
+        for name in mod.__all__:
+            obj = getattr(mod, name)
+            if callable(obj):
+                assert obj.__module__ == mod.__name__, f"{mod.__name__}.__all__ lists {name}"
