@@ -42,16 +42,16 @@ threshold a1 = -r/(1-r) (e01 - e11) and quantizer d1.  The overall Bayesian
 exponent of a strategy is -min over the two branches, and the optimizers
 below take the sup over (gamma, d0, d1, t), with d0 = d1 forced for Tree.
 
-The sup over t runs on a 401-point grid spanning gamma's closed LLR
-support, then a golden-section polish of the best bracket, plus a bisection
-for each crossing of the two branch curves, since the max-min optimum often
-sits where the branches equalize.  Within one gamma every evaluation of
-all deltas at a threshold (both golden sections, the daisy crossing
-bisection and the final sweep over the candidate thresholds) goes through
-one memo keyed on t, so a threshold they share is solved once.  The
-crossing bisection of delta k's two branch curves evaluates only delta k's
-two branch points, not the whole delta list, and reads a threshold the memo
-already holds from it.
+The sup over t runs once per first-stage candidate gamma (``_GammaSearch``):
+a 401-point grid spanning gamma's closed LLR support, a golden-section
+polish of each objective's best bracket, and a bisection for each crossing
+of two branch curves, since the max-min optimum often sits where the
+branches equalize.  Every evaluation of all deltas at one threshold goes
+through the gamma's memo keyed on t, so a threshold its steps share is
+solved once; the bisection of one delta's crossing evaluates only that
+delta's two branch points unless the memo holds the threshold.  Each
+(gamma, t) it returns is offered to both staged optima, with each kind's
+value and deltas read from the one rule of ``_PointEval.optima``.
 
 One solver.  Every conjugate here comes from the one solver of module
 ``exponents``, through its two public forms: the grid phase calls
@@ -197,6 +197,8 @@ _BOUNDARY_RTOL = 1e-9
 # Objective values closer than this are one optimum seen twice, not two;
 # also the margin of the symmetric-rate and strict-ordering checks.
 _TIE_TOL = 1e-9
+# Crossings bisected per curve difference and gamma.
+_MAX_CROSSINGS = 16
 
 
 class InfeasibleRate(ValueError):
@@ -226,7 +228,9 @@ class Strategy:
     staged kinds also need ``r``, the fraction of sensors in the first
     stage; the first round(r * n) sensors form it.  ``fusion_threshold`` is
     the absolute transcript-LLR cut for the final decision, ties to 1.
-    Either threshold may be infinite (a constant bit or decision), never NaN.
+    Each threshold is a real number and may be infinite (a constant bit or
+    decision), never NaN.  A kind takes no field it never reads: the
+    one-stage kinds take no ``t``, and only the two-stage kinds take ``r``.
     ``delta1`` defaults to ``delta0``; Parallel2 sends delta0 as its second
     message, so its delta1 must have the same map.
     """
@@ -251,6 +255,8 @@ class Strategy:
                 raise ValueError("Parallel2 sends delta0 as its second message; delta1 must equal it")
         elif self.delta0 is not None or self.delta1 is not None:
             raise ValueError(f"{self.kind} takes no second-stage quantizer")
+        if self.kind in ONE_STAGE_KINDS and self.t is not None:
+            raise ValueError(f"{self.kind} takes no aggregator threshold t")
         if self.kind not in ONE_STAGE_KINDS and self.t is None:
             raise ValueError(f"{self.kind} needs an aggregator threshold t")
         if self.kind in TWO_STAGE_KINDS:
@@ -258,8 +264,8 @@ class Strategy:
         elif self.r is not None:
             raise ValueError(f"{self.kind} takes no stage fraction r")
         for name, v in (("t", self.t), ("fusion_threshold", self.fusion_threshold)):
-            if v is not None and math.isnan(v):
-                raise ValueError(f"{self.kind} {name} must not be NaN")
+            if not (isinstance(v, numbers.Real) and not math.isnan(v) or name == "t" and v is None):
+                raise ValueError(f"{self.kind} {name} must be a real number and must not be NaN, got {v!r}")
 
     @classmethod
     def from_dict(
@@ -416,16 +422,23 @@ def _branch_grid(cand: _Cand, a: np.ndarray, e_same: np.ndarray, e_cross: np.nda
 
 @dataclass(frozen=True, eq=False)
 class _PointEval:
-    """Both staged objectives and their witnesses at one threshold t."""
+    """Branch values at threshold t: bv0[k] and bv1[k] of U = 0 and U = 1 with delta k there."""
 
     t: float
-    daisy: float
-    tree: float
-    i_daisy0: int
-    i_daisy1: int
-    i_tree: int
     bv0: list[float]
     bv1: list[float]
+
+    @functools.cached_property
+    def optima(self) -> dict[str, tuple[float, int, int]]:
+        """(value, delta0 index, delta1 index) of each of ``RESTRICTED_KINDS`` at t.
+
+        The chain picks each branch's delta, the tree one delta for both.
+        """
+        ks = range(len(self.bv0))
+        i0, i1 = max(ks, key=self.bv0.__getitem__), max(ks, key=self.bv1.__getitem__)
+        joint = [min(v0, v1) for v0, v1 in zip(self.bv0, self.bv1)]
+        k = max(ks, key=joint.__getitem__)
+        return {"DaisyRestricted": (min(self.bv0[i0], self.bv1[i1]), i0, i1), "Tree": (joint[k], k, k)}
 
 
 def _branch_thresholds(r, e01, e10, e00, e11):
@@ -456,28 +469,15 @@ def _point_eval(g: _Cand, deltas: list[_Cand], r: float, t: float) -> _PointEval
     e01, e10, e00, e11, a0, a1 = _gamma_decay(g, r, t)
     bv0 = [_branch_point(dc, a0, e00, e10, r) for dc in deltas]
     bv1 = [_branch_point(dc, a1, e01, e11, r) for dc in deltas]
-    i0 = max(range(len(bv0)), key=bv0.__getitem__)
-    i1 = max(range(len(bv1)), key=bv1.__getitem__)
-    joint = [min(v0, v1) for v0, v1 in zip(bv0, bv1)]
-    it = max(range(len(joint)), key=joint.__getitem__)
-    return _PointEval(
-        t=t,
-        daisy=min(bv0[i0], bv1[i1]),
-        tree=joint[it],
-        i_daisy0=i0,
-        i_daisy1=i1,
-        i_tree=it,
-        bv0=bv0,
-        bv1=bv1,
-    )
+    return _PointEval(t=t, bv0=bv0, bv1=bv1)
 
 
-def _sign_change_ts(ts: np.ndarray, diff: np.ndarray, limit: int = 16) -> list[tuple[float, float]]:
-    # The first `limit` grid intervals where diff is finite at both ends and
-    # strictly changes sign, in grid order.  A non-finite end counts as 0,
-    # which never gives a negative product.
+def _sign_change_ts(ts: np.ndarray, diff: np.ndarray) -> list[tuple[float, float]]:
+    # The first _MAX_CROSSINGS grid intervals where diff is finite at both
+    # ends and strictly changes sign, in grid order.  A non-finite end
+    # counts as 0, which never gives a negative product.
     d = np.where(np.isfinite(diff), diff, 0.0)
-    return [(float(ts[i]), float(ts[i + 1])) for i in np.flatnonzero(d[:-1] * d[1:] < 0.0)[:limit]]
+    return [(float(ts[i]), float(ts[i + 1])) for i in np.flatnonzero(d[:-1] * d[1:] < 0.0)[:_MAX_CROSSINGS]]
 
 
 def _bisect_crossing(fdiff, lo: float, hi: float) -> float:
@@ -533,7 +533,7 @@ class _StagedOptimum:
 
 
 def _search_staged(m: HypothesisModel, r: float, d: int, mode: str) -> tuple[_StagedOptimum, _StagedOptimum]:
-    """Joint search for the DaisyRestricted and Tree optima, in that order.
+    """Joint search for the DaisyRestricted and Tree optima, in ``RESTRICTED_KINDS`` order.
 
     Both are computed in one pass because they share every branch-value
     matrix, and because evaluating the daisy objective at the tree's best
@@ -545,16 +545,42 @@ def _search_staged(m: HypothesisModel, r: float, d: int, mode: str) -> tuple[_St
     return _staged_optima(m.pmf0.tobytes(), m.pmf1.tobytes(), float(r), int(d), mode)
 
 
-@functools.lru_cache(maxsize=128)
-def _staged_optima(pmf0: bytes, pmf1: bytes, r: float, d: int, mode: str) -> tuple[_StagedOptimum, _StagedOptimum]:
-    # Keyed on the pmf bytes, not the model object, so equal models share
-    # one search; the model is rebuilt bit for bit from them.
-    m = HypothesisModel(pmf0=np.frombuffer(pmf0), pmf1=np.frombuffer(pmf1))
-    cands = _candidates(m, d, mode)
-    deltas = cands
-    best_daisy, best_tree = _Best(), _Best()
+@dataclass(eq=False)
+class _GammaSearch:
+    """The sup over t of both staged objectives at one first-stage candidate g.
 
-    for g in cands:
+    Every full evaluation of the deltas at one threshold goes through
+    ``memo``, so a threshold that the two golden sections, the daisy
+    crossing bisections and the final sweep share is solved once.
+    """
+
+    g: _Cand
+    deltas: list[_Cand]
+    r: float
+    memo: dict[float, _PointEval] = dataclasses.field(default_factory=dict)
+
+    def point(self, t: float) -> _PointEval:
+        p = self.memo.get(t)
+        if p is None:
+            p = self.memo[t] = _point_eval(self.g, self.deltas, self.r, t)
+        return p
+
+    def loss(self, kind: str, t: float) -> float:
+        return -self.point(t).optima[kind][0]
+
+    def daisy_diff(self, t: float) -> float:
+        p = self.point(t)
+        return max(p.bv0) - max(p.bv1)
+
+    def tree_diff(self, k: int, t: float) -> float:
+        # The daisy crossing bisection of the same interval may have put t
+        # in the memo; _tree_diff gives the same difference.
+        p = self.memo.get(t)
+        return _tree_diff(self.g, self.deltas[k], self.r, t) if p is None else p.bv0[k] - p.bv1[k]
+
+    def points(self) -> list[_PointEval]:
+        """Point evaluations at every candidate threshold, in increasing t."""
+        g, deltas, r = self.g, self.deltas, self.r
         ts = np.linspace(g.zmin, g.zmax, T_GRID_POINTS)
         l0, l1 = rate_function_grid(g.im, 0, ts), rate_function_grid(g.im, 1, ts)
         e01 = np.where(ts >= g.mean0, l0, 0.0)
@@ -564,81 +590,55 @@ def _staged_optima(pmf0: bytes, pmf1: bytes, r: float, d: int, mode: str) -> tup
         a0, a1 = _branch_thresholds(r, e01, e10, e00, e11)
         bv0 = np.stack([_branch_grid(dc, a0, e00, e10, r) for dc in deltas])
         bv1 = np.stack([_branch_grid(dc, a1, e01, e11, r) for dc in deltas])
-        sup0 = bv0.max(axis=0)
-        sup1 = bv1.max(axis=0)
-        daisy_curve = np.minimum(sup0, sup1)
-        tree_curve = np.minimum(bv0, bv1).max(axis=0)
-
-        # Every full evaluation at one gamma goes through this memo, so a
-        # threshold the two golden sections, the daisy crossing bisection
-        # and the final sweep share is solved once.
-        memo: dict[float, _PointEval] = {}
-
-        def point(t: float) -> _PointEval:
-            p = memo.get(t)
-            if p is None:
-                p = memo[t] = _point_eval(g, deltas, r, t)
-            return p
+        sup0, sup1 = bv0.max(axis=0), bv1.max(axis=0)
+        curves = {"DaisyRestricted": np.minimum(sup0, sup1), "Tree": np.minimum(bv0, bv1).max(axis=0)}
 
         tcands: list[float] = []
-        for curve, which in ((daisy_curve, "daisy"), (tree_curve, "tree")):
+        for kind, curve in curves.items():
             i = int(np.argmax(curve))
             lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]
             tcands.append(float(ts[i]))
             if hi > lo:
-                t_ref, _ = golden_section_min(lambda t: -getattr(point(t), which), lo, hi, _REFINE_TOL)
-                tcands.append(float(t_ref))
-        # The max-min optimum often sits where the branch curves cross.
-        for lo, hi in _sign_change_ts(ts, sup0 - sup1):
-            def diff_daisy(t: float) -> float:
-                p = point(t)
-                return max(p.bv0) - max(p.bv1)
+                tcands.append(float(golden_section_min(functools.partial(self.loss, kind), lo, hi, _REFINE_TOL)[0]))
+        # The max-min optimum often sits where the branch curves cross: the
+        # daisy's two branch sups, or one delta's two branch values.
+        crossings = [(sup0 - sup1, self.daisy_diff)]
+        crossings += [(bv0[k] - bv1[k], functools.partial(self.tree_diff, k)) for k in range(len(deltas))]
+        for grid_diff, diff in crossings:
+            tcands += [_bisect_crossing(diff, lo, hi) for lo, hi in _sign_change_ts(ts, grid_diff)]
+        return [self.point(t) for t in sorted(set(tcands))]
 
-            tcands.append(_bisect_crossing(diff_daisy, lo, hi))
-        for k, dc in enumerate(deltas):
-            def diff_tree(t: float, k: int = k, dc: _Cand = dc) -> float:
-                # A threshold the memo already holds (the daisy crossing
-                # bisection of the same interval takes the same midpoints)
-                # is read from it; _tree_diff gives the same difference.
-                p = memo.get(t)
-                return _tree_diff(g, dc, r, t) if p is None else p.bv0[k] - p.bv1[k]
 
-            for lo, hi in _sign_change_ts(ts, bv0[k] - bv1[k]):
-                tcands.append(_bisect_crossing(diff_tree, lo, hi))
+@functools.lru_cache(maxsize=128)
+def _staged_optima(pmf0: bytes, pmf1: bytes, r: float, d: int, mode: str) -> tuple[_StagedOptimum, _StagedOptimum]:
+    # Keyed on the pmf bytes, not the model object, so equal models share
+    # one search; the model is rebuilt bit for bit from them.
+    m = HypothesisModel(pmf0=np.frombuffer(pmf0), pmf1=np.frombuffer(pmf1))
+    cands = _candidates(m, d, mode)
+    bests = {kind: _Best() for kind in RESTRICTED_KINDS}
+    for g in cands:
+        for p in _GammaSearch(g, cands, r).points():
+            for kind, best in bests.items():
+                value, i0, i1 = p.optima[kind]
+                best.offer(value, (g.q.map, cands[i0].q.map, cands[i1].q.map, p.t), (g, p))
+    return tuple(_staged_optimum(kind, best, cands, r) for kind, best in bests.items())
 
-        for t in sorted(set(tcands)):
-            p = point(t)
-            dkey = (g.q.map, deltas[p.i_daisy0].q.map, deltas[p.i_daisy1].q.map, p.t)
-            best_daisy.offer(p.daisy, dkey, (g, p))
-            tkey = (g.q.map, deltas[p.i_tree].q.map, deltas[p.i_tree].q.map, p.t)
-            best_tree.offer(p.tree, tkey, (g, p))
 
-    # Each report takes its indices, value and branch values from its
-    # winner's memoised point evaluation, and its decay rates from the
-    # _gamma_decay call that point evaluation made.
-    out = []
-    for best, kind in ((best_daisy, "DaisyRestricted"), (best_tree, "Tree")):
-        if best.item is None:
-            raise ValueError(f"{kind} search found no finite candidate threshold")
-        g, p = best.item
-        if kind == "DaisyRestricted":
-            i0, i1, value = p.i_daisy0, p.i_daisy1, p.daisy
-        else:
-            i0, i1, value = p.i_tree, p.i_tree, p.tree
-        scale = max(1.0, abs(g.zmin), abs(g.zmax))
-        at_edge = min(abs(p.t - g.zmin), abs(p.t - g.zmax)) <= _BOUNDARY_RTOL * scale
-        out.append(
-            _StagedOptimum(
-                strategy=Strategy(kind, g.q, deltas[i0].q, deltas[i1].q, t=p.t, r=r),
-                # + 0.0 turns a -0.0 exponent into 0.0.
-                exponent=-value + 0.0,
-                decay=DecayRateVector(*_gamma_decay(g, r, p.t)[:4]),
-                branch0=p.bv0[i0],
-                branch1=p.bv1[i1],
-                at_edge=at_edge,
-            )
-        )
-    return out[0], out[1]
+def _staged_optimum(kind: str, best: _Best, deltas: list[_Cand], r: float) -> _StagedOptimum:
+    if best.item is None:
+        raise ValueError(f"{kind} search found no finite candidate threshold")
+    g, p = best.item
+    value, i0, i1 = p.optima[kind]
+    scale = max(1.0, abs(g.zmin), abs(g.zmax))
+    return _StagedOptimum(
+        strategy=Strategy(kind, g.q, deltas[i0].q, deltas[i1].q, t=p.t, r=r),
+        # + 0.0 turns a -0.0 exponent into 0.0.
+        exponent=-value + 0.0,
+        decay=DecayRateVector(*_gamma_decay(g, r, p.t)[:4]),
+        branch0=p.bv0[i0],
+        branch1=p.bv1[i1],
+        at_edge=min(abs(p.t - g.zmin), abs(p.t - g.zmax)) <= _BOUNDARY_RTOL * scale,
+    )
 
 
 def _staged_report(m: HypothesisModel, r: float, d: int, mode: str, formulation: str, kind: str) -> ExponentReport:
@@ -649,8 +649,7 @@ def _staged_report(m: HypothesisModel, r: float, d: int, mode: str, formulation:
             "staged architectures are evaluated in the Bayesian formulation only; "
             "the Neyman-Pearson optimum equals the parallel one"
         )
-    daisy, tree = _search_staged(m, r, d, mode)
-    res = daisy if kind == "DaisyRestricted" else tree
+    res = _search_staged(m, r, d, mode)[RESTRICTED_KINDS.index(kind)]
     return ExponentReport(
         architecture=kind,
         formulation="Bayesian",
@@ -869,7 +868,7 @@ def check_symmetric_rate_condition(
     consistent = None
     if applies:
         cands = _candidates(m, d, mode)
-        shortcut = max(_point_eval(g, cands, r, 0.0).tree for g in cands)
+        shortcut = max(_point_eval(g, cands, r, 0.0).optima["Tree"][0] for g in cands)
         common_value = -shortcut
         consistent = (
             abs(common_value - daisy_res.exponent) <= 1e-7

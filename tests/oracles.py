@@ -16,6 +16,12 @@ The Monte Carlo oracle is the simulator's original one-thread chunk loop.
 It must match ``simulate`` bit for bit, so it keeps the library's streams,
 chunk layout and aggregator-bit log-odds, and redoes the rest the slow way.
 
+The dense staged oracle sweeps both staged objectives over a uniform
+threshold grid of every first-stage candidate's LLR support, restating the
+formulas of the ``architectures`` module docstring on arrays.  It shares
+none of the staged search's refinement (golden sections, crossing
+bisections, point memo) and no private helper of that module.
+
 The conjugate oracle solves L'(s) = t in the stdlib ``decimal`` module at
 60 significant digits and takes s t - L(s) there, so rounding in the
 double-precision solver cannot reach it.
@@ -30,7 +36,16 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from decdet import ErrorEstimate, HypothesisModel, InducedModel, Strategy, induce, product_quantizer
+from decdet import (
+    ErrorEstimate,
+    HypothesisModel,
+    InducedModel,
+    Strategy,
+    enumerate_quantizers,
+    induce,
+    product_quantizer,
+    rate_function_grid,
+)
 from decdet.evaluator import (
     _aggregator_bit,
     _chunk_trials,
@@ -320,3 +335,31 @@ def decimal_conjugate(im: InducedModel, j: int, t: float) -> float:
             raise RuntimeError("decimal conjugate did not converge")
         val, _, _ = tilt(s)
         return float(s * tt - val)
+
+
+def dense_staged_sup(m: HypothesisModel, r: float, d: int, mode: str, points: int) -> tuple[float, float]:
+    """Sup of the DaisyRestricted and Tree objectives over every first-stage
+    quantizer gamma and ``points`` evenly spaced t on gamma's closed LLR
+    support, with the second-stage quantizers chosen per t.  The staged
+    search's reported exponent of each kind is minus a value at least this."""
+    ims = [induce(m, q) for q in enumerate_quantizers(m, d, mode)]
+
+    def branch(im: InducedModel, a, e_same, e_cross):
+        # min of the branch's two error flows: its H0 miss and its H1 miss.
+        up = np.where(a >= im.llr_mean(0), rate_function_grid(im, 0, a), 0.0)
+        down = np.where(a <= im.llr_mean(1), rate_function_grid(im, 1, a), 0.0)
+        return np.minimum(r * e_same + (1 - r) * up, r * e_cross + (1 - r) * down)
+
+    daisy = tree = -math.inf
+    for g in ims:
+        ts = np.linspace(*g.llr_support(), points)
+        l0, l1 = rate_function_grid(g, 0, ts), rate_function_grid(g, 1, ts)
+        below0, below1 = ts < g.llr_mean(0), ts <= g.llr_mean(1)
+        e01, e00 = np.where(below0, 0.0, l0), np.where(below0, l0, 0.0)
+        e10, e11 = np.where(below1, l1, 0.0), np.where(below1, 0.0, l1)
+        a0, a1 = r / (1 - r) * (e10 - e00), -r / (1 - r) * (e01 - e11)
+        bv0 = np.array([branch(im, a0, e00, e10) for im in ims])
+        bv1 = np.array([branch(im, a1, e01, e11) for im in ims])
+        daisy = max(daisy, float(np.minimum(bv0.max(axis=0), bv1.max(axis=0)).max()))
+        tree = max(tree, float(np.minimum(bv0, bv1).max(axis=0).max()))
+    return daisy, tree

@@ -46,6 +46,7 @@ from decdet.architectures import (
     _tree_diff,
 )
 from conftest import random_model
+from oracles import dense_staged_sup
 
 
 def test_kinds_roster():
@@ -786,13 +787,12 @@ def test_rate_function_repeats_are_exact(table_model):
             assert rate_function(induce(table_model, q), j, t) == first
 
 
-def test_every_conjugate_goes_through_the_public_solver(monkeypatch):
-    # The staged search, reevaluate_exponent and h_of_e reach the solver only
-    # through rate_function and rate_function_grid, so a wrapper around the
-    # two public functions (as in perfbench's tracer) sees every solve.
+def _counted_calls(monkeypatch, *names: str) -> dict[str, int]:
+    # Calls that decdet.architectures makes to each of its module-level
+    # names, counted from now on.
     import decdet.architectures as arch
 
-    calls = {"rate_function": 0, "rate_function_grid": 0}
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
         fn = getattr(arch, name)
@@ -803,8 +803,16 @@ def test_every_conjugate_goes_through_the_public_solver(monkeypatch):
 
         return wrapper
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(arch, name, counted(name))
+    return calls
+
+
+def test_every_conjugate_goes_through_the_public_solver(monkeypatch):
+    # The staged search, reevaluate_exponent and h_of_e reach the solver only
+    # through rate_function and rate_function_grid, so a wrapper around the
+    # two public functions (as in perfbench's tracer) sees every solve.
+    calls = _counted_calls(monkeypatch, "rate_function", "rate_function_grid")
     m = random_model(np.random.default_rng(7), k=4)
     _staged_optima.cache_clear()
     for d in (2, 3):
@@ -816,6 +824,34 @@ def test_every_conjugate_goes_through_the_public_solver(monkeypatch):
         assert reevaluate_exponent(m, rep) == rep.exponent
         h_of_e(m, 0.45, DecayRateVector(**rep.decay_rates), d=d, semantics="physical")
         assert calls["rate_function"] > 0
+
+
+@pytest.mark.parametrize("d,work", [(3, (471, 830, 17_059, 156)), (2, (296, 327, 7_085, 72))])
+def test_staged_search_work_is_pinned(monkeypatch, d, work):
+    # A search that stops reusing its point memo, or the single-delta
+    # crossing difference, reports the same optima and only does more work.
+    # A change to the threshold search that moves these counts re-pins them
+    # and says so.
+    names = ("_point_eval", "_tree_diff", "rate_function", "rate_function_grid")
+    calls = _counted_calls(monkeypatch, *names)
+    m = random_model(np.random.default_rng(5), k=5)
+    _staged_optima.cache_clear()
+    _search_staged(m, 0.5, d, "llr_monotone")
+    assert tuple(calls[name] for name in names) == work
+
+
+@pytest.mark.parametrize(
+    "seed,k,d,r",
+    [(seed, 3 + seed % 4, 2 + seed // 4, r) for seed, r in enumerate((0.25, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.5))],
+)
+def test_staged_search_is_no_worse_than_a_dense_threshold_sweep(seed, k, d, r):
+    # The slow oracle of the sup over t: both objectives on 10,001 evenly
+    # spaced thresholds per gamma, without any refinement.  A refinement
+    # that loses a peak reports a value below the dense one.
+    m = random_model(np.random.default_rng(seed), k=k)
+    daisy, tree = dense_staged_sup(m, r, d, "llr_monotone", 10_001)
+    assert -exponent_daisy_restricted(m, r=r, d=d).exponent >= daisy - 1e-12
+    assert -exponent_tree(m, r=r, d=d).exponent >= tree - 1e-12
 
 
 def test_reevaluate_staged_report_needs_stage_fraction(table_model):

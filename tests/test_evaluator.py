@@ -437,12 +437,27 @@ def test_strategy_rejects_nan_thresholds(table_model, field):
     def tree(v: float) -> Strategy:
         return Strategy(kind="Tree", gamma=Q001, delta0=Q011, r=0.5, **{"t": 0.0, field: v})
 
-    with pytest.raises(ValueError, match=f"{field} must not be NaN"):
-        tree(math.nan)
+    for v in (math.nan, "0.1"):
+        with pytest.raises(ValueError, match=f"{field} must be a real number and must not be NaN"):
+            tree(v)
+    # A missing threshold fails here, not later inside the evaluator or a
+    # simulation thread.
+    with pytest.raises(ValueError, match="needs an aggregator threshold t" if field == "t" else "got None"):
+        tree(None)
     # An infinite threshold is a constant bit or decision, a valid strategy.
     for v in (math.inf, -math.inf):
         st = tree(v)
         assert 0.0 <= exact_error(table_model, st, 6).p_e <= 1.0
+
+
+@pytest.mark.parametrize("kind", ["Parallel1", "Parallel2", "OneMsgSequential"])
+def test_one_stage_kinds_take_no_aggregator_threshold(kind):
+    # Like a stage fraction or an unread second-stage map, a t that the
+    # kind never reads is refused rather than silently ignored.
+    delta0 = Q011 if kind == "Parallel2" else None
+    Strategy(kind=kind, gamma=Q001, delta0=delta0)
+    with pytest.raises(ValueError, match=f"{kind} takes no aggregator threshold t"):
+        Strategy(kind=kind, gamma=Q001, delta0=delta0, t=0.3)
 
 
 def test_exact_probabilities_never_exceed_one(table_model):
@@ -771,7 +786,7 @@ def test_simulate_matches_oracle_on_a_wide_alphabet(kind):
     maps = {f: q() for f in read if getattr(st, f) is not None}
     if kind == "Parallel2":
         maps["delta1"] = maps["delta0"]
-    st = dataclasses.replace(st, **maps, t=0.0, fusion_threshold=0.05)
+    st = dataclasses.replace(st, **maps, t=None if st.t is None else 0.0, fusion_threshold=0.05)
     e = simulate(m, st, 7, num_trials=3000, seed=3)
     assert (e.p_e0, e.p_e1) == sequential_simulate(m, st, 7, 3000, 3)
 
