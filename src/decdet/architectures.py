@@ -286,7 +286,8 @@ class Strategy:
         dict without second-stage maps is the chain that attains its
         Parallel1 optimum (see ``PARALLEL_EQUIVALENT``).  Raises ValueError
         when gamma is missing, when only one of delta0 and delta1 is given,
-        or when a map is not an integer label list.
+        when a map is not an integer label list, or when a Tree's delta1 map
+        differs from its delta0 map (its second stage ignores the bit).
         """
 
         def quantizer(key: str) -> Quantizer | None:
@@ -297,6 +298,8 @@ class Strategy:
         delta0, delta1 = quantizer("delta0"), quantizer("delta1")
         if (delta0 is None) != (delta1 is None):
             raise ValueError("a strategy dict holds both of delta0 and delta1 or neither")
+        if kind == "Tree" and delta0 is not None and delta1.map != delta0.map:
+            raise ValueError("a Tree's second stage ignores the feedback bit; delta1 must equal delta0")
         if kind == "DaisyFull" and delta0 is None:
             delta0 = delta1 = gamma
         t = maps.get("t") if t is None else t

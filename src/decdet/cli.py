@@ -254,57 +254,37 @@ def _random_models(count: int, seed: int) -> list[HypothesisModel]:
 
 
 def cmd_check(args) -> int:
+    if args.models < 1:
+        raise ValueError(f"--models must be at least 1, got {args.models}")
     models = _random_models(args.models, args.seed)
-    lines = []
-    violations = 0
-
-    order_bad = 0
+    order_bad = sym_applies = sym_bad = sgb_checks = sgb_bad = 0
     for m in models:
         for r in (0.25, 0.5, 0.75):
             try:
                 arch.check_ordering(m, r=r, d=2)
             except arch.OrderingViolation:
                 order_bad += 1
-    lines.append(f"ordering: {len(models)} models x 3 stage fractions, {order_bad} violations")
-    violations += order_bad
-
-    sym_applies = 0
-    sym_bad = 0
-    for m in models:
-        res = arch.check_symmetric_rate_condition(m, d=2, r=0.5)
-        if res["applies"]:
+        sym = arch.check_symmetric_rate_condition(m, d=2, r=0.5)
+        if sym["applies"]:
             sym_applies += 1
-            if not res["consistent"]:
-                sym_bad += 1
-    lines.append(
-        f"symmetric-rate shortcut: applies on {sym_applies} of {len(models)} models, "
-        f"{sym_bad} inconsistencies"
-    )
-    violations += sym_bad
-
-    sgb_checks = 0
-    sgb_bad = 0
-    for m in models:
-        par = arch.exponent_parallel(m, d=2, messages_per_sensor=1)
-        strat = ev.strategy_from_report(par)
+            sym_bad += not sym["consistent"]
+        # Each exact error against its lower bound: the parallel optimum at
+        # three blocklengths, then the restricted chain's transcript at 12.
+        strat = ev.strategy_from_report(arch.exponent_parallel(m, d=2, messages_per_sensor=1))
         im = induce(m, strat.gamma)
-        for n in (1, 4, 12):
-            est = ev.exact_error_parallel(m, strat, n)
-            bound, _ = ev.sgb_lower_bound(im, n)
-            sgb_checks += 1
-            if max(est.p_e0, est.p_e1) < bound * (1.0 - 1e-9):
-                sgb_bad += 1
-        daisy = arch.exponent_daisy_restricted(m, r=0.5, d=2)
-        dstrat = ev.strategy_from_report(daisy)
+        pairs = [(ev.exact_error_parallel(m, strat, n), ev.sgb_lower_bound(im, n)[0]) for n in (1, 4, 12)]
+        dstrat = ev.strategy_from_report(arch.exponent_daisy_restricted(m, r=0.5, d=2))
         est = ev.exact_error_daisy(m, dstrat, 12)
-        bound, _ = ev.sgb_lower_bound(ev.llr_distribution_daisy(m, dstrat, 12), 1)
-        sgb_checks += 1
-        if max(est.p_e0, est.p_e1) < bound * (1.0 - 1e-9):
-            sgb_bad += 1
-    lines.append(f"error lower bound: {sgb_checks} exact evaluations, {sgb_bad} violations")
-    violations += sgb_bad
-
-    lines.append("all checks passed" if violations == 0 else f"{violations} checks FAILED")
+        pairs.append((est, ev.sgb_lower_bound(ev.llr_distribution_daisy(m, dstrat, 12), 1)[0]))
+        sgb_checks += len(pairs)
+        sgb_bad += sum(max(e.p_e0, e.p_e1) < bound * (1.0 - 1e-9) for e, bound in pairs)
+    violations = order_bad + sym_bad + sgb_bad
+    lines = [
+        f"ordering: {len(models)} models x 3 stage fractions, {order_bad} violations",
+        f"symmetric-rate shortcut: applies on {sym_applies} of {len(models)} models, {sym_bad} inconsistencies",
+        f"error lower bound: {sgb_checks} exact evaluations, {sgb_bad} violations",
+        "all checks passed" if violations == 0 else f"{violations} checks FAILED",
+    ]
     _emit("\n".join(lines) + "\n", args.output)
     return 0 if violations == 0 else 1
 

@@ -201,17 +201,16 @@ def _check_budget(n: int, what: str, k1: int, k2: int = 1, r: float | None = Non
     """Raise TooLarge when a stage at n exceeds CLASS_BUDGET type classes.
 
     The hint names the largest n that fills every stage within the budget.
-    Stage sizes never shrink as n grows, so those n form one interval,
-    whose ends two bisections find.
+    Stage sizes never shrink as n grows, so the n within the budget are
+    1..over, found by one bisection; if n = over leaves a stage empty, so
+    does every smaller n.
     """
     if _stage_classes(n, k1, k2, r) <= CLASS_BUDGET:
         return
-    ns = range(1, n + 1)
-    # Both are positions in ns, one below the first n that fills every stage
-    # and the first n over the budget; so `over` is the largest n within it.
-    filled = bisect.bisect_left(ns, True, key=lambda nn: _stage_classes(nn, k1, k2, r) > 0)
-    over = bisect.bisect_left(ns, True, key=lambda nn: _stage_classes(nn, k1, k2, r) > CLASS_BUDGET)
-    if over > filled:
+    # The position in 1..n of the first n over the budget is the largest n
+    # within it (0 when there is none).
+    over = bisect.bisect_left(range(1, n + 1), True, key=lambda nn: _stage_classes(nn, k1, k2, r) > CLASS_BUDGET)
+    if over > 0 and _stage_classes(over, k1, k2, r) > 0:
         hint = f"; largest feasible n here is {over}"
     else:
         hint = "; no n here gives two non-empty stages within it"

@@ -62,7 +62,6 @@ The golden-section search uses absolute tolerance 1e-10 on its argument.
 from __future__ import annotations
 
 import math
-import weakref
 from functools import cached_property
 from typing import NamedTuple
 
@@ -117,10 +116,11 @@ class _RateConstants:
     gives the massed atoms' log masses and their distances to the lower and
     upper edge, ``shared`` says that both hypotheses have mass on the same
     atoms, and ``float_lists`` serves the scalar form.  ``last`` and
-    ``last_grid`` hold the last scalar and grid Newton solve as (t, result),
-    and ``dual`` is hypothesis 0's constants once hypothesis 1 has been
-    solved through them.  Concurrent callers can at worst solve a t twice:
-    a result depends on nothing but the constants and t.
+    ``last_grid`` hold the last scalar and grid Newton solve as (t, result).
+    Each :class:`InducedModel` carries its two (built on first use, per
+    hypothesis, by :func:`_rate_constants`), so they die with the model.
+    Concurrent callers can at worst solve a t twice: a result depends on
+    nothing but the constants and t.
     """
 
     def __init__(self, im: InducedModel, j: int) -> None:
@@ -139,7 +139,7 @@ class _RateConstants:
         mass_hi = float(q[z >= self.zmax - self.tol_hi].sum())
         self.rate_lo = -math.log(mass_lo) if mass_lo > 0.0 else math.inf
         self.rate_hi = -math.log(mass_hi) if mass_hi > 0.0 else math.inf
-        self.lq_ends = self.last = self.last_grid = self.dual = None
+        self.lq_ends = self.last = self.last_grid = None
         if len(massed) == 2 and self.zmax > self.zmin:
             lq = self.logq[self._keep]
             lo, hi = (0, 1) if massed[0] < massed[1] else (1, 0)
@@ -161,17 +161,10 @@ class _RateConstants:
         return lq.tolist(), da.tolist(), db.tolist()
 
 
-# Keyed weakly on the (immutable, identity-hashed) InducedModel so the memo
-# never outlives its model.
-_RATE_CONSTANTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _rate_constants(im: InducedModel, j: int) -> _RateConstants:
     if j != 0 and j != 1:
         raise ValueError("hypothesis must be 0 or 1")
-    per_model = _RATE_CONSTANTS.get(im)
-    if per_model is None:
-        per_model = _RATE_CONSTANTS[im] = [None, None]
+    per_model = im._solver_constants
     consts = per_model[j]
     if consts is None:
         consts = per_model[j] = _RateConstants(im, j)
@@ -445,9 +438,7 @@ def _newton_source(im: InducedModel, j: int, c: _RateConstants) -> tuple[_RateCo
     one t cost one solve.
     """
     if j == 1 and c.shared:
-        if c.dual is None:
-            c.dual = _rate_constants(im, 0)
-        return c.dual, True
+        return _rate_constants(im, 0), True
     return c, False
 
 

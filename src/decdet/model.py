@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from pathlib import Path
 from typing import Iterable
@@ -27,7 +28,6 @@ __all__ = [
     "NotAProbability",
     "SupportMismatch",
     "ShapeMismatch",
-    "validate_model",
     "induce",
     "enumerate_quantizers",
     "identity_quantizer",
@@ -65,9 +65,12 @@ def _frozen_array(values) -> np.ndarray:
 class HypothesisModel:
     """Pair of pmfs (pmf0, pmf1) over a finite observation alphabet.
 
-    Construction checks the invariants with :func:`validate_model`: each pmf
-    has finite nonnegative entries summing to one, and a symbol has zero mass
-    under one hypothesis iff under the other (mutual absolute continuity).
+    Construction is the one check of the invariants.  It raises
+    ShapeMismatch unless the pmfs are nonempty, one-dimensional and of equal
+    length, NotAProbability when a pmf has non-finite or negative entries or
+    does not sum to one within 1e-12, and SupportMismatch when some symbol
+    has zero mass under exactly one hypothesis (the two pmfs must be
+    mutually absolutely continuous).
     """
 
     pmf0: np.ndarray
@@ -80,7 +83,20 @@ class HypothesisModel:
             raise ShapeMismatch("pmfs must be one-dimensional")
         if self.pmf0.shape != self.pmf1.shape or self.pmf0.size == 0:
             raise ShapeMismatch("pmf0 and pmf1 must be nonempty and equal length")
-        validate_model(self)
+        for name, pmf in (("pmf0", self.pmf0), ("pmf1", self.pmf1)):
+            if not np.all(np.isfinite(pmf)):
+                raise NotAProbability(f"{name} has non-finite entries")
+            if np.any(pmf < 0.0):
+                raise NotAProbability(f"{name} has negative entries")
+            total = float(pmf.sum())
+            if abs(total - 1.0) > PMF_ATOL:
+                raise NotAProbability(f"{name} sums to {total!r}, not 1")
+        mismatch = (self.pmf0 == 0.0) != (self.pmf1 == 0.0)
+        if np.any(mismatch):
+            raise SupportMismatch(
+                f"symbol {int(np.flatnonzero(mismatch)[0])} has zero mass under exactly one hypothesis; "
+                "the two distributions must be mutually absolutely continuous"
+            )
 
     @property
     def alphabet_size(self) -> int:
@@ -175,32 +191,11 @@ class InducedModel:
     def llr_support(self) -> tuple[float, float]:
         return float(self.llr.min()), float(self.llr.max())
 
-
-def validate_model(m: HypothesisModel) -> HypothesisModel:
-    """Check the model invariants and return the model unchanged.
-
-    Every :class:`HypothesisModel` construction calls it.  Raises
-    NotAProbability when a pmf has non-finite or negative entries or does
-    not sum to one within 1e-12, and SupportMismatch when some symbol has
-    zero mass under exactly one hypothesis.
-    """
-    for name, pmf in (("pmf0", m.pmf0), ("pmf1", m.pmf1)):
-        if not np.all(np.isfinite(pmf)):
-            raise NotAProbability(f"{name} has non-finite entries")
-        if np.any(pmf < 0.0):
-            raise NotAProbability(f"{name} has negative entries")
-        total = float(pmf.sum())
-        if abs(total - 1.0) > PMF_ATOL:
-            raise NotAProbability(f"{name} sums to {total!r}, not 1")
-    zero0 = m.pmf0 == 0.0
-    zero1 = m.pmf1 == 0.0
-    if np.any(zero0 != zero1):
-        bad = int(np.flatnonzero(zero0 != zero1)[0])
-        raise SupportMismatch(
-            f"symbol {bad} has zero mass under exactly one hypothesis; "
-            "the two distributions must be mutually absolutely continuous"
-        )
-    return m
+    @cached_property
+    def _solver_constants(self) -> list:
+        # exponents' conjugate-solver constants per hypothesis, each built
+        # there on first use; they live and die with the model.
+        return [None, None]
 
 
 def induce(m: HypothesisModel, q: Quantizer) -> InducedModel:

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from decdet import HypothesisModel, validate_model
+from decdet import HypothesisModel
 
 
 def random_model(
@@ -22,15 +22,15 @@ def random_model(
             continue
         if 0.5 * float(np.abs(p0 - p1).sum()) < min_tv:
             continue
-        return validate_model(HypothesisModel(pmf0=p0, pmf1=p1))
+        return HypothesisModel(pmf0=p0, pmf1=p1)
 
 
 @pytest.fixture
 def table_model() -> HypothesisModel:
     # Ternary reference model, strongly skewed both ways.
-    return validate_model(HypothesisModel(pmf0=(0.8, 0.15, 0.05), pmf1=(0.05, 0.15, 0.8)))
+    return HypothesisModel(pmf0=(0.8, 0.15, 0.05), pmf1=(0.05, 0.15, 0.8))
 
 
 @pytest.fixture
 def coin_model() -> HypothesisModel:
-    return validate_model(HypothesisModel(pmf0=(0.75, 0.25), pmf1=(0.25, 0.75)))
+    return HypothesisModel(pmf0=(0.75, 0.25), pmf1=(0.25, 0.75))

@@ -36,13 +36,12 @@ from decdet import (
     sgb_lower_bound,
     simulate,
     strategy_from_report,
-    validate_model,
 )
 from decdet.cli import main
 from conftest import random_model
 from oracles import brute_force_error
 
-TABLE = validate_model(HypothesisModel(pmf0=(0.8, 0.15, 0.05), pmf1=(0.05, 0.15, 0.8)))
+TABLE = HypothesisModel(pmf0=(0.8, 0.15, 0.05), pmf1=(0.05, 0.15, 0.8))
 TABLE_TEXT = "3 2\n0.8 0.15 0.05\n0.05 0.15 0.8\n"
 GAMMA2 = [0, 0, 1]  # keeps the two skewed symbols apart
 GAMMA1 = [0, 1, 1]
@@ -318,9 +317,7 @@ def test_criterion_06b_chain_beats_tree_at_large_n(capsys):
     t0 = time.perf_counter()
     ns = (250, 500, 1000, 2000, 3000)
     design = np.column_stack([ns, np.log(ns), np.ones(len(ns))])
-    mirror4 = validate_model(
-        HypothesisModel(pmf0=(0.6, 0.25, 0.1, 0.05), pmf1=(0.05, 0.1, 0.25, 0.6))
-    )
+    mirror4 = HypothesisModel(pmf0=(0.6, 0.25, 0.1, 0.05), pmf1=(0.05, 0.1, 0.25, 0.6))
     below = True
     gap_errs = []
     for m, d in ((TABLE, 2), (mirror4, 3)):

@@ -34,7 +34,6 @@ from decdet import (
     rate_function,
     reevaluate_exponent,
     strategy_from_report,
-    validate_model,
 )
 from decdet.architectures import (
     ONE_STAGE_KINDS,
@@ -178,6 +177,12 @@ def test_strategy_from_dict_applies_the_kind_rules(table_model):
     s = Strategy(kind="Parallel2", gamma=Quantizer.from_labels([0, 0, 1]), delta0=Quantizer.from_labels([0, 1, 1]),
                  delta1=d1)
     assert s.delta1 is d1
+    # A Tree's second stage ignores the feedback bit, so its two maps agree
+    # up to relabeling; one with two maps would be a restricted chain.
+    with pytest.raises(ValueError, match="delta1 must equal delta0"):
+        Strategy.from_dict("Tree", {**g, "delta0": [0, 0, 1], "delta1": [0, 1, 1]}, r=0.5)
+    s = Strategy.from_dict("Tree", {**g, "delta0": [0, 0, 1], "delta1": [1, 1, 0]}, r=0.5)
+    assert s.delta1.map == s.delta0.map == (0, 0, 1)
     # A DaisyFull report carries no stage fraction r.
     with pytest.raises(ValueError, match="stage fraction r"):
         strategy_from_report(exponent_feedback_equivalent(table_model, kind="DaisyFull"))
@@ -362,7 +367,7 @@ def test_h_of_e_literal_uses_the_solvers_support_rule():
     # a0 sits 3e-12 above zmax of (0, 1, 1): inside a slack of 1e-12 of
     # max(1, |zmin|, |zmax|), outside the solver's 1e-12 of max(1, |zmax|),
     # so that quantizer's conjugate is +inf and must not be offered.
-    m = validate_model(HypothesisModel(pmf0=(0.9, 0.05, 0.05), pmf1=(0.01, 0.5, 0.49)))
+    m = HypothesisModel(pmf0=(0.9, 0.05, 0.05), pmf1=(0.01, 0.5, 0.49))
     _, zmax = induce(m, Quantizer(map=(0, 1, 1), message_alphabet_size=2)).llr_support()
     e = DecayRateVector(e01=4.4, e10=zmax + 3e-12, e00=0.0, e11=0.0)
     val, q0, q1 = h_of_e(m, 0.5, e, semantics="literal")
@@ -399,7 +404,7 @@ def test_ordering_check_random_models():
 
 
 def test_ordering_check_degenerate_model():
-    m = validate_model(HypothesisModel(pmf0=(0.5, 0.3, 0.2), pmf1=(0.5, 0.3, 0.2)))
+    m = HypothesisModel(pmf0=(0.5, 0.3, 0.2), pmf1=(0.5, 0.3, 0.2))
     res = check_ordering(m, r=0.5)
     assert res["degenerate"]
     assert abs(res["parallel1"]) <= 1e-9
@@ -410,7 +415,7 @@ def test_symmetric_rate_condition_applies_to_mirror_model():
     # Binary model symmetric under swapping hypotheses: the llr under one
     # hypothesis matches the negated llr under the other, so the shortcut
     # that pins the threshold at zero is exact and chain equals tree.
-    m = validate_model(HypothesisModel(pmf0=(0.8, 0.2), pmf1=(0.2, 0.8)))
+    m = HypothesisModel(pmf0=(0.8, 0.2), pmf1=(0.2, 0.8))
     res = check_symmetric_rate_condition(m)
     assert res["applies"]
     assert res["consistent"]
@@ -926,7 +931,7 @@ _MIRROR_PMF0 = (0.18665256000226096, 0.14817231948955542, 0.5497833810364157, 0.
 
 
 def test_parallel_noise_tie_goes_to_smallest_map():
-    m = validate_model(HypothesisModel(pmf0=_MIRROR_PMF0, pmf1=_MIRROR_PMF0[::-1]))
+    m = HypothesisModel(pmf0=_MIRROR_PMF0, pmf1=_MIRROR_PMF0[::-1])
     rep = exponent_parallel(m, d=2)
     assert rep.strategy["gamma"] == [0, 0, 0, 1, 1]
     assert rep.exponent == -0.03718777008576976
@@ -936,7 +941,7 @@ def test_parallel_noise_tie_goes_to_smallest_map():
 @given(raw=hs.lists(hs.floats(min_value=0.05, max_value=1.0), min_size=3, max_size=5))
 def test_parallel_report_is_smallest_map_among_noise_ties(raw):
     p0 = np.asarray(raw) / sum(raw)
-    m = validate_model(HypothesisModel(pmf0=p0, pmf1=p0[::-1]))
+    m = HypothesisModel(pmf0=p0, pmf1=p0[::-1])
     values = {q.map: chernoff_exponent(induce(m, q))[0] for q in enumerate_quantizers(m, 2, "llr_monotone")}
     best = min(values.values())
     want = min(key for key, v in values.items() if v <= best + 1e-9)

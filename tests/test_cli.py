@@ -169,9 +169,11 @@ def test_arch_roster():
          "--method", "exact"],
         ["simulate", "--arch", "parallel-2", "--quantizer", "0,0,1", "--delta0", "0,1,1", "--delta1", "0,0,1",
          "--n-grid", "10", "--method", "exact"],
+        ["simulate", "--arch", "tree", "--r", "0.5", "--quantizer", "0,0,1", "--delta0", "0,1,1", "--delta1", "0,0,1",
+         "--n-grid", "20", "--method", "exact"],
     ],
     ids=["nan-fusion-threshold", "nan-t", "negative-seed", "seed-2**64", "one-distinct-n",
-         "delta0-on-one-msg-sequential", "delta0-on-parallel-1", "delta1-on-parallel-2"],
+         "delta0-on-one-msg-sequential", "delta0-on-parallel-1", "delta1-on-parallel-2", "delta1-on-tree"],
 )
 def test_invalid_strategy_seed_or_grid_exits_two(capsys, model_file, argv):
     code, out, err = _run(capsys, argv[:1] + ["--model", model_file] + argv[1:])
@@ -499,6 +501,14 @@ def test_check_sweep_passes(capsys):
     code, out, _ = _run(capsys, ["check", "--models", "3", "--seed", "1"])
     assert code == 0
     assert "all checks passed" in out
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_check_refuses_an_empty_sweep(capsys, count):
+    # A sweep over no models would pass vacuously.
+    code, out, err = _run(capsys, ["check", "--models", count])
+    assert (code, out) == (2, "")
+    assert err == f"error: --models must be at least 1, got {count}\n"
 
 
 def test_module_entry_point(capsys, model_file):

@@ -38,7 +38,6 @@ from decdet import (
     sgb_lower_bound,
     simulate,
     strategy_from_report,
-    validate_model,
 )
 from decdet import evaluator
 from conftest import random_model
@@ -73,7 +72,7 @@ def test_hand_value_table_single_sensor(table_model):
 
 
 def test_indistinguishable_model_errs_half():
-    m = validate_model(HypothesisModel(pmf0=(0.6, 0.4), pmf1=(0.6, 0.4)))
+    m = HypothesisModel(pmf0=(0.6, 0.4), pmf1=(0.6, 0.4))
     for n in (1, 3, 7):
         e = exact_error_parallel(m, _parallel1(QID2), n)
         assert e.p_e == pytest.approx(0.5, abs=1e-15)
@@ -124,7 +123,7 @@ def test_exact_matches_brute_force_offset_threshold(table_model):
 # Largest oracle table per stage; it caps n near 14 at six atoms, while
 # two atoms reach n = 80.
 _ORACLE_CLASSES = 20_000
-_SYMMETRIC = validate_model(HypothesisModel(pmf0=(0.8, 0.15, 0.05), pmf1=(0.05, 0.15, 0.8)))
+_SYMMETRIC = HypothesisModel(pmf0=(0.8, 0.15, 0.05), pmf1=(0.05, 0.15, 0.8))
 
 
 def _largest_n(k: int) -> int:
@@ -160,7 +159,7 @@ def _fold_cases(draw):
         if k > 1 and draw(hs.booleans()):
             f = draw(hs.sampled_from([1.0, 2.0, 3.0]))
             w0[-1], w1[-1] = f * w0[0], f * w1[0]
-        m = validate_model(HypothesisModel(pmf0=np.array(w0) / sum(w0), pmf1=np.array(w1) / sum(w1)))
+        m = HypothesisModel(pmf0=np.array(w0) / sum(w0), pmf1=np.array(w1) / sum(w1))
     k = m.alphabet_size
 
     def quantizer():
@@ -480,9 +479,7 @@ def test_simulate_seed_range(table_model):
 
 
 def test_too_large_reports_feasible_n():
-    m = validate_model(
-        HypothesisModel(pmf0=(0.4, 0.3, 0.2, 0.1), pmf1=(0.1, 0.2, 0.3, 0.4))
-    )
+    m = HypothesisModel(pmf0=(0.4, 0.3, 0.2, 0.1), pmf1=(0.1, 0.2, 0.3, 0.4))
     st = Strategy(kind="Parallel1", gamma=Quantizer(map=(0, 1, 2, 3), message_alphabet_size=4))
     with pytest.raises(TooLarge, match="feasible"):
         exact_error_parallel(m, st, 5000)
@@ -493,7 +490,7 @@ def test_too_large_hint_with_small_stage_fraction():
     # sensors, over the budget at k=8, so no n is evaluable and the hint
     # says so instead of naming one.
     p0 = np.arange(1.0, 9.0) / 36.0
-    m = validate_model(HypothesisModel(pmf0=p0, pmf1=p0[::-1]))
+    m = HypothesisModel(pmf0=p0, pmf1=p0[::-1])
     ident = Quantizer(map=tuple(range(8)), message_alphabet_size=8)
     st = Strategy(kind="Tree", gamma=ident, delta0=ident, t=0.0, r=0.01)
     with pytest.raises(TooLarge, match="no n here gives two non-empty stages") as info:
@@ -563,7 +560,7 @@ def test_sgb_bound_holds_for_exact_errors(table_model):
 
 
 def test_sgb_degenerate_cases():
-    m = validate_model(HypothesisModel(pmf0=(0.6, 0.4), pmf1=(0.6, 0.4)))
+    m = HypothesisModel(pmf0=(0.6, 0.4), pmf1=(0.6, 0.4))
     im = induce(m, QID2)
     bound, s_star = sgb_lower_bound(im, 10)
     assert (bound, s_star) == (0.25, 0.5)

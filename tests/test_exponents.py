@@ -31,9 +31,8 @@ from decdet import (
     log_mgf_derivs,
     rate_function,
     rate_function_grid,
-    validate_model,
 )
-from decdet.exponents import _EDGE_RTOL, _RATE_CONSTANTS
+from decdet.exponents import _EDGE_RTOL
 from conftest import random_model
 from oracles import decimal_conjugate
 
@@ -239,11 +238,10 @@ def test_degenerate_model_has_zero_exponent():
 def test_rate_constants_memo_does_not_keep_models_alive(table_model):
     im = _gamma2(table_model)
     rate_function(im, 0, 0.0)
-    assert im in _RATE_CONSTANTS
-    ref = weakref.ref(im)
+    refs = weakref.ref(im), weakref.ref(im._solver_constants[0])
     del im
     gc.collect()
-    assert ref() is None
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_array_solvers_leave_float_lists_unbuilt(table_model):
@@ -253,8 +251,8 @@ def test_array_solvers_leave_float_lists_unbuilt(table_model):
     im = induce(table_model, Quantizer(map=(0, 1, 2), message_alphabet_size=3))
     log_mgf_derivs(im, 0, 0.3)
     chernoff_exponent(im)
-    consts = _RATE_CONSTANTS[im][0]
-    assert _RATE_CONSTANTS[im][1] is None and "massed" not in vars(consts)
+    consts, other = im._solver_constants
+    assert other is None and "massed" not in vars(consts)
     rate_function_grid(im, 0, np.linspace(-1.0, 1.0, 5))
     assert "float_lists" not in vars(consts)
     rate_function(im, 0, 0.1)
@@ -266,7 +264,7 @@ def _pinned_kernel_models():
     models = [likelihood_ratio_reduction(random_model(rng, k=k)) for k in (3, 4, 5)]
     # A 12-sensor transcript of a model with 1e-40 masses: its extreme type
     # classes underflow to zero mass, so the kernels meet -inf log weights.
-    tiny = validate_model(HypothesisModel(pmf0=(0.7, 0.3, 1e-40), pmf1=(1e-40, 0.3, 0.7)))
+    tiny = HypothesisModel(pmf0=(0.7, 0.3, 1e-40), pmf1=(1e-40, 0.3, 0.7))
     ident = Quantizer(map=(0, 1, 2), message_alphabet_size=3)
     transcript = llr_distribution_parallel(tiny, Strategy(kind="Parallel1", gamma=ident), 12)
     assert np.any(transcript.q0 == 0.0) and np.any(transcript.q1 == 0.0)

@@ -23,12 +23,11 @@ from decdet import (
     parse_model_text,
     product_quantizer,
     split_product_quantizer,
-    validate_model,
 )
 
 
 def test_validate_accepts_simplex_pair():
-    m = validate_model(HypothesisModel(pmf0=(0.5, 0.5), pmf1=(0.1, 0.9)))
+    m = HypothesisModel(pmf0=(0.5, 0.5), pmf1=(0.1, 0.9))
     assert m.alphabet_size == 2
     assert not m.pmf0.flags.writeable
     assert not m.pmf1.flags.writeable
@@ -36,12 +35,12 @@ def test_validate_accepts_simplex_pair():
 
 def test_validate_rejects_bad_sum():
     with pytest.raises(NotAProbability):
-        validate_model(HypothesisModel(pmf0=(0.5, 0.4), pmf1=(0.5, 0.5)))
+        HypothesisModel(pmf0=(0.5, 0.4), pmf1=(0.5, 0.5))
 
 
 def test_validate_rejects_negative_mass():
     with pytest.raises(NotAProbability):
-        validate_model(HypothesisModel(pmf0=(1.2, -0.2), pmf1=(0.5, 0.5)))
+        HypothesisModel(pmf0=(1.2, -0.2), pmf1=(0.5, 0.5))
 
 
 def test_validate_rejects_one_sided_support():
@@ -65,13 +64,13 @@ def test_construction_checks_the_model(pmf0, pmf1, error):
 
 def test_validate_rejects_length_mismatch():
     with pytest.raises(ShapeMismatch):
-        validate_model(HypothesisModel(pmf0=(0.5, 0.5), pmf1=(0.2, 0.3, 0.5)))
+        HypothesisModel(pmf0=(0.5, 0.5), pmf1=(0.2, 0.3, 0.5))
 
 
 def test_validate_allows_jointly_dead_symbol():
     # A symbol with zero mass under both hypotheses never occurs; it is
     # dropped at induction time rather than rejected here.
-    m = validate_model(HypothesisModel(pmf0=(0.5, 0.5, 0.0), pmf1=(0.3, 0.7, 0.0)))
+    m = HypothesisModel(pmf0=(0.5, 0.5, 0.0), pmf1=(0.3, 0.7, 0.0))
     im = induce(m, identity_quantizer(m))
     assert im.alphabet_size == 2
     np.testing.assert_allclose(im.q0, [0.5, 0.5])
@@ -179,9 +178,7 @@ def test_enumerate_all_counts(table_model):
 def test_enumerate_monotone_cell_count():
     # With d message labels and k >= d distinct llr values, every monotone
     # quantizer uses exactly d nonempty cells.
-    m = validate_model(
-        HypothesisModel(pmf0=(0.4, 0.3, 0.2, 0.1), pmf1=(0.1, 0.2, 0.3, 0.4))
-    )
+    m = HypothesisModel(pmf0=(0.4, 0.3, 0.2, 0.1), pmf1=(0.1, 0.2, 0.3, 0.4))
     for d in (2, 3):
         for q in enumerate_quantizers(m, d, mode="llr_monotone"):
             assert q.num_cells == min(d, m.alphabet_size)
@@ -190,7 +187,7 @@ def test_enumerate_monotone_cell_count():
 def test_enumerate_monotone_tied_llrs():
     # Symbols 0 and 1 carry the same llr; the tie can be kept together or
     # split across the boundary, and symbol 2 sits alone on the other side.
-    m = validate_model(HypothesisModel(pmf0=(0.2, 0.2, 0.6), pmf1=(0.3, 0.3, 0.4)))
+    m = HypothesisModel(pmf0=(0.2, 0.2, 0.6), pmf1=(0.3, 0.3, 0.4))
     maps = set(q.map for q in enumerate_quantizers(m, 2, mode="llr_monotone"))
     assert maps == {(0, 0, 1), (0, 1, 0), (0, 1, 1)}
 
@@ -264,8 +261,8 @@ def test_enumerate_quantizers_emits_no_warning():
     # A symbol with zero mass under both hypotheses exercises the masked
     # logs in the LLR tie grouping.
     models = [
-        validate_model(HypothesisModel(pmf0=(0.8, 0.15, 0.05), pmf1=(0.05, 0.15, 0.8))),
-        validate_model(HypothesisModel(pmf0=(0.5, 0.0, 0.5), pmf1=(0.2, 0.0, 0.8))),
+        HypothesisModel(pmf0=(0.8, 0.15, 0.05), pmf1=(0.05, 0.15, 0.8)),
+        HypothesisModel(pmf0=(0.5, 0.0, 0.5), pmf1=(0.2, 0.0, 0.8)),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")

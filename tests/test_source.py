@@ -59,7 +59,7 @@ _COLD_START = textwrap.dedent(
         return {name: name in sys.modules for name in ("scipy", "concurrent.futures")}
 
     seen = {"import": loaded()}
-    m = decdet.validate_model(decdet.HypothesisModel(pmf0=(0.8, 0.15, 0.05), pmf1=(0.05, 0.15, 0.8)))
+    m = decdet.HypothesisModel(pmf0=(0.8, 0.15, 0.05), pmf1=(0.05, 0.15, 0.8))
     decdet.exponent_tree(m, r=0.5, d=2)
     code = cli.main(["exponent", "--model", sys.argv[1], "--arch", "daisy-restricted", "--r", "0.5"])
     seen["search"] = dict(loaded(), exit=code)
@@ -92,7 +92,7 @@ def test_cold_start_loads_scipy_on_first_exact_evaluation(tmp_path):
     assert seen["exact"] == {"scipy": True, "log_p_e": -5.976210715607334}
 
 
-# The 52 public names; a refactor of the package listing may not add or drop one.
+# The 51 public names; a refactor of the package listing may not add or drop one.
 _PUBLIC_NAMES = {
     "__version__",
     "CLASS_BUDGET", "DecayRateVector", "DegenerateLLR", "ErrorEstimate", "ExponentReport", "FitResult",
@@ -105,7 +105,7 @@ _PUBLIC_NAMES = {
     "likelihood_ratio_reduction", "llr_distribution_daisy", "llr_distribution_parallel", "load_model",
     "log_mgf", "log_mgf_derivs", "parse_model_text", "product_quantizer", "rate_function",
     "rate_function_grid", "reevaluate_exponent", "sgb_lower_bound", "simulate", "split_product_quantizer",
-    "strategy_from_report", "validate_model",
+    "strategy_from_report",
 }
 
 
