@@ -113,6 +113,7 @@ from .model import (
     HypothesisModel,
     InducedModel,
     Quantizer,
+    _check_message_size,
     enumerate_quantizers,
     induce,
     product_quantizer,
@@ -542,10 +543,12 @@ def _search_staged(m: HypothesisModel, r: float, d: int, mode: str) -> tuple[_St
     matrix, and because evaluating the daisy objective at the tree's best
     threshold (and vice versa) keeps the reported pair consistent: the
     daisy value can never fall below the tree value at any threshold either
-    search visited.  Only ``r`` is checked here; the model checked itself.
+    search visited.  ``r`` and ``d`` are checked before the cache lookup,
+    where 2.0 would hit a cached d = 2 search; the model checked itself.
     """
     _check_stage_fraction(r)
-    return _staged_optima(m.pmf0.tobytes(), m.pmf1.tobytes(), float(r), int(d), mode)
+    _check_message_size(d)
+    return _staged_optima(m.pmf0.tobytes(), m.pmf1.tobytes(), float(r), d, mode)
 
 
 @dataclass(eq=False)
@@ -723,6 +726,7 @@ def exponent_parallel(
     formulation = _norm_formulation(formulation)
     if messages_per_sensor not in (1, 2):
         raise ValueError("messages_per_sensor must be 1 or 2")
+    _check_message_size(d)  # before d * d hides the d given
     d_eff = d * d if messages_per_sensor == 2 else d
     best = _Best()
     for q in enumerate_quantizers(m, d_eff, mode):

@@ -12,10 +12,11 @@ they can be shared freely across threads or processes.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import accumulate, chain, combinations
 from pathlib import Path
 from typing import Iterable
 
@@ -249,27 +250,19 @@ def split_product_quantizer(joint: Quantizer, d_second: int) -> tuple[Quantizer,
     )
 
 
-def _all_canonical_maps(k: int, d: int):
-    # Restricted-growth strings with at most d distinct labels: each position
-    # may reuse an existing label or open the next one.  Yields every
-    # canonical map exactly once, in lexicographic order.
-    prefix = [0] * k
-
-    def rec(i: int, used: int):
-        if i == k:
-            yield tuple(prefix)
-            return
-        top = min(used + 1, d)
-        for lab in range(top):
-            prefix[i] = lab
-            yield from rec(i + 1, max(used, lab + 1))
-
-    yield from rec(1, 1) if k > 1 else iter([(0,)])
+def _all_canonical_maps(k: int, d: int) -> list[Quantizer]:
+    # Restricted-growth strings with at most d labels, grown one symbol at a
+    # time: each map reuses a label or opens the next, in lexicographic order.
+    maps = [(0,)]
+    for _ in range(k - 1):
+        maps = [q + (lab,) for q in maps for lab in range(min(max(q) + 2, d))]
+    return [Quantizer(map=t, message_alphabet_size=d) for t in maps]
 
 
 def _llr_tie_groups(m: HypothesisModel) -> list[list[int]]:
-    # Group symbols by equal LLR after sorting; zero-mass symbols keep the
-    # spot their (0/0) ratio would occupy and are placed in their own group.
+    # Group symbols by equal LLR after sorting.  A zero-mass symbol takes LLR
+    # 0 and joins a massed symbol whose LLR is within tolerance of 0: pmf0
+    # (0.5, 0, 0.2, 0.3), pmf1 (0.2, 0, 0.2, 0.6) give [[0], [1, 2], [3]].
     log1 = np.log(m.pmf1, out=np.zeros_like(m.pmf1), where=m.pmf1 > 0)
     log0 = np.log(m.pmf0, out=np.zeros_like(m.pmf0), where=m.pmf0 > 0)
     llr = np.where((m.pmf0 > 0.0) & (m.pmf1 > 0.0), log1 - log0, 0.0)
@@ -286,61 +279,49 @@ def _llr_tie_groups(m: HypothesisModel) -> list[list[int]]:
     return groups
 
 
-def _monotone_maps(m: HypothesisModel, d: int):
-    # Interval rules on the LLR-sorted alphabet with exactly min(d, K)
-    # nonempty cells.  Coarser interval rules are omitted: any of them is a
-    # function of a finer one, so it can never do strictly better in the
-    # exponent searches this feeds.  Within a tie group, every assignment of
-    # members to the cells spanning the group is enumerated, because either
-    # placement of a tied symbol can be optimal.
+def _monotone_maps(m: HypothesisModel, d: int) -> list[Quantizer]:
+    # Each choice of min(d, K) - 1 cuts labels the LLR-sorted order.  The map
+    # then grows one sorted symbol at a time, each taking a label still left
+    # in its tie group's run, so tied symbols take their run in every order:
+    # either placement of a tied symbol can be optimal.  Coarser interval
+    # rules are omitted: each is a function of a finer one.
     groups = _llr_tie_groups(m)
     k = m.alphabet_size
-    cells = min(d, k)
+    tie_spans = [(end - len(g), end) for g, end in zip(groups, accumulate(map(len, groups))) for _ in g]
     out: set[tuple[int, ...]] = set()
-    labels = [0] * k
-
-    def rec(gi: int, used: int):
-        if gi == len(groups):
-            if used == cells:
-                out.add(Quantizer(map=tuple(labels), message_alphabet_size=d).map)
-            return
-        group = groups[gi]
-        lo = max(used - 1, 0)
-        remaining = sum(len(g) for g in groups[gi + 1 :])
-        for assign in product(range(lo, cells), repeat=len(group)):
-            top = max(assign)
-            # Cells must grow contiguously along the sorted order: a group
-            # may extend the last open cell or open new ones, skipping none.
-            if top >= used and not set(assign).issuperset(range(used, top + 1)):
-                continue
-            new_used = max(used, top + 1)
-            if cells - new_used > remaining:
-                continue
-            for x, lab in zip(group, assign):
-                labels[x] = lab
-            rec(gi + 1, new_used)
-
-    rec(0, 0)
+    for cuts in combinations(range(1, k), min(d, k) - 1):
+        along = tuple(sum(i >= c for c in cuts) for i in range(k))
+        grown = [()]
+        for a, b in tie_spans:
+            run = along[a:b]
+            grown = [p + (v,) for p in grown for v in range(run[0], run[-1] + 1) if p[a:].count(v) < run.count(v)]
+        for labels in grown:
+            by_symbol = tuple(lab for _, lab in sorted(zip(chain(*groups), labels)))
+            out.add(Quantizer(map=by_symbol, message_alphabet_size=d).map)
     return [Quantizer(map=t, message_alphabet_size=d) for t in sorted(out)]
+
+
+def _check_message_size(d) -> None:
+    """Raise ValueError unless the message alphabet size d is an integer >= 2."""
+    if not isinstance(d, numbers.Integral) or d < 2:
+        raise ValueError(f"message alphabet size d must be an integer of at least 2, got {d!r}")
 
 
 def enumerate_quantizers(m: HypothesisModel, d: int, mode: str = "llr_monotone") -> list[Quantizer]:
     """Enumerate candidate quantizers into d messages, sorted by map.
 
-    mode "all" yields every canonical map with at most d distinct labels
-    (d**K maps before deduplication).  mode "llr_monotone" yields threshold
-    rules on the sorted per-symbol likelihood ratios, with both placements
-    of tied symbols enumerated; this is the default search space because
-    threshold rules attain the optima of every exponent objective here,
-    while "all" serves as the exhaustive cross-check.
+    mode "llr_monotone", the default, yields the interval rules on the
+    LLR-sorted alphabet: min(d, K) - 1 cuts give exactly min(d, K) cells,
+    and tied symbols take their run of labels in every order; without ties
+    there are C(K - 1, min(d, K) - 1).  They attain every exponent optimum
+    here.  mode "all", the exhaustive cross-check, yields every canonical
+    map into at most d labels: the sum over j <= min(d, K) of the Stirling
+    numbers S(K, j), 9,842 at K = 10, d = 3.  Raises ValueError unless d
+    is an integer of at least 2.
     """
-    if d < 2:
-        raise ValueError("message alphabet size must be at least 2")
+    _check_message_size(d)
     if mode == "all":
-        return [
-            Quantizer(map=t, message_alphabet_size=d)
-            for t in _all_canonical_maps(m.alphabet_size, d)
-        ]
+        return _all_canonical_maps(m.alphabet_size, d)
     if mode == "llr_monotone":
         return _monotone_maps(m, d)
     raise ValueError(f"unknown enumeration mode: {mode!r}")

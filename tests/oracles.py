@@ -25,6 +25,11 @@ bisections, point memo) and no private helper of that module.
 The conjugate oracle solves L'(s) = t in the stdlib ``decimal`` module at
 60 significant digits and takes s t - L(s) there, so rounding in the
 double-precision solver cannot reach it.
+
+The quantizer oracle canonicalizes every one of the d**K label tuples and
+keeps, for the interval mode, those whose cells form one run each along
+some LLR-sorted order of the symbols; it reads only the tie groups from
+``model``.
 """
 from __future__ import annotations
 
@@ -40,6 +45,7 @@ from decdet import (
     ErrorEstimate,
     HypothesisModel,
     InducedModel,
+    Quantizer,
     Strategy,
     enumerate_quantizers,
     induce,
@@ -54,6 +60,7 @@ from decdet.evaluator import (
     _first_stage_split,
     _lse,
 )
+from decdet.model import _llr_tie_groups
 
 
 def _cell_llr(m: HypothesisModel, qmap: tuple[int, ...], d: int) -> list[float]:
@@ -363,3 +370,26 @@ def dense_staged_sup(m: HypothesisModel, r: float, d: int, mode: str, points: in
         daisy = max(daisy, float(np.minimum(bv0.max(axis=0), bv1.max(axis=0)).max()))
         tree = max(tree, float(np.minimum(bv0, bv1).max(axis=0).max()))
     return daisy, tree
+
+
+def brute_force_quantizers(m: HypothesisModel, d: int, mode: str) -> list[Quantizer]:
+    """``enumerate_quantizers(m, d, mode)`` by exhaustion over d**K tuples.
+
+    "all" keeps every canonical map.  "llr_monotone" keeps the maps with
+    exactly min(d, K) cells whose labels form one run per label along the
+    LLR-sorted order, for some order of the symbols inside each tie group.
+    """
+    k = m.alphabet_size
+    maps = {Quantizer(map=t, message_alphabet_size=d).map for t in itertools.product(range(d), repeat=k)}
+    if mode == "llr_monotone":
+        orders = [
+            [x for perm in perms for x in perm]
+            for perms in itertools.product(*(itertools.permutations(g) for g in _llr_tie_groups(m)))
+        ]
+
+        def interval(t: tuple[int, ...]) -> bool:
+            runs = (len(list(itertools.groupby(t[x] for x in order))) for order in orders)
+            return len(set(t)) == min(d, k) and any(n == len(set(t)) for n in runs)
+
+        maps = {t for t in maps if interval(t)}
+    return [Quantizer(map=t, message_alphabet_size=d) for t in sorted(maps)]

@@ -248,6 +248,35 @@ def test_stage_fraction_bounds(table_model):
                 call()
 
 
+def test_message_size_is_an_integer_of_at_least_two():
+    # A float d is refused, never truncated: d = 2.9 once gave the d = 2
+    # staged report.  2.0 must not hit the cached d = 2 search either.
+    m = HypothesisModel(pmf0=(0.4, 0.3, 0.2, 0.1), pmf1=(0.1, 0.2, 0.3, 0.4))
+    e = DecayRateVector(e01=0.1, e10=0.0, e00=0.0, e11=0.2)
+    exponent_daisy_restricted(m, 0.5, d=2)
+    for call in (
+        lambda: exponent_daisy_restricted(m, 0.5, d=2.9),
+        lambda: exponent_daisy_restricted(m, 0.5, d=3.7),
+        lambda: exponent_daisy_restricted(m, 0.5, d=2.0),
+        lambda: exponent_tree(m, 0.5, d=1),
+        lambda: check_ordering(m, 0.5, d=2.9),
+        lambda: h_of_e(m, 0.5, e, d=2.9),
+        lambda: exponent_parallel(m, d=2.5),
+        lambda: exponent_parallel(m, d=2.5, messages_per_sensor=2),
+        lambda: enumerate_quantizers(m, 3.0, "all"),
+        lambda: enumerate_quantizers(m, 3.0),
+        lambda: enumerate_quantizers(m, "3"),
+    ):
+        with pytest.raises(ValueError, match=r"message alphabet size d must be an integer of at least 2, got"):
+            call()
+    reports = []
+    for d in (np.int64(3), 3):
+        _staged_optima.cache_clear()
+        reports.append(exponent_daisy_restricted(m, 0.5, d=d))
+    assert reports[0] == reports[1]
+    assert exponent_parallel(m, d=np.int64(3)) == exponent_parallel(m, d=3)
+
+
 def test_daisy_approaches_parallel_for_thin_first_stage(table_model):
     par = exponent_parallel(table_model).exponent
     near = exponent_daisy_restricted(table_model, r=1e-3).exponent

@@ -7,13 +7,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from decdet import architectures as arch
-from decdet.cli import _ARCH_NAMES, main
+from decdet import architectures as arch, likelihood_ratio_reduction, load_model, rate_function_grid
+from decdet.cli import _ARCH_NAMES, _CURVE_BLOCK, main
 from conftest import random_model
 
 TABLE = "3 2\n0.8 0.15 0.05\n0.05 0.15 0.8\n"
@@ -237,6 +238,31 @@ def test_curve_rejects_bad_grid(capsys, model_file):
     )
     assert code == 2
     assert "grid" in err
+
+
+def test_curve_blocks_match_one_whole_grid(capsys, model_file):
+    # Rates do not depend on their batch, so the blocked CSV equals one
+    # built from a single whole-grid solve, across every block edge.
+    im = likelihood_ratio_reduction(load_model(model_file)[0])
+    for n in (_CURVE_BLOCK - 1, _CURVE_BLOCK, _CURVE_BLOCK + 1, 2 * _CURVE_BLOCK + 1):
+        ts = np.linspace(*im.llr_support(), n)
+        rows = zip(ts, rate_function_grid(im, 0, ts), rate_function_grid(im, 1, ts))
+        expected = "t,rate_h0,rate_h1\n" + "".join(f"{float(t):.12g},{float(a):.12g},{float(b):.12g}\n" for t, a, b in rows)
+        assert _run(capsys, ["curve", "--model", model_file, "--t-points", str(n)]) == (0, expected, "")
+
+
+def test_curve_memory_is_bounded_by_its_block(tmp_path, model_file):
+    # 200,000 points: the grid itself is 1.6 MB, and one block of rates and
+    # lines is held at a time (the whole grid at once peaked near 60 MB).
+    out = tmp_path / "curve.csv"
+    tracemalloc.start()
+    try:
+        assert main(["curve", "--model", model_file, "--t-points", "200000", "--output", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+    assert len(out.read_text().splitlines()) == 200_001
 
 
 def test_simulate_csv_and_determinism(capsys, model_file):

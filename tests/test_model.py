@@ -24,6 +24,7 @@ from decdet import (
     product_quantizer,
     split_product_quantizer,
 )
+from oracles import brute_force_quantizers
 
 
 def test_validate_accepts_simplex_pair():
@@ -212,6 +213,31 @@ def test_enumerate_monotone_cells_are_llr_intervals():
                         if llr[x] < llr[z] < llr[y]
                     ]
                     assert all(q.map[z] == q.map[x] for z in between)
+
+
+def _tied_model(rng: np.random.Generator, k: int, zero_mass: bool) -> HypothesisModel:
+    # LLR ratios drawn from {0.5, 1, 2} tie symbols; a zero-mass symbol
+    # takes LLR 0 in the tie grouping.
+    p0 = rng.dirichlet(np.ones(k))
+    if zero_mass:
+        p0[rng.integers(k)] = 0.0
+        p0 /= p0.sum()
+    p1 = p0 * rng.choice([0.5, 1.0, 2.0], size=k)
+    return HypothesisModel(pmf0=p0, pmf1=p1 / p1.sum())
+
+
+def test_enumerate_matches_brute_force_oracle():
+    # Candidate order decides search ties, so the lists must agree in order.
+    rng = np.random.default_rng(23)
+    # Here the zero-mass symbol 1 ties with symbol 2, whose LLR is 0.
+    models = [HypothesisModel(pmf0=(0.5, 0.0, 0.2, 0.3), pmf1=(0.2, 0.0, 0.2, 0.6))]
+    for i in range(60):
+        k = int(rng.integers(1, 7))
+        models.append(_tied_model(rng, k, zero_mass=k > 1 and i % 3 == 0))
+    for m in models:
+        for d in (2, 3, 4):
+            for mode in ("llr_monotone", "all"):
+                assert enumerate_quantizers(m, d, mode) == brute_force_quantizers(m, d, mode), (m, d, mode)
 
 
 def test_enumerate_rejects_tiny_alphabet(table_model):
