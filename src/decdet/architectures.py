@@ -54,16 +54,20 @@ delta's two branch points unless the memo holds the threshold.  Each
 value and deltas read from the one rule of ``_PointEval.optima``.
 
 One solver.  Every conjugate here comes from the one solver of module
-``exponents``, through its two public forms: the grid phase calls
+``exponents``, through three entries: the grid phase calls
 :func:`~decdet.exponents.rate_function_grid`, and every point evaluation
 (both golden sections, the crossing bisections and the final sweep over the
-candidate thresholds) calls :func:`~decdet.exponents.rate_function`, once
-per hypothesis it needs; the solver keeps its last solve, so R_0 and R_1 at
-one threshold cost one solve.  Each report takes its deltas, value and
-branch values from its winner's memoised point evaluation, so
-:func:`reevaluate_exponent`, which runs the same point evaluation, reproduces
-it exactly.  :func:`h_of_e` and :func:`check_symmetric_rate_condition` call
-the same two functions.
+candidate thresholds) calls ``exponents._rates`` once per threshold it
+solves, for R_0 and R_1 as plain floats.  Those are
+:func:`~decdet.exponents.rate_function`'s values bit for bit, without its
+per-call wrapper, which on a two-atom solve costs about as much as the solve.
+The solver keeps its last solve, so R_0 and R_1 at one threshold cost one
+Newton solve.  Each report takes its deltas, value and branch values from its
+winner's memoised point evaluation, so :func:`reevaluate_exponent`, which
+runs the same point evaluation, reproduces it exactly.  :func:`h_of_e` runs
+the same branch points, or with literal semantics calls ``rate_function``;
+:func:`check_symmetric_rate_condition` calls the grid form and the same
+point evaluation.
 
 Plain floats.  The search carries the decay rates and branch thresholds of
 each point as plain floats (``_gamma_decay``); a :class:`DecayRateVector`
@@ -104,6 +108,7 @@ from typing import Callable
 import numpy as np
 
 from .exponents import (
+    _rates,
     chernoff_exponent,
     golden_section_min,
     rate_function,
@@ -411,9 +416,15 @@ def _branch_point(cand: _Cand, a: float, e_same: float, e_cross: float, r: float
     # min of the two error flows out of one aggregator branch; see module
     # docstring.  Finite when e_same and e_cross are, since the +inf cases
     # of the two flows need a above and below the LLR support at once.  The
-    # search's decay rates always are; h_of_e's inputs need not be.
-    up = rate_function(cand.im, 0, a).value if a >= cand.mean0 else 0.0
-    down = rate_function(cand.im, 1, a).value if a <= cand.mean1 else 0.0
+    # search's decay rates always are; h_of_e's inputs need not be.  One
+    # _rates call serves a flow or both: a candidate is induced from a
+    # HypothesisModel, so its two hypotheses have mass on the same messages
+    # and R_1 reuses R_0's solve.  A threshold neither flow reads (a NaN,
+    # or one between means that rounding crossed) solves nothing.
+    up_on, down_on = a >= cand.mean0, a <= cand.mean1
+    r0, r1 = _rates(cand.im, a) if up_on or down_on else (0.0, 0.0)
+    up = r0 if up_on else 0.0
+    down = r1 if down_on else 0.0
     return min(r * e_same + (1.0 - r) * up, r * e_cross + (1.0 - r) * down)
 
 
@@ -454,7 +465,7 @@ def _branch_thresholds(r, e01, e10, e00, e11):
 def _gamma_decay(g: _Cand, r: float, t: float) -> tuple[float, float, float, float, float, float]:
     # First-stage decay rates (e01, e10, e00, e11) at threshold t, then the
     # two branch thresholds (a0, a1).
-    l0, l1 = rate_function(g.im, 0, t).value, rate_function(g.im, 1, t).value
+    l0, l1 = _rates(g.im, t)
     e01 = l0 if t >= g.mean0 else 0.0
     e00 = l0 if t < g.mean0 else 0.0
     e10 = l1 if t <= g.mean1 else 0.0

@@ -31,9 +31,12 @@ transcript atom whose mass underflowed to zero (see ``model.InducedModel``)
 is a value the sample mean can never reach.
 
 The conjugate solver.  Every R_j(t) comes from one solver, in a plain-float
-scalar form (:func:`rate_function`) and a grid form on ``_tilt``
-(:func:`rate_function_grid`); every caller in the package, the staged
-search included, goes through these two.  At an interior t:
+scalar form and a grid form on ``_tilt`` (:func:`rate_function_grid`).  The
+scalar form has one body, ``_conjugate``, and two entries: the public
+:func:`rate_function`, and ``_rates``, which gives R_0 and R_1 at one t as
+plain floats, bit for bit the same, for the staged search's point
+evaluations.  Every caller in the package goes through these three.  At an
+interior t:
 
 * two massed atoms z_lo < z_hi: the closed form, the Bernoulli divergence
   of the tilted mass p = (t - z_lo) / (z_hi - z_lo) from q_j[hi];
@@ -94,8 +97,8 @@ class RateFunctionValue(NamedTuple):
     ``argmax_s`` is the solution of L'(s) = t for interior t; it is +inf or
     -inf when t sits at (or beyond) the upper or lower end of the support,
     where the supremum is approached but never attained.  A named tuple,
-    not a frozen dataclass: the staged search builds one per scalar solve,
-    and a tuple is built in about half the time.
+    not a frozen dataclass: each public call builds one, and a tuple is
+    built in about half the time.
     """
 
     t: float
@@ -118,7 +121,8 @@ class _RateConstants:
     atoms, and ``float_lists`` serves the scalar form.  ``last`` and
     ``last_grid`` hold the last scalar and grid Newton solve as (t, result).
     Each :class:`InducedModel` carries its two (built on first use, per
-    hypothesis, by :func:`_rate_constants`), so they die with the model.
+    hypothesis, by :func:`_rate_constants` or :func:`_rates`), so they die
+    with the model.
     Concurrent callers can at worst solve a t twice: a result depends on
     nothing but the constants and t.
     """
@@ -247,25 +251,8 @@ def chernoff_exponent(im: InducedModel) -> tuple[float, float]:
     return min(val, 0.0), s_star
 
 
-def _edge(c: _RateConstants, t: float) -> tuple[float, float] | None:
-    # (value, argmax) at an edge or out-of-support t, or on a one-atom
-    # support; None at an interior t.
-    if t > c.zmax + c.tol_hi:
-        return math.inf, math.inf
-    if t < c.zmin - c.tol_lo:
-        return math.inf, -math.inf
-    if c.zmax == c.zmin:
-        # Single atom; for a valid model it sits at llr 0.
-        return 0.0, 0.0
-    if t >= c.zmax - c.tol_hi:
-        return c.rate_hi, math.inf
-    if t <= c.zmin + c.tol_lo:
-        return c.rate_lo, -math.inf
-    return None
-
-
 def _grid_edges(c: _RateConstants, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_edge` over a vector of t: (out, interior).
+    """:func:`_conjugate`'s support-edge rules over a vector of t: (out, interior).
 
     ``interior`` masks the points still to solve, whose entries of ``out``
     are left unset.
@@ -442,6 +429,33 @@ def _newton_source(im: InducedModel, j: int, c: _RateConstants) -> tuple[_RateCo
     return c, False
 
 
+def _conjugate(im: InducedModel, j: int, c: _RateConstants, t: float) -> tuple[float, float]:
+    """(R_j(t), argmax) by the scalar form of the one solver, for ``c`` = hypothesis j's constants.
+
+    The support-edge rules of the module docstring, then the two-atom
+    closed form or the Newton solve, shifted by the duality where
+    hypothesis 0's solve serves hypothesis 1.
+    """
+    if t > c.zmax + c.tol_hi:
+        return math.inf, math.inf
+    if t < c.zmin - c.tol_lo:
+        return math.inf, -math.inf
+    if c.zmax == c.zmin:
+        # Single atom; for a valid model it sits at llr 0.
+        return 0.0, 0.0
+    if t >= c.zmax - c.tol_hi:
+        return c.rate_hi, math.inf
+    if t <= c.zmin + c.tol_lo:
+        return c.rate_lo, -math.inf
+    if c.lq_ends is not None:
+        return _two_atom(c, t)
+    src, dual = _newton_source(im, j, c)
+    raw, s = _newton(src, t)
+    if dual:
+        raw, s = raw - t, s - 1.0
+    return max(raw, 0.0), s
+
+
 def rate_function(im: InducedModel, j: int, t: float) -> RateFunctionValue:
     """Conjugate R_j(t) = sup_s {s t - L_j(s)}, with its argmax.
 
@@ -450,19 +464,24 @@ def rate_function(im: InducedModel, j: int, t: float) -> RateFunctionValue:
     """
     if t != t:
         raise ValueError("t must not be NaN")
-    c = _rate_constants(im, j)
-    edge = _edge(c, t)
-    if edge is not None:
-        value, s = edge
-    elif c.lq_ends is not None:
-        value, s = _two_atom(c, t)
-    else:
-        src, dual = _newton_source(im, j, c)
-        raw, s = _newton(src, t)
-        if dual:
-            raw, s = raw - t, s - 1.0
-        value = max(raw, 0.0)
-    return RateFunctionValue(t, value, s)
+    return RateFunctionValue(t, *_conjugate(im, j, _rate_constants(im, j), t))
+
+
+def _rates(im: InducedModel, t: float) -> tuple[float, float]:
+    """(R_0(t), R_1(t)) as plain floats: rate_function's two values, bit for bit.
+
+    The staged search's entry to the scalar form: a point evaluation reads
+    both hypotheses at each threshold, thousands of times per search, and
+    needs neither the public function's NaN check nor its result tuple.
+    ``t`` must not be NaN.
+    """
+    per_model = im._solver_constants
+    c0, c1 = per_model
+    if c0 is None:
+        c0 = per_model[0] = _RateConstants(im, 0)
+    if c1 is None:
+        c1 = per_model[1] = _RateConstants(im, 1)
+    return _conjugate(im, 0, c0, t)[0], _conjugate(im, 1, c1, t)[0]
 
 
 def rate_function_grid(im: InducedModel, j: int, ts: np.ndarray) -> np.ndarray:

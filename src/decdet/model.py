@@ -104,6 +104,12 @@ class HypothesisModel:
         return int(self.pmf0.size)
 
 
+def _first_use(labels: Iterable[int]) -> tuple[int, ...]:
+    """Labels renumbered in order of first use: a quantizer map's canonical form."""
+    relabel: dict[int, int] = {}
+    return tuple([relabel.setdefault(v, len(relabel)) for v in labels])
+
+
 @dataclass(frozen=True)
 class Quantizer:
     """Deterministic map from observation symbols to message labels.
@@ -119,19 +125,23 @@ class Quantizer:
     message_alphabet_size: int
 
     def __post_init__(self) -> None:
-        d = int(self.message_alphabet_size)
+        # Integers only, numpy's included: a float label or size such as
+        # 1.5 is rejected, not truncated.
+        try:
+            d = operator.index(self.message_alphabet_size)
+            raw = tuple(operator.index(v) for v in self.map)
+        except TypeError as exc:
+            raise ValueError(
+                f"quantizer labels and message alphabet size must be integers, got {self.map!r} "
+                f"and {self.message_alphabet_size!r}"
+            ) from exc
         if d < 1:
             raise ValueError("message alphabet size must be positive")
-        raw = tuple(int(v) for v in self.map)
         if not raw:
             raise ShapeMismatch("quantizer map must be nonempty")
         if any(v < 0 or v >= d for v in raw):
             raise ValueError("quantizer labels must lie in [0, message_alphabet_size)")
-        relabel: dict[int, int] = {}
-        for v in raw:
-            if v not in relabel:
-                relabel[v] = len(relabel)
-        object.__setattr__(self, "map", tuple(relabel[v] for v in raw))
+        object.__setattr__(self, "map", _first_use(raw))
         object.__setattr__(self, "message_alphabet_size", d)
 
     @classmethod
@@ -297,7 +307,7 @@ def _monotone_maps(m: HypothesisModel, d: int) -> list[Quantizer]:
             grown = [p + (v,) for p in grown for v in range(run[0], run[-1] + 1) if p[a:].count(v) < run.count(v)]
         for labels in grown:
             by_symbol = tuple(lab for _, lab in sorted(zip(chain(*groups), labels)))
-            out.add(Quantizer(map=by_symbol, message_alphabet_size=d).map)
+            out.add(_first_use(by_symbol))
     return [Quantizer(map=t, message_alphabet_size=d) for t in sorted(out)]
 
 

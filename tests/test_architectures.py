@@ -842,31 +842,69 @@ def _counted_calls(monkeypatch, *names: str) -> dict[str, int]:
     return calls
 
 
-def test_every_conjugate_goes_through_the_public_solver(monkeypatch):
-    # The staged search, reevaluate_exponent and h_of_e reach the solver only
-    # through rate_function and rate_function_grid, so a wrapper around the
-    # two public functions (as in perfbench's tracer) sees every solve.
-    calls = _counted_calls(monkeypatch, "rate_function", "rate_function_grid")
+def test_every_conjugate_goes_through_the_solver_entries(monkeypatch):
+    # The staged search, reevaluate_exponent and h_of_e reach the conjugate
+    # solver only through its three entries, _rates, rate_function and
+    # rate_function_grid: every solver body runs inside one of their calls,
+    # and architectures holds nothing else of exponents that solves.
+    import decdet.architectures as arch
+    import decdet.exponents as ex
+
+    entries = ("_rates", "rate_function", "rate_function_grid")
+    held = {name for name, v in vars(arch).items() if getattr(v, "__module__", None) == ex.__name__}
+    assert held == {*entries, "chernoff_exponent", "golden_section_min"}
+    assert ex not in vars(arch).values()
+    calls = _counted_calls(monkeypatch, *entries)
+    inside, stray = [0], []
+
+    def entry(fn):
+        def wrapper(*args):
+            inside[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                inside[0] -= 1
+
+        return wrapper
+
+    def body(name):
+        fn = getattr(ex, name)
+
+        def wrapper(*args):
+            if not inside[0]:
+                stray.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    for name in entries:
+        monkeypatch.setattr(arch, name, entry(getattr(arch, name)))
+    for name in ("_conjugate", "_grid_edges", "_two_atom", "_newton", "_newton_grid"):
+        monkeypatch.setattr(ex, name, body(name))
     m = random_model(np.random.default_rng(7), k=4)
     _staged_optima.cache_clear()
     for d in (2, 3):
         _search_staged(m, 0.45, d, "llr_monotone")
-        assert calls["rate_function"] > 0 and calls["rate_function_grid"] > 0
+        assert calls["_rates"] > 0 and calls["rate_function_grid"] > 0
         for name in calls:
             calls[name] = 0
         rep = exponent_daisy_restricted(m, 0.45, d=d)
         assert reevaluate_exponent(m, rep) == rep.exponent
-        h_of_e(m, 0.45, DecayRateVector(**rep.decay_rates), d=d, semantics="physical")
+        e = DecayRateVector(**rep.decay_rates)
+        h_of_e(m, 0.45, e, d=d, semantics="physical")
+        assert calls["_rates"] > 0
+        h_of_e(m, 0.45, e, d=d, semantics="literal")
         assert calls["rate_function"] > 0
+    assert not stray
 
 
-@pytest.mark.parametrize("d,work", [(3, (471, 830, 17_059, 156)), (2, (296, 327, 7_085, 72))])
+@pytest.mark.parametrize("d,work", [(3, (471, 830, 8_615, 0, 156)), (2, (296, 327, 3_647, 0, 72))])
 def test_staged_search_work_is_pinned(monkeypatch, d, work):
     # A search that stops reusing its point memo, or the single-delta
     # crossing difference, reports the same optima and only does more work.
     # A change to the threshold search that moves these counts re-pins them
     # and says so.
-    names = ("_point_eval", "_tree_diff", "rate_function", "rate_function_grid")
+    names = ("_point_eval", "_tree_diff", "_rates", "rate_function", "rate_function_grid")
     calls = _counted_calls(monkeypatch, *names)
     m = random_model(np.random.default_rng(5), k=5)
     _staged_optima.cache_clear()

@@ -32,7 +32,7 @@ from decdet import (
     rate_function,
     rate_function_grid,
 )
-from decdet.exponents import _EDGE_RTOL
+from decdet.exponents import _EDGE_RTOL, _rates
 from conftest import random_model
 from oracles import decimal_conjugate
 
@@ -534,3 +534,44 @@ def test_solver_matches_the_decimal_oracle(xs, offsets, k):
         # A row solved alone equals the same row inside the batch.
         for i in range(len(ts)):
             assert rate_function_grid(im, j, ts[i : i + 1])[0] == grid[i]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    xs=hs.lists(
+        hs.tuples(
+            hs.floats(min_value=-300.0, max_value=0.0),
+            hs.floats(min_value=-300.0, max_value=0.0),
+            hs.sampled_from((None, 0, 1)),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    fracs=hs.lists(hs.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=3),
+    k=hs.integers(min_value=-5, max_value=5),
+)
+def test_paired_rates_equal_the_public_solver_bit_for_bit(xs, fracs, k):
+    # _rates, the staged search's entry, gives rate_function's two values
+    # bit for bit: on 1-6 atoms with masses down to 1e-300, some massless
+    # under one hypothesis (x[2] names it), at t inside either support,
+    # within 1e-12 of its edges, beyond it and at +-inf.
+    w0, w1 = (10.0 ** np.array([x[j] for x in xs]) for j in (0, 1))
+    q0, q1 = w0 / w0.sum(), w1 / w1.sum()
+    llr = np.log(q1) - np.log(q0)
+    for i, (_, _, massless) in enumerate(xs):
+        if massless is not None:
+            (q0, q1)[massless][i] = 0.0
+    assume(q0.any() and q1.any())
+
+    def fresh() -> InducedModel:
+        # A new model each time: no call sees another's last solve.
+        return InducedModel(q0=q0, q1=q1, llr=llr)
+
+    edges = {float(z) for q in (q0, q1) for z in (llr[q > 0.0].min(), llr[q > 0.0].max())}
+    zmin, zmax = min(edges), max(edges)
+    ts = [zmin + f * (zmax - zmin) for f in fracs]
+    ts += [z + k * 1e-12 * max(1.0, abs(z)) for z in edges]
+    ts += [zmin - 1.0 - fracs[0], zmax + 1.0 + fracs[0], -math.inf, math.inf]
+    for t in ts:
+        public = (rate_function(fresh(), 0, t).value, rate_function(fresh(), 1, t).value)
+        assert np.array(_rates(fresh(), t)).tobytes() == np.array(public).tobytes(), (t, public)

@@ -123,6 +123,19 @@ def test_quantizer_rejects_out_of_range_label():
         Quantizer(map=(0, 2), message_alphabet_size=2)
 
 
+@pytest.mark.parametrize("labels,size", [((0, 1.5, 2.7), 3), ((0, 1, 1), 2.9), ((0, "1"), 2), (None, 2)])
+def test_quantizer_rejects_what_is_not_an_integer(labels, size):
+    # A float label or size is refused, as by from_labels, not truncated.
+    with pytest.raises(ValueError, match="integers"):
+        Quantizer(map=labels, message_alphabet_size=size)
+
+
+def test_quantizer_takes_numpy_integers():
+    q = Quantizer(map=tuple(np.array([2, 2, 0])), message_alphabet_size=np.int64(3))
+    assert q == Quantizer(map=(0, 0, 1), message_alphabet_size=3)
+    assert {type(v) for v in (*q.map, q.message_alphabet_size)} == {int}
+
+
 @pytest.mark.parametrize(
     "labels,expected",
     [
