@@ -57,12 +57,14 @@ One solver.  Every conjugate here comes from the one solver of module
 ``exponents``, through three entries: the grid phase calls
 :func:`~decdet.exponents.rate_function_grid`, and every point evaluation
 (both golden sections, the crossing bisections and the final sweep over the
-candidate thresholds) calls ``exponents._rates`` once per threshold it
-solves, for R_0 and R_1 as plain floats.  Those are
+candidate thresholds) calls ``exponents._rates`` wherever it reads R_0 and
+R_1 at one threshold, as plain floats.  Those are
 :func:`~decdet.exponents.rate_function`'s values bit for bit, without its
 per-call wrapper, which on a two-atom solve costs about as much as the solve.
-The solver keeps its last solve, so R_0 and R_1 at one threshold cost one
-Newton solve.  Each report takes its deltas, value and branch values from its
+A branch threshold outside the two LLR means reads one flow, and calls
+:func:`~decdet.exponents.rate_function` for that one hypothesis only.  The
+solver keeps its last solve, so R_0 and R_1 at one threshold cost one Newton
+solve.  Each report takes its deltas, value and branch values from its
 winner's memoised point evaluation, so :func:`reevaluate_exponent`, which
 runs the same point evaluation, reproduces it exactly.  :func:`h_of_e` runs
 the same branch points, or with literal semantics calls ``rate_function``;
@@ -416,15 +418,15 @@ def _branch_point(cand: _Cand, a: float, e_same: float, e_cross: float, r: float
     # min of the two error flows out of one aggregator branch; see module
     # docstring.  Finite when e_same and e_cross are, since the +inf cases
     # of the two flows need a above and below the LLR support at once.  The
-    # search's decay rates always are; h_of_e's inputs need not be.  One
-    # _rates call serves a flow or both: a candidate is induced from a
-    # HypothesisModel, so its two hypotheses have mass on the same messages
-    # and R_1 reuses R_0's solve.  A threshold neither flow reads (a NaN,
-    # or one between means that rounding crossed) solves nothing.
+    # search's decay rates always are; h_of_e's inputs need not be.  A
+    # threshold between the means reads both flows, from one _rates call;
+    # one outside them reads one flow and solves only its hypothesis.
     up_on, down_on = a >= cand.mean0, a <= cand.mean1
-    r0, r1 = _rates(cand.im, a) if up_on or down_on else (0.0, 0.0)
-    up = r0 if up_on else 0.0
-    down = r1 if down_on else 0.0
+    if up_on and down_on:
+        up, down = _rates(cand.im, a)
+    else:
+        up = rate_function(cand.im, 0, a).value if up_on else 0.0
+        down = rate_function(cand.im, 1, a).value if down_on else 0.0
     return min(r * e_same + (1.0 - r) * up, r * e_cross + (1.0 - r) * down)
 
 

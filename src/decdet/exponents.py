@@ -121,8 +121,7 @@ class _RateConstants:
     atoms, and ``float_lists`` serves the scalar form.  ``last`` and
     ``last_grid`` hold the last scalar and grid Newton solve as (t, result).
     Each :class:`InducedModel` carries its two (built on first use, per
-    hypothesis, by :func:`_rate_constants` or :func:`_rates`), so they die
-    with the model.
+    hypothesis, by :func:`_rate_constants`), so they die with the model.
     Concurrent callers can at worst solve a t twice: a result depends on
     nothing but the constants and t.
     """
@@ -464,24 +463,19 @@ def rate_function(im: InducedModel, j: int, t: float) -> RateFunctionValue:
     """
     if t != t:
         raise ValueError("t must not be NaN")
-    return RateFunctionValue(t, *_conjugate(im, j, _rate_constants(im, j), t))
+    value, s = _conjugate(im, j, _rate_constants(im, j), t)
+    return RateFunctionValue(t, value, s)
 
 
 def _rates(im: InducedModel, t: float) -> tuple[float, float]:
     """(R_0(t), R_1(t)) as plain floats: rate_function's two values, bit for bit.
 
-    The staged search's entry to the scalar form: a point evaluation reads
-    both hypotheses at each threshold, thousands of times per search, and
-    needs neither the public function's NaN check nor its result tuple.
+    The staged search's entry to the scalar form where it reads both
+    hypotheses at one threshold, thousands of times per search: it needs
+    neither the public function's NaN check nor its result tuple.
     ``t`` must not be NaN.
     """
-    per_model = im._solver_constants
-    c0, c1 = per_model
-    if c0 is None:
-        c0 = per_model[0] = _RateConstants(im, 0)
-    if c1 is None:
-        c1 = per_model[1] = _RateConstants(im, 1)
-    return _conjugate(im, 0, c0, t)[0], _conjugate(im, 1, c1, t)[0]
+    return _conjugate(im, 0, _rate_constants(im, 0), t)[0], _conjugate(im, 1, _rate_constants(im, 1), t)[0]
 
 
 def rate_function_grid(im: InducedModel, j: int, ts: np.ndarray) -> np.ndarray:

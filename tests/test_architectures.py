@@ -893,12 +893,13 @@ def test_every_conjugate_goes_through_the_solver_entries(monkeypatch):
         e = DecayRateVector(**rep.decay_rates)
         h_of_e(m, 0.45, e, d=d, semantics="physical")
         assert calls["_rates"] > 0
+        before = calls["rate_function"]
         h_of_e(m, 0.45, e, d=d, semantics="literal")
-        assert calls["rate_function"] > 0
+        assert calls["rate_function"] > before
     assert not stray
 
 
-@pytest.mark.parametrize("d,work", [(3, (471, 830, 8_615, 0, 156)), (2, (296, 327, 3_647, 0, 72))])
+@pytest.mark.parametrize("d,work", [(3, (471, 830, 8_444, 171, 156)), (2, (296, 327, 3_438, 209, 72))])
 def test_staged_search_work_is_pinned(monkeypatch, d, work):
     # A search that stops reusing its point memo, or the single-delta
     # crossing difference, reports the same optima and only does more work.
