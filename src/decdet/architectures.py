@@ -110,8 +110,8 @@ from typing import Callable
 import numpy as np
 
 from .exponents import (
+    _chernoff_value,
     _rates,
-    chernoff_exponent,
     golden_section_min,
     rate_function,
     rate_function_grid,
@@ -720,7 +720,8 @@ def _parallel_value(im: InducedModel, formulation: str) -> float:
         # inf over quantizers of E_0[Z]: the (negated) divergence rate
         # governing the best miss exponent at fixed false-alarm level.
         return im.llr_mean(0)
-    return chernoff_exponent(im)[0]
+    # The Chernoff value min_s L_0(s), from one conjugate solve at t = 0.
+    return _chernoff_value(im)
 
 
 def exponent_parallel(

@@ -7,7 +7,7 @@ this module evaluates, for each hypothesis j in {0, 1},
     conjugate:  R_j(t) = sup_s { s t - L_j(s) }   (the large-deviation rate)
 
 together with first and second derivatives of L_j via exponential tilting,
-and the Chernoff exponent min over s in [0, 1] of L_0(s).  The alphabet is
+and the Chernoff value min over s in [0, 1] of L_0(s).  The alphabet is
 finite, so every quantity is an exact finite sum evaluated in the log
 domain with max-shift stabilization.  The array forms take the tilted
 weights from one kernel, ``_tilt``.
@@ -21,8 +21,10 @@ by a stationary point:
 
 * t beyond [min Z, max Z]: the value is +inf (the sample mean of Z can
   never reach t).
-* t exactly at an endpoint: the value is -log P_j(Z = endpoint), the exact
-  decay rate of the all-atoms-at-the-endpoint event.
+* t at an endpoint: the value is -log P_j(Z = endpoint), the exact decay
+  rate of the all-atoms-at-the-endpoint event.  "At" allows a zone of
+  1e-12 * max(1, |endpoint|), capped at a millionth of the support's width
+  so that the narrow support of near-tied hypotheses keeps its interior.
 * degenerate Z (a single atom, necessarily at 0 for a valid model): the
   conjugate is 0 at t = 0 and +inf elsewhere.
 
@@ -35,19 +37,24 @@ scalar form and a grid form on ``_tilt`` (:func:`rate_function_grid`).  The
 scalar form has one body, ``_conjugate``, and two entries: the public
 :func:`rate_function`, and ``_rates``, which gives R_0 and R_1 at one t as
 plain floats, bit for bit the same, for the staged search's point
-evaluations.  Every caller in the package goes through these three.  At an
-interior t:
+evaluations.  Every caller in the package goes through these three, or
+through ``_chernoff_value`` (below), which calls :func:`rate_function`.  At
+an interior t:
 
 * two massed atoms z_lo < z_hi: the closed form, the Bernoulli divergence
-  of the tilted mass p = (t - z_lo) / (z_hi - z_lo) from q_j[hi];
+  of the tilted mass p = (t - z_lo) / (z_hi - z_lo) from q_j[hi].  Where
+  both hypotheses sit on the same two atoms, ``_rates`` takes p, log p and
+  log(1 - p) once for both divergences;
 * three or more: a safeguarded Newton iteration from s = 0 on the log-odds
   phi(s) = log(L'(s) - zmin) - log(zmax - L'(s)), which is linear for two
   atoms and asymptotically linear at both ends, so it takes about 5 steps.
   Where a Newton step would leave the bracket on s, is undefined, or
   would not shrink below half the move before last, it bisects the
   bracket (or steps out of a half-infinite one), until the step test
-  passes or no float is left inside the bracket.  The grid form freezes
-  each t once it stops, so a t's value does not depend on its batch.
+  passes or no float is left inside the bracket.  The moments of the first
+  step, at s = 0, do not depend on t, so the scalar form keeps them with
+  the model's constants.  The grid form freezes each t once it stops, so a
+  t's value does not depend on its batch.
 
 The value is taken in the frame of the support edge the tilt leans toward,
 s t - L(s) = -|s| (t - edge) - log sum_y q[y] exp(-|s| |Z[y] - edge|), so
@@ -57,6 +64,14 @@ atoms, L_1(s) = L_0(s + 1) gives R_1(t) = R_0(t) - t, so one Newton solve
 serves both; otherwise each hypothesis is solved over its own massed atoms.
 Each form keeps its last Newton solve, so R_0 and R_1 at one t cost one
 solve.
+
+The Chernoff value.  L_0 is convex, L_0(0) = L_0(1) = 0, and its slopes at
+0 and 1 are the LLR means E_0[Z] and E_1[Z].  So where the float means
+straddle 0 the minimum over [0, 1] is -R_0(0), one solve
+(``_chernoff_value``, which serves ``exponent_parallel``); otherwise it is
+0.  The guard matters on near-tied hypotheses, whose float means can both
+fall on one side of 0.  :func:`chernoff_exponent` keeps the golden section
+on ``log_mgf`` for its argmin, which ``sgb_lower_bound`` reads.
 
 The golden-section search uses absolute tolerance 1e-10 on its argument.
 :func:`rate_function` returns the argmax along with the value.
@@ -87,8 +102,10 @@ ARG_TOL = 1e-10
 # cap bounds a solve whose bracket never collapses.
 _STEP_TOL = 1e-12
 _NEWTON_CAP = 200
-# Relative slack when comparing t against the endpoints of the LLR support.
+# Relative slack when comparing t against the endpoints of the LLR support,
+# capped at a fraction of the support's width (see _edge_tols).
 _EDGE_RTOL = 1e-12
+_EDGE_WIDTH_FRAC = 1e-6
 
 
 class RateFunctionValue(NamedTuple):
@@ -106,19 +123,40 @@ class RateFunctionValue(NamedTuple):
     argmax_s: float
 
 
+def _edge_tols(zmin: float, zmax: float) -> tuple[float, float]:
+    """The widths of the zones at the lower and upper support edge.
+
+    A t within ``_EDGE_RTOL * max(1, |edge|)`` of an edge counts as on it,
+    but never more than ``_EDGE_WIDTH_FRAC`` of the support's width: an
+    absolute zone would swallow most of a support about 1e-12 wide (two
+    near-tied hypotheses), and give the edge value at the LLR means, where
+    the conjugate is 0.  Every support the width cap shortens is under
+    1e-6 * max(1, |edge|) wide.
+    """
+    tol_lo, tol_hi = _EDGE_RTOL * max(1.0, abs(zmin)), _EDGE_RTOL * max(1.0, abs(zmax))
+    width = zmax - zmin
+    if width > 0.0:
+        cap = _EDGE_WIDTH_FRAC * width
+        tol_lo, tol_hi = min(tol_lo, cap), min(tol_hi, cap)
+    return tol_lo, tol_hi
+
+
 class _RateConstants:
     """Per-(model, hypothesis) constants of the log-MGF and of the solver.
 
     ``llr`` and ``logq`` cover every atom; ``logq`` is -inf on atoms whose
     mass underflowed to zero, so they drop out of every log-sum-exp.
-    ``rate_lo`` and ``rate_hi`` are the conjugate values at the two support
-    edges, -log of the edge mass.  ``lq_ends`` holds the (lower, upper) log
-    masses when exactly two atoms carry mass, and is None otherwise.  The
-    Newton solve's constants are built on its first use only, so that the
-    log-MGF of a large transcript model never pays for them: ``massed``
-    gives the massed atoms' log masses and their distances to the lower and
-    upper edge, ``shared`` says that both hypotheses have mass on the same
-    atoms, and ``float_lists`` serves the scalar form.  ``last`` and
+    ``tol_lo`` and ``tol_hi`` are the edge zones of :func:`_edge_tols`, and
+    ``rate_lo`` and ``rate_hi`` the conjugate values at the two support
+    edges, -log of the mass in each zone.  ``lq_ends`` holds the (lower,
+    upper) log masses when exactly two atoms carry mass, and is None
+    otherwise.  The Newton solve's constants are built on its first use
+    only, so that the log-MGF of a large transcript model never pays for
+    them: ``massed`` gives the massed atoms' log masses and their distances
+    to the lower and upper edge, ``shared`` says that both hypotheses have
+    mass on the same atoms, and ``float_lists`` serves the scalar form:
+    the same three as plain-float lists, and the moments of the Newton
+    solve's first step, at s = 0, which do not depend on t.  ``last`` and
     ``last_grid`` hold the last scalar and grid Newton solve as (t, result).
     Each :class:`InducedModel` carries its two (built on first use, per
     hypothesis, by :func:`_rate_constants`), so they die with the model.
@@ -136,8 +174,7 @@ class _RateConstants:
         self._keep, self._q_other = q > 0.0, im.q0 if j == 1 else im.q1
         massed = z[self._keep]
         self.zmin, self.zmax = float(massed.min()), float(massed.max())
-        self.tol_lo = _EDGE_RTOL * max(1.0, abs(self.zmin))
-        self.tol_hi = _EDGE_RTOL * max(1.0, abs(self.zmax))
+        self.tol_lo, self.tol_hi = _edge_tols(self.zmin, self.zmax)
         mass_lo = float(q[z <= self.zmin + self.tol_lo].sum())
         mass_hi = float(q[z >= self.zmax - self.tol_hi].sum())
         self.rate_lo = -math.log(mass_lo) if mass_lo > 0.0 else math.inf
@@ -159,9 +196,10 @@ class _RateConstants:
         return bool(np.array_equal(self._keep, self._q_other > 0.0))
 
     @cached_property
-    def float_lists(self) -> tuple[list[float], list[float], list[float]]:
+    def float_lists(self) -> tuple[list[float], list[float], list[float], tuple[float, ...]]:
         lq, da, db, _ = self.massed
-        return lq.tolist(), da.tolist(), db.tolist()
+        lqs, das, dbs = lq.tolist(), da.tolist(), db.tolist()
+        return lqs, das, dbs, _moments(lqs, das, das, dbs, 0.0)
 
 
 def _rate_constants(im: InducedModel, j: int) -> _RateConstants:
@@ -271,16 +309,23 @@ def _grid_edges(c: _RateConstants, ts: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return out, interior
 
 
+def _bernoulli(lq_ends: tuple[float, float], p, log_p, log_1p):
+    # Bernoulli divergence of the tilted mass p on the high atom from q[hi],
+    # from log p and log(1 - p): a float, or an array over t.
+    lo, hi = lq_ends
+    return p * (log_p - hi) + (1.0 - p) * (log_1p - lo)
+
+
 def _two_atom(c: _RateConstants, t):
-    # Bernoulli divergence of the tilted mass p on the high atom from q[hi];
-    # the scalar form also returns the tilt s that puts mass p there.
-    lo, hi = c.lq_ends
+    # The closed form on two massed atoms; the scalar form also returns the
+    # tilt s that puts mass p on the high atom.
     width = c.zmax - c.zmin
     p = (t - c.zmin) / width
     if isinstance(p, float):
         log_p, log_1p = math.log(p), math.log1p(-p)
-        return max(p * (log_p - hi) + (1.0 - p) * (log_1p - lo), 0.0), (log_p - log_1p - (hi - lo)) / width
-    return np.maximum(p * (np.log(p) - hi) + (1.0 - p) * (np.log1p(-p) - lo), 0.0)
+        lo, hi = c.lq_ends
+        return max(_bernoulli(c.lq_ends, p, log_p, log_1p), 0.0), (log_p - log_1p - (hi - lo)) / width
+    return np.maximum(_bernoulli(c.lq_ends, p, np.log(p), np.log1p(-p)), 0.0)
 
 
 def _safeguard(lo, hi):
@@ -298,18 +343,39 @@ def _safeguard(lo, hi):
     )
 
 
+def _moments(lqs: list[float], ds: list[float], das: list[float], dbs: list[float], k: float) -> tuple[float, ...]:
+    """(amax, tot, u, v, uv): the tilted moments of one Newton step, unnormalized.
+
+    The tilted weights are exp(lq + k d - amax), with k = -|s| and d each
+    atom's distance to the edge the tilt leans toward (``ds``); tot is
+    their sum, and u, v and uv their sums against Z - zmin, zmax - Z and
+    the product of the two.
+    """
+    avals = [lq + k * x for lq, x in zip(lqs, ds)]
+    amax = max(avals)
+    tot = u = v = uv = 0.0
+    for av, a, b in zip(avals, das, dbs):
+        w = math.exp(av - amax)
+        tot += w
+        u += w * a
+        v += w * b
+        uv += w * a * b
+    return amax, tot, u, v, uv
+
+
 def _newton(c: _RateConstants, t: float) -> tuple[float, float]:
     """(s t - L(s), s) at the s solving L'(s) = t, for an interior t.
 
     Solves phi(s) = log(L'(s) - zmin) - log(zmax - L'(s)) = phi(t) from
     s = 0, where u = E[Z - zmin] and v = E[zmax - Z] are sums of
     nonnegative terms and phi' = W (1 - E[(Z - zmin)(zmax - Z)] / (u v))
-    with W = zmax - zmin.  The step test comes before the bracket
-    safeguard, and a point where u or v underflows to 0 only narrows the
-    bracket.  As in Numerical Recipes' rtsafe, a Newton step is taken only
-    if it stays inside the bracket and is under half the move before last,
-    so Newton cannot cycle where phi bends; otherwise the bracket is
-    bisected.  The weights, and so the value, are taken in the frame of the
+    with W = zmax - zmin.  The first step's moments, at s = 0, do not
+    depend on t and come from the constants.  The step test comes before
+    the bracket safeguard, and a point where u or v underflows to 0 only
+    narrows the bracket.  As in Numerical Recipes' rtsafe, a Newton step
+    is taken only if it stays inside the bracket and is under half the move
+    before last, so Newton cannot cycle where phi bends; otherwise the
+    bracket is bisected.  The weights, and so the value, are taken in the frame of the
     edge the tilt leans toward: lower for s <= 0, upper for s > 0.  The
     value is not clamped at 0.  It runs on plain floats: message alphabets
     are tiny, so array dispatch would dominate, and the staged search's
@@ -318,24 +384,14 @@ def _newton(c: _RateConstants, t: float) -> tuple[float, float]:
     last = c.last
     if last is not None and last[0] == t:
         return last[1]
-    lqs, das, dbs = c.float_lists
+    lqs, das, dbs, start = c.float_lists
     width = c.zmax - c.zmin
     ta, tb = t - c.zmin, c.zmax - t
     target = math.log(ta) - math.log(tb)
     s, lo, hi = 0.0, -math.inf, math.inf
     dx = dx_old = math.inf  # the last two moves of s
+    k, (amax, tot, u, v, uv) = 0.0, start
     for i in range(_NEWTON_CAP):
-        # k = -|s|, and each atom's distance to the edge the tilt leans toward.
-        k, ds = (s, das) if s <= 0.0 else (-s, dbs)
-        avals = [lq + k * x for lq, x in zip(lqs, ds)]
-        amax = max(avals)
-        tot = u = v = uv = 0.0
-        for av, a, b in zip(avals, das, dbs):
-            w = math.exp(av - amax)
-            tot += w
-            u += w * a
-            v += w * b
-            uv += w * a * b
         if u > 0.0 and v > 0.0:
             f = math.log(u) - math.log(v) - target
             slope = width * (1.0 - uv * tot / (u * v))
@@ -357,6 +413,9 @@ def _newton(c: _RateConstants, t: float) -> tuple[float, float]:
             break
         dx, dx_old = abs(s_new - s), dx
         s = s_new
+        # k = -|s|, and each atom's distance to the edge the tilt leans toward.
+        k, ds = (s, das) if s <= 0.0 else (-s, dbs)
+        amax, tot, u, v, uv = _moments(lqs, ds, das, dbs, k)
     out = k * (ta if s <= 0.0 else tb) - (amax + math.log(tot)), s
     c.last = (t, out)
     return out
@@ -475,7 +534,37 @@ def _rates(im: InducedModel, t: float) -> tuple[float, float]:
     neither the public function's NaN check nor its result tuple.
     ``t`` must not be NaN.
     """
-    return _conjugate(im, 0, _rate_constants(im, 0), t)[0], _conjugate(im, 1, _rate_constants(im, 1), t)[0]
+    c0, c1 = _rate_constants(im, 0), _rate_constants(im, 1)
+    ends0, ends1 = c0.lq_ends, c1.lq_ends
+    if (
+        ends0 is not None
+        and ends1 is not None
+        and c0.zmin == c1.zmin
+        and c0.zmax == c1.zmax
+        and c0.zmin + c0.tol_lo < t < c0.zmax - c0.tol_hi
+    ):
+        # Both hypotheses on the same two atoms, t inside: one tilted mass
+        # p and its two logs serve both closed forms.
+        p = (t - c0.zmin) / (c0.zmax - c0.zmin)
+        log_p, log_1p = math.log(p), math.log1p(-p)
+        return max(_bernoulli(ends0, p, log_p, log_1p), 0.0), max(_bernoulli(ends1, p, log_p, log_1p), 0.0)
+    return _conjugate(im, 0, c0, t)[0], _conjugate(im, 1, c1, t)[0]
+
+
+def _chernoff_value(im: InducedModel) -> float:
+    """min over s in [0, 1] of L_0(s), the Chernoff value, from one solve.
+
+    L_0 is convex with L_0(0) = L_0(1) = 0, L_0'(0) = E_0[Z] and
+    L_0'(1) = E_1[Z].  Where the float LLR means straddle 0, the minimum
+    is interior and equals -R_0(0).  Otherwise it sits at an end and is 0:
+    on near-tied hypotheses both float means can fall on one side of 0,
+    where R_0(0) would read an edge or a conjugate that no s in [0, 1]
+    attains.  :func:`chernoff_exponent`'s golden section gives the same
+    value to about 1e-14.
+    """
+    if im.llr_mean(0) <= 0.0 <= im.llr_mean(1):
+        return -rate_function(im, 0, 0.0).value
+    return 0.0
 
 
 def rate_function_grid(im: InducedModel, j: int, ts: np.ndarray) -> np.ndarray:

@@ -294,7 +294,10 @@ def _monotone_maps(m: HypothesisModel, d: int) -> list[Quantizer]:
     # then grows one sorted symbol at a time, each taking a label still left
     # in its tie group's run, so tied symbols take their run in every order:
     # either placement of a tied symbol can be optimal.  Coarser interval
-    # rules are omitted: each is a function of a finer one.
+    # rules are omitted: each is a function of a finer one.  A label whose
+    # cell lies inside one tie group (an inner label) is interchangeable
+    # with the group's other inner labels, across cut choices too, so the
+    # inner labels are taken in first-use order: each map is grown once.
     groups = _llr_tie_groups(m)
     k = m.alphabet_size
     tie_spans = [(end - len(g), end) for g, end in zip(groups, accumulate(map(len, groups))) for _ in g]
@@ -304,7 +307,15 @@ def _monotone_maps(m: HypothesisModel, d: int) -> list[Quantizer]:
         grown = [()]
         for a, b in tie_spans:
             run = along[a:b]
-            grown = [p + (v,) for p in grown for v in range(run[0], run[-1] + 1) if p[a:].count(v) < run.count(v)]
+            # The group's inner labels, from the first to the last.
+            first = run[0] + (a > 0 and along[a - 1] == run[0])
+            last = run[-1] - (b < k and along[b] == run[-1])
+            grown = [
+                p + (v,)
+                for p in grown
+                for v in range(run[0], run[-1] + 1)
+                if p[a:].count(v) < run.count(v) and (v <= first or v > last or v - 1 in p[a:])
+            ]
         for labels in grown:
             by_symbol = tuple(lab for _, lab in sorted(zip(chain(*groups), labels)))
             out.add(_first_use(by_symbol))

@@ -25,6 +25,21 @@ def random_model(
         return HypothesisModel(pmf0=p0, pmf1=p1)
 
 
+def near_tied_models() -> list[HypothesisModel]:
+    """220 seeded near-tied models: K 2-5, and each pmf1 a relative
+    perturbation of its pmf0 of size 1e-6 down to 1e-16, so the LLR atoms
+    sit from about 1e-6 down to rounding noise about 0."""
+    rng = np.random.default_rng(2011)
+    out = []
+    for k in (2, 3, 4, 5):
+        for e in range(6, 17):
+            for _ in range(5):
+                p0 = rng.dirichlet(np.ones(k))
+                p1 = p0 * (1.0 + 10.0**-e * rng.standard_normal(k))
+                out.append(HypothesisModel(pmf0=p0, pmf1=p1 / p1.sum()))
+    return out
+
+
 @pytest.fixture
 def table_model() -> HypothesisModel:
     # Ternary reference model, strongly skewed both ways.

@@ -38,13 +38,15 @@ from decdet import (
 from decdet.architectures import (
     ONE_STAGE_KINDS,
     PARALLEL_EQUIVALENT,
+    _Best,
     _candidates,
     _point_eval,
     _search_staged,
     _staged_optima,
     _tree_diff,
 )
-from conftest import random_model
+from decdet.exponents import _chernoff_value
+from conftest import near_tied_models, random_model
 from oracles import dense_staged_sup
 
 
@@ -843,16 +845,17 @@ def _counted_calls(monkeypatch, *names: str) -> dict[str, int]:
 
 
 def test_every_conjugate_goes_through_the_solver_entries(monkeypatch):
-    # The staged search, reevaluate_exponent and h_of_e reach the conjugate
-    # solver only through its three entries, _rates, rate_function and
-    # rate_function_grid: every solver body runs inside one of their calls,
+    # The staged search, reevaluate_exponent, h_of_e and exponent_parallel
+    # reach the conjugate solver only through its entries, _rates,
+    # rate_function, rate_function_grid and the Chernoff value's
+    # _chernoff_value: every solver body runs inside one of their calls,
     # and architectures holds nothing else of exponents that solves.
     import decdet.architectures as arch
     import decdet.exponents as ex
 
-    entries = ("_rates", "rate_function", "rate_function_grid")
+    entries = ("_rates", "rate_function", "rate_function_grid", "_chernoff_value")
     held = {name for name, v in vars(arch).items() if getattr(v, "__module__", None) == ex.__name__}
-    assert held == {*entries, "chernoff_exponent", "golden_section_min"}
+    assert held == {*entries, "golden_section_min"}
     assert ex not in vars(arch).values()
     calls = _counted_calls(monkeypatch, *entries)
     inside, stray = [0], []
@@ -896,6 +899,8 @@ def test_every_conjugate_goes_through_the_solver_entries(monkeypatch):
         before = calls["rate_function"]
         h_of_e(m, 0.45, e, d=d, semantics="literal")
         assert calls["rate_function"] > before
+        exponent_parallel(m, d=d)
+        assert calls["_chernoff_value"] > 0
     assert not stray
 
 
@@ -1002,7 +1007,7 @@ def test_parallel_noise_tie_goes_to_smallest_map():
     m = HypothesisModel(pmf0=_MIRROR_PMF0, pmf1=_MIRROR_PMF0[::-1])
     rep = exponent_parallel(m, d=2)
     assert rep.strategy["gamma"] == [0, 0, 0, 1, 1]
-    assert rep.exponent == -0.03718777008576976
+    assert rep.exponent == -0.037187770085769775
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -1010,10 +1015,40 @@ def test_parallel_noise_tie_goes_to_smallest_map():
 def test_parallel_report_is_smallest_map_among_noise_ties(raw):
     p0 = np.asarray(raw) / sum(raw)
     m = HypothesisModel(pmf0=p0, pmf1=p0[::-1])
-    values = {q.map: chernoff_exponent(induce(m, q))[0] for q in enumerate_quantizers(m, 2, "llr_monotone")}
+    values = {q.map: _chernoff_value(induce(m, q)) for q in enumerate_quantizers(m, 2, "llr_monotone")}
     best = min(values.values())
     want = min(key for key, v in values.items() if v <= best + 1e-9)
     assert exponent_parallel(m, d=2).strategy["gamma"] == list(want)
+
+
+def test_parallel_value_from_one_solve_matches_the_golden_section():
+    # exponent_parallel reads each candidate's Chernoff value from one
+    # conjugate solve; chernoff_exponent's golden section gives the same
+    # values to 1e-13 and the same winning map, on 200 random models
+    # (K 3-7, d 2-3, one and two messages a sensor) and the near-tied sweep.
+    rng = np.random.default_rng(25)
+    models = [random_model(rng, k=int(rng.integers(3, 8))) for _ in range(200)] + near_tied_models()
+    for i, m in enumerate(models):
+        d, msgs = 2 + i % 2, 1 + (i // 2) % 2
+        rep = exponent_parallel(m, d=d, messages_per_sensor=msgs)
+        best = _Best()
+        for q in enumerate_quantizers(m, d * d if msgs == 2 else d):
+            best.offer(-chernoff_exponent(induce(m, q))[0], q.map, q)
+        assert abs(rep.exponent - min(-best.value, 0.0)) <= 1e-13, (i, rep.exponent, best.value)
+        assert [q.map for q in _partitions(rep)] == [best.key], i
+
+
+def test_parallel_value_needs_the_llr_means_to_straddle_zero():
+    # Float LLRs (-1.78e-15, 0.0): both float means are -1.8e-17, so on
+    # [0, 1] L_0 is least at an end, where it is 0.  R_0(0) reads the upper
+    # edge, -log(0.99), which no s in [0, 1] attains.
+    m = HypothesisModel(pmf0=(0.01, 0.99), pmf1=(0.00999999999999999, 0.99))
+    im = induce(m, Quantizer(map=(0, 1), message_alphabet_size=2))
+    assert im.llr_mean(0) < 0.0 and im.llr_mean(1) < 0.0
+    assert rate_function(im, 0, 0.0).value == -math.log(0.99)
+    assert _chernoff_value(im) == 0.0
+    assert abs(chernoff_exponent(im)[0]) <= 1e-15
+    assert exponent_parallel(m, d=2).exponent == 0.0
 
 
 def _partitions(rep) -> list[Quantizer]:

@@ -22,7 +22,11 @@ from decdet import (
     InducedModel,
     Quantizer,
     Strategy,
+    check_ordering,
     chernoff_exponent,
+    enumerate_quantizers,
+    exponent_daisy_restricted,
+    exponent_tree,
     golden_section_min,
     induce,
     likelihood_ratio_reduction,
@@ -32,8 +36,8 @@ from decdet import (
     rate_function,
     rate_function_grid,
 )
-from decdet.exponents import _EDGE_RTOL, _rates
-from conftest import random_model
+from decdet.exponents import _edge_tols, _rates
+from conftest import near_tied_models, random_model
 from oracles import decimal_conjugate
 
 
@@ -408,7 +412,7 @@ def test_two_atom_closed_form_matches_the_solvers(x0, x1, frac, k):
     zmin, zmax = im.llr_support()
     assume(zmin < zmax)
     hi = int(np.argmax(im.llr))
-    tol_lo, tol_hi = (_EDGE_RTOL * max(1.0, abs(z)) for z in (zmin, zmax))
+    tol_lo, tol_hi = _edge_tols(zmin, zmax)
     ts = np.array([
         zmin + frac * (zmax - zmin),  # inside, or on an edge at frac 0 or 1
         zmin + k * 1e-12 * max(1.0, abs(zmin)),  # a few 1e-12 about each edge
@@ -453,7 +457,7 @@ def test_newton_kernel_matches_the_solvers(xs, fracs, k):
     im = _atoms_model([x0 for x0, _ in xs], [x1 for _, x1 in xs])
     zmin, zmax = im.llr_support()
     assume(zmin < zmax)
-    tol_lo, tol_hi = (_EDGE_RTOL * max(1.0, abs(z)) for z in (zmin, zmax))
+    tol_lo, tol_hi = _edge_tols(zmin, zmax)
     ts = np.array([
         *(zmin + f * (zmax - zmin) for f in fracs),  # inside, or on an edge at 0 or 1
         zmin + k * 1e-12 * max(1.0, abs(zmin)),  # a few 1e-12 about each edge
@@ -511,7 +515,7 @@ def test_solver_matches_the_decimal_oracle(xs, offsets, k):
     zmin, zmax = im.llr_support()
     assume(zmin < zmax)
     width = zmax - zmin
-    tol_lo, tol_hi = (_EDGE_RTOL * max(1.0, abs(z)) for z in (zmin, zmax))
+    tol_lo, tol_hi = _edge_tols(zmin, zmax)
     ts = np.array([
         *(zmin + 10.0**x * width for x in offsets),
         *(zmax - 10.0**x * width for x in offsets),
@@ -550,11 +554,20 @@ def test_solver_matches_the_decimal_oracle(xs, offsets, k):
     fracs=hs.lists(hs.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=3),
     k=hs.integers(min_value=-5, max_value=5),
 )
+# Both hypotheses on the same two atoms, where _rates takes one tilted mass
+# for both closed forms; the same on a support about 1e-13 wide, where the
+# edge zones are a millionth of the width; and two different two-atom
+# supports (hypothesis 0 has no mass on atom 1, hypothesis 1 none on atom
+# 2), which take the general path.
+@example(xs=[(0.0, 0.0, None), (-1.0, -0.3, None)], fracs=[0.5], k=1)
+@example(xs=[(0.0, 0.0, None), (-1.0, -1.0 + 4e-14, None)], fracs=[0.25], k=-1)
+@example(xs=[(0.0, 0.0, None), (-1.0, -0.3, 0), (-0.5, -2.0, 1)], fracs=[0.7], k=2)
 def test_paired_rates_equal_the_public_solver_bit_for_bit(xs, fracs, k):
     # _rates, the staged search's entry, gives rate_function's two values
     # bit for bit: on 1-6 atoms with masses down to 1e-300, some massless
     # under one hypothesis (x[2] names it), at t inside either support,
-    # within 1e-12 of its edges, beyond it and at +-inf.
+    # within 1e-12 of its edges, one float either side of each edge zone's
+    # end and exactly at it, at each LLR mean, beyond it and at +-inf.
     w0, w1 = (10.0 ** np.array([x[j] for x in xs]) for j in (0, 1))
     q0, q1 = w0 / w0.sum(), w1 / w1.sum()
     llr = np.log(q1) - np.log(q0)
@@ -571,7 +584,108 @@ def test_paired_rates_equal_the_public_solver_bit_for_bit(xs, fracs, k):
     zmin, zmax = min(edges), max(edges)
     ts = [zmin + f * (zmax - zmin) for f in fracs]
     ts += [z + k * 1e-12 * max(1.0, abs(z)) for z in edges]
+    for q in (q0, q1):
+        lo, hi = float(llr[q > 0.0].min()), float(llr[q > 0.0].max())
+        tol_lo, tol_hi = _edge_tols(lo, hi)
+        for end in (lo + tol_lo, hi - tol_hi):
+            ts += [math.nextafter(end, -math.inf), end, math.nextafter(end, math.inf)]
+        ts.append(float(q @ llr))
     ts += [zmin - 1.0 - fracs[0], zmax + 1.0 + fracs[0], -math.inf, math.inf]
     for t in ts:
         public = (rate_function(fresh(), 0, t).value, rate_function(fresh(), 1, t).value)
         assert np.array(_rates(fresh(), t)).tobytes() == np.array(public).tobytes(), (t, public)
+
+
+# Four fixed models of 3-6 atoms, each with the rate_function points of
+# _PINNED_NEWTON: t at each hypothesis's LLR mean, at 0 and at four points
+# across the support.
+_NEWTON_PIN_MODELS = [
+    ((0.5, 0.3, 0.2), (0.2, 0.3, 0.5)),
+    ((0.4, 0.3, 0.2, 0.1), (0.1, 0.15, 0.3, 0.45)),
+    ((0.35, 0.25, 0.2, 0.12, 0.08), (0.05, 0.1, 0.2, 0.3, 0.35)),
+    ((0.3, 0.25, 0.18, 0.12, 0.1, 0.05), (0.02, 0.08, 0.1, 0.2, 0.25, 0.35)),
+]
+# Per model: (value, argmax_s) as float.hex of R_0 at E_0[Z] and R_1 at
+# E_1[Z], where the Newton solve stops at its first step, and the sha256 of
+# the repr of every point's pair in the order of the test.
+_PINNED_NEWTON = [
+    (
+        [("0x0.0p+0", "0x0.0p+0"), ("0x0.0p+0", "-0x1.ab00000000000p-45")],
+        "ed3d466051e2a1774398e87c5789408c92f089342f1a0f29985861e4f8f7c1de",
+    ),
+    (
+        [("0x0.0p+0", "0x0.0p+0"), ("0x1.0000000000000p-52", "0x1.0000000000000p-52")],
+        "253257ecb67756a223660f3af86743d2920c4c32265782be2857342c9b47cb05",
+    ),
+    (
+        [("0x0.0p+0", "0x0.0p+0"), ("0x0.0p+0", "-0x1.0000000000000p-52")],
+        "94854f916be0804ab832332fa372c5f25ee93d60bf6809099bcabc15a637a435",
+    ),
+    (
+        [("0x0.0p+0", "0x0.0p+0"), ("0x0.0p+0", "-0x1.b400000000000p-47")],
+        "5217c78d83d024e1d6e1c335409cc8b8cf15e7d2df08f92bbb8e05ac4e09e073",
+    ),
+]
+
+
+def test_newton_solve_is_pinned_bit_for_bit():
+    # The scalar Newton solve's last bits, values and argmax both.  Its
+    # first step reads moments at s = 0 kept with the model's constants;
+    # summing them in another order moves these digests.
+    for (q0, q1), (at_means, digest) in zip(_NEWTON_PIN_MODELS, _PINNED_NEWTON, strict=True):
+        q0, q1 = np.array(q0), np.array(q1)
+        llr = np.log(q1) - np.log(q0)
+        im = InducedModel(q0=q0, q1=q1, llr=llr)
+        zmin, zmax = im.llr_support()
+        ts = [im.llr_mean(0), im.llr_mean(1), 0.0] + [zmin + f * (zmax - zmin) for f in (0.05, 0.3, 0.7, 0.97)]
+        got = []
+        for t in ts:
+            for j in (0, 1):
+                # A new model each time: no call sees another's last solve.
+                r = rate_function(InducedModel(q0=q0, q1=q1, llr=llr), j, t)
+                got.append((r.value.hex(), r.argmax_s.hex()))
+        assert [got[0], got[3]] == at_means
+        assert hashlib.sha256(repr(got).encode()).hexdigest() == digest
+
+
+def test_edge_zone_leaves_narrow_supports_their_interior():
+    # Near-tied hypotheses put both LLR atoms within about 1e-12 of 0.  An
+    # edge zone of 1e-12 * max(1, |edge|) covered the LLR means there, and
+    # gave -log of an edge mass where the conjugate is 0; the zone is capped
+    # at a millionth of the support's width.
+    m = HypothesisModel(pmf0=(0.9, 0.09999999999999998), pmf1=(0.89999999999991, 0.10000000000009002))
+    im = induce(m, Quantizer(map=(0, 1), message_alphabet_size=2))
+    assert np.allclose(im.llr, (-1.0e-13, 9.0e-13), rtol=1e-3, atol=0.0)
+    for j in (0, 1):
+        for t in (im.llr_mean(0), im.llr_mean(1)):
+            want = decimal_conjugate(im, j, t)
+            assert abs(rate_function(im, j, t).value - want) <= 1e-15, (j, t, want)
+            assert abs(rate_function_grid(im, j, np.array([t]))[0] - want) <= 1e-15, (j, t, want)
+    rep = check_ordering(m, 0.5)
+    assert rep["degenerate"]
+    assert (rep["tree"], rep["daisy_restricted"], rep["parallel1"]) == (0.0, 0.0, 0.0)
+    assert exponent_tree(m, 0.5).exponent == exponent_daisy_restricted(m, 0.5).exponent == 0.0
+    # A support 1e-9 wide whose upper atom sits 9e-13 above t = 0: the old
+    # zone at the upper edge reached past 0 and gave -log(0.9991) = 9.0e-4.
+    m = HypothesisModel(pmf0=(0.0009, 0.9991), pmf1=(0.0008999999991, 0.9991000000009))
+    im = induce(m, Quantizer(map=(0, 1), message_alphabet_size=2))
+    for j in (0, 1):
+        want = decimal_conjugate(im, j, 0.0)
+        assert 1e-12 < want < 2e-12
+        assert abs(rate_function(im, j, 0.0).value - want) <= 1e-18, (j, want)
+        assert abs(rate_function_grid(im, j, np.array([0.0]))[0] - want) <= 1e-18, (j, want)
+
+
+def test_rates_vanish_at_the_means_of_near_tied_models():
+    # R_j at hypothesis j's own LLR mean is 0 up to rounding, on every 2-
+    # and 3-atom quantizer of the near-tied sweep, in both forms.
+    for m in near_tied_models():
+        for d in (2, 3):
+            for q in enumerate_quantizers(m, d):
+                im = induce(m, q)
+                if im.alphabet_size not in (2, 3):
+                    continue
+                for j in (0, 1):
+                    t = im.llr_mean(j)
+                    assert rate_function(im, j, t).value <= 1e-15, (m, q, j)
+                    assert rate_function_grid(im, j, np.array([t]))[0] <= 1e-15, (m, q, j)

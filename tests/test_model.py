@@ -253,6 +253,20 @@ def test_enumerate_matches_brute_force_oracle():
                 assert enumerate_quantizers(m, d, mode) == brute_force_quantizers(m, d, mode), (m, d, mode)
 
 
+@pytest.mark.parametrize("k", [8, 10])
+def test_enumerate_all_tied_model_gives_every_partition(k):
+    # With every LLR tied, any partition into min(d, K) cells is an interval
+    # rule for some order of the symbols, so the monotone list is the
+    # exhaustive list cut to that cell count, in the same order: the
+    # Stirling numbers S(K, d), 34,105 at K = 10, d = 4.
+    u = np.full(k, 1.0 / k)
+    m = HypothesisModel(pmf0=u, pmf1=u)
+    for d in (2, 3, 4):
+        want = [q for q in enumerate_quantizers(m, d, "all") if q.num_cells == d]
+        assert enumerate_quantizers(m, d) == want, d
+    assert len(want) == {8: 1701, 10: 34105}[k]
+
+
 def test_enumerate_rejects_tiny_alphabet(table_model):
     with pytest.raises(ValueError):
         enumerate_quantizers(table_model, 1)
