@@ -87,9 +87,13 @@ from 0; the value moves by far less than ``_TIE_TOL``.  The per-threshold
 choice of delta in a point evaluation takes the first strict maximum in
 candidate order, which is lexicographic.
 
-The two staged optima of one (model, r, d, mode) are searched together and
-kept in an LRU cache keyed on the model's pmf bytes, so equal models share
-one search and the composite checks do not repeat it.
+The two staged optima of one (model, r, d, mode) are searched together, and
+the LRU cache ``_staged_optima``, keyed on the model's pmf bytes, holds their
+two finished reports: equal models share one search, and the composite
+checks read those reports without repeating it.  Each public staged call
+gets its own copy, so a caller's edits never reach the cache.  Every real
+input of the staged layer (r, a strategy's thresholds, decay rates) is read
+as a Python float.
 
 Strategies.  :class:`Strategy` is the one concrete strategy type, and
 ``ExponentReport.strategy`` is its JSON form (:meth:`Strategy.to_dict`,
@@ -221,10 +225,11 @@ class UnsupportedFormulation(ValueError):
     """The requested formulation is not defined for this architecture here."""
 
 
-def _check_stage_fraction(r) -> None:
-    """Raise ValueError unless ``r``, the first-stage fraction, is a real number in (0, 1)."""
+def _check_stage_fraction(r) -> float:
+    """``r``, the first-stage fraction, as a float; ValueError unless it is a real number in (0, 1)."""
     if not (isinstance(r, numbers.Real) and 0.0 < r < 1.0):
         raise ValueError(f"stage fraction r must lie in (0, 1), got {r!r}")
+    return float(r)
 
 
 @dataclass(frozen=True)
@@ -237,8 +242,9 @@ class Strategy:
     stage; the first round(r * n) sensors form it.  ``fusion_threshold`` is
     the absolute transcript-LLR cut for the final decision, ties to 1.
     Each threshold is a real number and may be infinite (a constant bit or
-    decision), never NaN.  A kind takes no field it never reads: the
-    one-stage kinds take no ``t``, and only the two-stage kinds take ``r``.
+    decision), never NaN; r and the thresholds are kept as Python floats.
+    A kind takes no field it never reads: the one-stage kinds take no
+    ``t``, and only the two-stage kinds take ``r``.
     ``delta1`` defaults to ``delta0``; Parallel2 sends delta0 as its second
     message, so its delta1 must have the same map.
     """
@@ -268,12 +274,15 @@ class Strategy:
         if self.kind not in ONE_STAGE_KINDS and self.t is None:
             raise ValueError(f"{self.kind} needs an aggregator threshold t")
         if self.kind in TWO_STAGE_KINDS:
-            _check_stage_fraction(self.r)
+            object.__setattr__(self, "r", _check_stage_fraction(self.r))
         elif self.r is not None:
             raise ValueError(f"{self.kind} takes no stage fraction r")
-        for name, v in (("t", self.t), ("fusion_threshold", self.fusion_threshold)):
+        for name in ("t", "fusion_threshold"):
+            v = getattr(self, name)
             if not (isinstance(v, numbers.Real) and not math.isnan(v) or name == "t" and v is None):
                 raise ValueError(f"{self.kind} {name} must be a real number and must not be NaN, got {v!r}")
+            if v is not None:
+                object.__setattr__(self, name, float(v))
 
     @classmethod
     def from_dict(
@@ -350,6 +359,7 @@ class DecayRateVector:
 
     e_ju is the decay rate of P_j(U = u).  P_j(U = 0) + P_j(U = 1) = 1, so
     at most one of (e01, e00) and at most one of (e10, e11) can be positive.
+    Each rate is a nonnegative real number, kept as a Python float.
     """
 
     e01: float
@@ -360,8 +370,9 @@ class DecayRateVector:
     def __post_init__(self) -> None:
         for name in ("e01", "e10", "e00", "e11"):
             v = getattr(self, name)
-            if not (v >= 0.0):
-                raise ValueError(f"{name} must be nonnegative, got {v!r}")
+            if not (isinstance(v, numbers.Real) and v >= 0.0):
+                raise ValueError(f"{name} must be a nonnegative real number, got {v!r}")
+            object.__setattr__(self, name, float(v))
         if min(self.e01, self.e00) > 0.0:
             raise ValueError("e01 and e00 cannot both be positive")
         if min(self.e10, self.e11) > 0.0:
@@ -534,23 +545,8 @@ class _Best:
             self.value, self.key, self.item = value, key, item
 
 
-@dataclass(frozen=True)
-class _StagedOptimum:
-    """Best strategy of one staged objective and its exponent.
-
-    ``at_edge`` flags a threshold on the edge of gamma's LLR support.
-    """
-
-    strategy: Strategy
-    exponent: float
-    decay: DecayRateVector
-    branch0: float
-    branch1: float
-    at_edge: bool
-
-
-def _search_staged(m: HypothesisModel, r: float, d: int, mode: str) -> tuple[_StagedOptimum, _StagedOptimum]:
-    """Joint search for the DaisyRestricted and Tree optima, in ``RESTRICTED_KINDS`` order.
+def _search_staged(m: HypothesisModel, r: float, d: int, mode: str) -> tuple[ExponentReport, ExponentReport]:
+    """The cached DaisyRestricted and Tree reports of one joint search, in ``RESTRICTED_KINDS`` order.
 
     Both are computed in one pass because they share every branch-value
     matrix, and because evaluating the daisy objective at the tree's best
@@ -559,9 +555,9 @@ def _search_staged(m: HypothesisModel, r: float, d: int, mode: str) -> tuple[_St
     search visited.  ``r`` and ``d`` are checked before the cache lookup,
     where 2.0 would hit a cached d = 2 search; the model checked itself.
     """
-    _check_stage_fraction(r)
+    r = _check_stage_fraction(r)
     _check_message_size(d)
-    return _staged_optima(m.pmf0.tobytes(), m.pmf1.tobytes(), float(r), d, mode)
+    return _staged_optima(m.pmf0.tobytes(), m.pmf1.tobytes(), r, d, mode)
 
 
 @dataclass(eq=False)
@@ -629,7 +625,7 @@ class _GammaSearch:
 
 
 @functools.lru_cache(maxsize=128)
-def _staged_optima(pmf0: bytes, pmf1: bytes, r: float, d: int, mode: str) -> tuple[_StagedOptimum, _StagedOptimum]:
+def _staged_optima(pmf0: bytes, pmf1: bytes, r: float, d: int, mode: str) -> tuple[ExponentReport, ExponentReport]:
     # Keyed on the pmf bytes, not the model object, so equal models share
     # one search; the model is rebuilt bit for bit from them.
     m = HypothesisModel(pmf0=np.frombuffer(pmf0), pmf1=np.frombuffer(pmf1))
@@ -643,42 +639,35 @@ def _staged_optima(pmf0: bytes, pmf1: bytes, r: float, d: int, mode: str) -> tup
     return tuple(_staged_optimum(kind, best, cands, r) for kind, best in bests.items())
 
 
-def _staged_optimum(kind: str, best: _Best, deltas: list[_Cand], r: float) -> _StagedOptimum:
+def _staged_optimum(kind: str, best: _Best, deltas: list[_Cand], r: float) -> ExponentReport:
     if best.item is None:
         raise ValueError(f"{kind} search found no finite candidate threshold")
     g, p = best.item
     value, i0, i1 = p.optima[kind]
     scale = max(1.0, abs(g.zmin), abs(g.zmax))
-    return _StagedOptimum(
-        strategy=Strategy(kind, g.q, deltas[i0].q, deltas[i1].q, t=p.t, r=r),
+    at_edge = min(abs(p.t - g.zmin), abs(p.t - g.zmax)) <= _BOUNDARY_RTOL * scale
+    return ExponentReport(
+        architecture=kind,
+        formulation="Bayesian",
+        r=r,
         # + 0.0 turns a -0.0 exponent into 0.0.
         exponent=-value + 0.0,
-        decay=DecayRateVector(*_gamma_decay(g, r, p.t)[:4]),
-        branch0=p.bv0[i0],
-        branch1=p.bv1[i1],
-        at_edge=min(abs(p.t - g.zmin), abs(p.t - g.zmax)) <= _BOUNDARY_RTOL * scale,
+        strategy=Strategy(kind, g.q, deltas[i0].q, deltas[i1].q, t=p.t, r=r).to_dict(),
+        decay_rates=dataclasses.asdict(DecayRateVector(*_gamma_decay(g, r, p.t)[:4])),
+        branch_values={"branch0": p.bv0[i0], "branch1": p.bv1[i1]},
+        note="optimum sits at the edge of the threshold range" if at_edge else "",
     )
 
 
 def _staged_report(m: HypothesisModel, r: float, d: int, mode: str, formulation: str, kind: str) -> ExponentReport:
     # Both staged kinds enter here; exponent_daisy_restricted says why they
-    # are Bayesian only.
+    # are Bayesian only.  The copy keeps a caller's edits out of the cache.
     if _norm_formulation(formulation) != "Bayesian":
         raise UnsupportedFormulation(
             "staged architectures are evaluated in the Bayesian formulation only; "
             "the Neyman-Pearson optimum equals the parallel one"
         )
-    res = _search_staged(m, r, d, mode)[RESTRICTED_KINDS.index(kind)]
-    return ExponentReport(
-        architecture=kind,
-        formulation="Bayesian",
-        r=r,
-        exponent=res.exponent,
-        strategy=res.strategy.to_dict(),
-        decay_rates=dataclasses.asdict(res.decay),
-        branch_values={"branch0": res.branch0, "branch1": res.branch1},
-        note="optimum sits at the edge of the threshold range" if res.at_edge else "",
-    )
+    return ExponentReport(**_search_staged(m, r, d, mode)[RESTRICTED_KINDS.index(kind)].to_dict())
 
 
 def exponent_daisy_restricted(
@@ -808,7 +797,7 @@ def h_of_e(
     Either way a branch no quantizer scores finitely has value +inf and no
     quantizer (None).
     """
-    _check_stage_fraction(r)
+    r = _check_stage_fraction(r)
     if semantics not in ("literal", "physical"):
         raise ValueError(f"unknown semantics: {semantics!r}")
     deltas = _candidates(m, d, mode)
@@ -875,8 +864,8 @@ def check_symmetric_rate_condition(
     searches.  Returns a dict with keys applies, witness, max_gap,
     common_value, daisy_exponent, tree_exponent, consistent.
     """
-    daisy_res, tree_res = _search_staged(m, r, d, mode)
-    witness = tree_res.strategy.delta0
+    daisy, tree = _search_staged(m, r, d, mode)
+    witness = Quantizer.from_labels(tree.strategy["delta0"])
     im = induce(m, witness)
     zmin, zmax = im.llr_support()
     half = min(-zmin, zmax)
@@ -892,16 +881,16 @@ def check_symmetric_rate_condition(
         shortcut = max(_point_eval(g, cands, r, 0.0).optima["Tree"][0] for g in cands)
         common_value = -shortcut
         consistent = (
-            abs(common_value - daisy_res.exponent) <= 1e-7
-            and abs(common_value - tree_res.exponent) <= 1e-7
+            abs(common_value - daisy.exponent) <= 1e-7
+            and abs(common_value - tree.exponent) <= 1e-7
         )
     return {
         "applies": applies,
         "witness": list(witness.map),
         "max_gap": max_gap,
         "common_value": common_value,
-        "daisy_exponent": daisy_res.exponent,
-        "tree_exponent": tree_res.exponent,
+        "daisy_exponent": daisy.exponent,
+        "tree_exponent": tree.exponent,
         "consistent": consistent,
     }
 
@@ -920,8 +909,8 @@ def check_ordering(
     two hypotheses are distinguishable.  Violations raise OrderingViolation
     because they can only come from an implementation bug.
     """
-    daisy_res, tree_res = _search_staged(m, r, d, mode)
-    e_tree, e_daisy = tree_res.exponent, daisy_res.exponent
+    daisy, tree = _search_staged(m, r, d, mode)
+    e_tree, e_daisy = tree.exponent, daisy.exponent
     e_par = exponent_parallel(m, d=d, messages_per_sensor=1, formulation="Bayesian", mode=mode).exponent
     tv = 0.5 * float(np.abs(m.pmf0 - m.pmf1).sum())
     degenerate = tv <= 1e-9

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from decdet import HypothesisModel
+from decdet import HypothesisModel, architectures
 
 
 def random_model(
@@ -38,6 +38,14 @@ def near_tied_models() -> list[HypothesisModel]:
                 p1 = p0 * (1.0 + 10.0**-e * rng.standard_normal(k))
                 out.append(HypothesisModel(pmf0=p0, pmf1=p1 / p1.sum()))
     return out
+
+
+def edit_staged_reports(monkeypatch, edit) -> None:
+    """Make every staged call read ``edit(daisy, tree)`` in place of the two
+    cached staged reports: the public searches, ``check_ordering`` and
+    ``check_symmetric_rate_condition`` all read those reports."""
+    search = architectures._search_staged
+    monkeypatch.setattr(architectures, "_search_staged", lambda m, r, d, mode: edit(*search(m, r, d, mode)))
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from decdet import (
     HypothesisModel,
     InfeasibleRate,
     KINDS,
+    OrderingViolation,
     Quantizer,
     Strategy,
     UnsupportedFormulation,
@@ -39,6 +41,7 @@ from decdet.architectures import (
     ONE_STAGE_KINDS,
     PARALLEL_EQUIVALENT,
     _Best,
+    _bisect_crossing,
     _candidates,
     _point_eval,
     _search_staged,
@@ -46,7 +49,7 @@ from decdet.architectures import (
     _tree_diff,
 )
 from decdet.exponents import _chernoff_value
-from conftest import near_tied_models, random_model
+from conftest import edit_staged_reports, near_tied_models, random_model
 from oracles import dense_staged_sup
 
 
@@ -158,6 +161,8 @@ def test_strategy_from_dict_applies_the_kind_rules(table_model):
     assert (s.t, s.r, s.fusion_threshold) == (None, None, 0.2)
     s = Strategy.from_dict("FullFeedback2", {**g, "delta0": [0, 1, 1], "delta1": [0, 0, 1]}, r=0.5)
     assert (s.t, s.r) == (0.0, None)
+    with pytest.raises(ValueError, match="^FullFeedback2 takes no stage fraction r$"):
+        Strategy(kind="FullFeedback2", gamma=s.gamma, delta0=s.delta0, delta1=s.delta1, t=0.0, r=0.5)
     s = Strategy.from_dict("Tree", {**g, "delta0": [0, 1, 1], "delta1": [0, 1, 1], "t": 0.3}, r=0.5, t=-0.1)
     assert (s.t, s.r) == (-0.1, 0.5)
     with pytest.raises(ValueError, match="both of delta0 and delta1 or neither"):
@@ -413,6 +418,10 @@ def test_decay_rate_vector_validation():
         DecayRateVector(e01=0.1, e10=0.0, e00=0.1, e11=0.0)
     with pytest.raises(ValueError):
         DecayRateVector(e01=0.0, e10=0.1, e00=0.0, e11=0.1)
+    # Not a real number: a typed error, never a bare comparison failure.
+    for bad in ("0.3", None, np.array([0.1, 0.2]), math.nan):
+        with pytest.raises(ValueError, match="e10 must be a nonnegative real number, got"):
+            DecayRateVector(e01=0.0, e10=bad, e00=0.0, e11=0.0)
     v = DecayRateVector(e01=0.3, e10=0.2, e00=0.0, e11=0.0)
     assert (v.e01, v.e10) == (0.3, 0.2)
 
@@ -995,6 +1004,128 @@ def test_staged_search_is_shared_by_equal_models(table_model):
     assert again is first
     with pytest.raises(dataclasses.FrozenInstanceError):
         first[0].value = 0.0
+
+
+def test_editing_a_staged_report_leaves_the_cache_unchanged(table_model):
+    # Each call gets its own copy of the cached report: edits to its dicts
+    # reach neither the next call nor the checks that read the cache.
+    ordering = check_ordering(table_model, 0.5)
+    symmetric = check_symmetric_rate_condition(table_model, r=0.5)
+    for search in (exponent_daisy_restricted, exponent_tree):
+        rep = search(table_model, 0.5)
+        want = rep.to_dict()
+        rep.strategy["delta0"][:] = [0, 1, 2]
+        rep.strategy["t"] = 9.0
+        rep.decay_rates["e01"] = -1.0
+        rep.branch_values["branch0"] = 0.0
+        assert search(table_model, 0.5).to_dict() == want
+        assert check_ordering(table_model, 0.5) == ordering
+        assert check_symmetric_rate_condition(table_model, r=0.5) == symmetric
+
+
+@pytest.mark.parametrize("r", [np.float32(0.3), Fraction(3, 10)], ids=["float32", "fraction"])
+def test_staged_layer_reads_each_real_input_as_a_float(table_model, r):
+    # NumPy keeps float32 where a float32 meets a Python float, and json
+    # refuses a float32 or a Fraction, so each real input is read as a
+    # float: every answer equals the float one exactly.
+    for search in (exponent_daisy_restricted, exponent_tree):
+        rep, want = search(table_model, r), search(table_model, float(r))
+        assert rep == want and type(rep.r) is float
+        assert json.loads(rep.to_json()) == json.loads(want.to_json())
+        assert reevaluate_exponent(table_model, rep) == want.exponent
+        t = np.float32(rep.strategy["t"])
+        got, want_t = (
+            reevaluate_exponent(table_model, dataclasses.replace(rep, strategy={**rep.strategy, "t": v}))
+            for v in (t, float(t))
+        )
+        assert type(got) is float and got == want_t
+    rates = (0.0, 0.2, 0.3, 0.0)
+    e = DecayRateVector(*map(np.float32, rates))
+    assert all(type(v) is float for v in dataclasses.astuple(e))
+    want = h_of_e(table_model, float(r), DecayRateVector(*(float(np.float32(v)) for v in rates)), semantics="physical")
+    got = h_of_e(table_model, r, e, semantics="physical")
+    assert got == want and type(got[0]) is float
+    s = Strategy("Tree", Quantizer.from_labels([0, 0, 1]), Quantizer.from_labels([0, 1, 1]), t=np.float32(0.1), r=r,
+                 fusion_threshold=np.float32(-0.2))
+    assert (s.t, s.r, s.fusion_threshold) == (float(np.float32(0.1)), float(r), float(np.float32(-0.2)))
+    assert all(type(v) is float for v in (s.t, s.r, s.fusion_threshold))
+    assert Strategy("Tree", s.gamma, s.delta0, t=-math.inf, r=r).t == -math.inf
+
+
+def _daisy_exponent(exponent):
+    return lambda daisy, tree: (dataclasses.replace(daisy, exponent=exponent), tree)
+
+
+def test_ordering_check_raises_on_each_violation(monkeypatch, table_model):
+    tree = exponent_tree(table_model, 0.5).exponent
+    par = exponent_parallel(table_model).exponent
+    with monkeypatch.context() as mp:
+        edit_staged_reports(mp, _daisy_exponent(tree + 1e-6))
+        with pytest.raises(OrderingViolation) as exc:
+            check_ordering(table_model, 0.5)
+        assert str(exc.value) == f"tree exponent {tree} below staged-chain exponent {tree + 1e-6}"
+    with monkeypatch.context() as mp:
+        edit_staged_reports(mp, _daisy_exponent(par + 1e-10))
+        with pytest.raises(OrderingViolation) as exc:
+            check_ordering(table_model, 0.5)
+        assert str(exc.value) == f"staged chain ({par + 1e-10}) must be strictly worse than parallel ({par})"
+    flat = HypothesisModel(pmf0=(0.5, 0.3, 0.2), pmf1=(0.5, 0.3, 0.2))
+    assert check_ordering(flat, 0.5)["degenerate"]
+    with monkeypatch.context() as mp:
+        edit_staged_reports(mp, _daisy_exponent(-1e-6))
+        with pytest.raises(OrderingViolation) as exc:
+            check_ordering(flat, 0.5)
+        assert str(exc.value) == "indistinguishable hypotheses must give zero exponents"
+
+
+def test_symmetric_rate_check_reads_the_tree_reports_map(monkeypatch, table_model):
+    # The identity map of the mirror-symmetric table model has mirror-image
+    # rates; the tree's reported (0, 0, 1) does not.
+    assert check_symmetric_rate_condition(table_model)["witness"] == [0, 0, 1]
+    edit_staged_reports(
+        monkeypatch,
+        lambda daisy, tree: (
+            dataclasses.replace(daisy, exponent=0.0),
+            dataclasses.replace(tree, strategy={**tree.strategy, "delta0": [0, 1, 2]}),
+        ),
+    )
+    res = check_symmetric_rate_condition(table_model)
+    assert (res["witness"], res["applies"], res["consistent"], res["daisy_exponent"]) == ([0, 1, 2], True, False, 0.0)
+    assert res["tree_exponent"] == exponent_tree(table_model, 0.5).exponent
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda m: exponent_parallel(m, messages_per_sensor=3), "messages_per_sensor must be 1 or 2"),
+        (
+            lambda m: exponent_feedback_equivalent(m, kind="Tree"),
+            "'Tree' is not a feedback-equivalent architecture kind",
+        ),
+        (
+            lambda m: h_of_e(m, 0.5, DecayRateVector(0.0, 0.1, 0.2, 0.0), semantics="exact"),
+            "unknown semantics: 'exact'",
+        ),
+    ],
+    ids=["messages-per-sensor", "feedback-kind", "semantics"],
+)
+def test_searches_reject_unknown_options(table_model, call, message):
+    with pytest.raises(ValueError) as exc:
+        call(table_model)
+    assert (exc.type, str(exc.value)) == (ValueError, message)
+
+
+def test_crossing_bisection_returns_an_exact_zero():
+    # The midpoint 0.25 of [0, 0.5] is the root itself: the bisection
+    # returns it at once, after probing 0, 0.5 and 0.25.
+    probes = []
+
+    def diff(t):
+        probes.append(t)
+        return t - 0.25
+
+    assert _bisect_crossing(diff, 0.0, 1.0) == 0.25
+    assert probes == [0.0, 0.5, 0.25]
 
 
 # pmf1 is pmf0 reversed, so every map has a mirror twin with the same

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, formats, and byte stability."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -15,7 +16,7 @@ import pytest
 
 from decdet import architectures as arch, likelihood_ratio_reduction, load_model, rate_function_grid
 from decdet.cli import _ARCH_NAMES, _CURVE_BLOCK, main
-from conftest import random_model
+from conftest import edit_staged_reports, random_model
 
 TABLE = "3 2\n0.8 0.15 0.05\n0.05 0.15 0.8\n"
 
@@ -381,6 +382,7 @@ def test_delta1_needs_delta0(capsys, model_file, arch):
         ("simulate", "10,0", "n must be a positive integer, got 0"),
         ("fit", "0,10", "each of ns must be a positive integer, got 0"),
         ("fit", "10,-3", "each of ns must be a positive integer, got -3"),
+        ("fit", ",", "--n-grid names no blocklength"),
     ],
 )
 def test_nonpositive_blocklength_exits_two(capsys, model_file, subcommand, grid, message):
@@ -388,6 +390,21 @@ def test_nonpositive_blocklength_exits_two(capsys, model_file, subcommand, grid,
     code, out, err = _run(capsys, argv)
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["curve", "--quantizer", "0,x"], "--quantizer"),
+        (["simulate", "--quantizer", "0,0,1", "--delta0", "0,1.5,1", "--n-grid", "10"], "--delta0"),
+        (["simulate", "--quantizer", "0,0,1", "--delta0", "0,1,1", "--delta1", "0,,1", "--n-grid", "10"], "--delta1"),
+    ],
+    ids=["quantizer", "delta0", "delta1"],
+)
+def test_bad_labels_exit_two(capsys, model_file, argv, flag):
+    code, out, err = _run(capsys, argv[:1] + ["--model", model_file] + argv[1:])
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} must be comma-separated integer labels\n"
 
 
 @pytest.mark.parametrize("subcommand", ["exponent", "simulate", "fit"])
@@ -527,6 +544,61 @@ def test_check_sweep_passes(capsys):
     code, out, _ = _run(capsys, ["check", "--models", "3", "--seed", "1"])
     assert code == 0
     assert "all checks passed" in out
+
+
+def _tree_map(tree, labels):
+    # The tree report with its one second-stage map replaced.
+    return dataclasses.replace(tree, strategy={**tree.strategy, "delta0": labels, "delta1": labels})
+
+
+def _failures(out: str) -> list[str]:
+    return [ln[len("FAILED: "):] for ln in out.splitlines() if ln.startswith("FAILED: ")]
+
+
+def test_example1_reports_each_failed_check(capsys, monkeypatch):
+    code, out, _ = _run(capsys, ["example1"])
+    assert (code, _failures(out)) == (0, [])
+    e_chain, e_tree = -0.3654394078662916, -0.3557912697508888
+    # With the reports swapped, each exponent misses its reference, the
+    # ordering fails and the chain names the tree's one map twice.
+    with monkeypatch.context() as mp:
+        edit_staged_reports(mp, lambda daisy, tree: (tree, daisy))
+        code, out, _ = _run(capsys, ["example1"])
+    assert code == 1 and "all reference checks passed" not in out
+    assert _failures(out) == [
+        "chain exponent off the reference -0.365 by more than 1e-3",
+        "tree exponent off the reference -0.356 by more than 1e-3",
+        "tree exponent is not strictly above the chain exponent",
+        "chain second-stage pair is not (0,0,1)/(0,1,1)",
+        f"tree exponent {e_chain} below staged-chain exponent {e_tree}",
+    ]
+    # The identity map has mirror-image rates on this mirror-symmetric model.
+    with monkeypatch.context() as mp:
+        edit_staged_reports(mp, lambda daisy, tree: (daisy, _tree_map(tree, [0, 1, 2])))
+        code, out, _ = _run(capsys, ["example1"])
+    assert code == 1 and "symmetric-rate condition: applies (max gap = " in out
+    assert _failures(out) == [
+        "tree second-stage quantizer is not (0,0,1)",
+        "symmetric-rate condition unexpectedly applies to this model",
+    ]
+
+
+def test_check_counts_each_failed_check(capsys, monkeypatch):
+    # A chain exponent above the tree's breaks the ordering at each stage
+    # fraction; a one-cell tree map meets the symmetric-rate condition, and
+    # its shortcut value then misses the moved chain exponent.
+    edit_staged_reports(
+        monkeypatch,
+        lambda daisy, tree: (dataclasses.replace(daisy, exponent=daisy.exponent + 1.0), _tree_map(tree, [0, 0, 0])),
+    )
+    code, out, _ = _run(capsys, ["check", "--models", "1", "--seed", "1"])
+    assert code == 1
+    assert out.splitlines() == [
+        "ordering: 1 models x 3 stage fractions, 3 violations",
+        "symmetric-rate shortcut: applies on 1 of 1 models, 1 inconsistencies",
+        "error lower bound: 4 exact evaluations, 0 violations",
+        "4 checks FAILED",
+    ]
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

@@ -346,6 +346,24 @@ def test_exact_rejects_adaptive_kinds(table_model):
         exact_error(table_model, st, 4)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda m: exact_error_daisy(m, _parallel1(Q001), 4), "Parallel1 is not a two-stage strategy"),
+        (
+            lambda m: llr_distribution_daisy(m, Strategy(kind="DaisyFull", gamma=Q001, delta0=Q011, t=0.0, r=0.5), 4),
+            "transcript atoms with an aggregator bit need a restricted chain",
+        ),
+        (lambda m: fit_exponent(m, _parallel1(Q001), [4, 8], method="sampled"), "unknown method: 'sampled'"),
+    ],
+    ids=["exact-daisy-of-parallel", "transcript-of-daisy-full", "fit-method"],
+)
+def test_evaluators_reject_a_kind_or_method_they_do_not_handle(table_model, call, message):
+    with pytest.raises(ValueError) as exc:
+        call(table_model)
+    assert (exc.type, str(exc.value)) == (ValueError, message)
+
+
 def test_feedback_with_equal_deltas_is_two_message_parallel():
     # When both broadcast values select the same second map, the feedback
     # bit changes nothing: the transcript law must match Parallel2 exactly.

@@ -36,6 +36,7 @@ from decdet import (
     rate_function,
     rate_function_grid,
 )
+from decdet import exponents as ex
 from decdet.exponents import _edge_tols, _rates
 from conftest import near_tied_models, random_model
 from oracles import decimal_conjugate
@@ -646,6 +647,36 @@ def test_newton_solve_is_pinned_bit_for_bit():
                 got.append((r.value.hex(), r.argmax_s.hex()))
         assert [got[0], got[3]] == at_means
         assert hashlib.sha256(repr(got).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 5])
+def test_scalar_and_grid_forms_stop_together_at_the_iteration_cap(monkeypatch, cap):
+    # A solve cut off by the cap returns the value at its last s; both
+    # forms take the same steps, so they agree there as they do at
+    # convergence.
+    monkeypatch.setattr(ex, "_NEWTON_CAP", cap)
+    rng = np.random.default_rng(461)
+    for k in (3, 4, 5):
+        for _ in range(4):
+            m = random_model(rng, k=k)
+            zmin, zmax = likelihood_ratio_reduction(m).llr_support()
+            ts = np.linspace(zmin, zmax, 23)[1:-1]
+            for j in (0, 1):
+                # New models, so that neither form reads a solve kept from
+                # before the cap changed.
+                grid = rate_function_grid(likelihood_ratio_reduction(m), j, ts)
+                im = likelihood_ratio_reduction(m)
+                for t, g in zip(ts.tolist(), grid.tolist()):
+                    scalar = rate_function(im, j, t).value
+                    assert abs(g - scalar) <= 1e-12 * max(1.0, abs(scalar)), (k, j, t, g, scalar)
+
+
+def test_rate_function_names_its_hypothesis(table_model):
+    im = _gamma2(table_model)
+    for call in (lambda: rate_function(im, 2, 0.0), lambda: rate_function_grid(im, -1, np.array([0.0]))):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert (exc.type, str(exc.value)) == (ValueError, "hypothesis must be 0 or 1")
 
 
 def test_edge_zone_leaves_narrow_supports_their_interior():

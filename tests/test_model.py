@@ -11,6 +11,7 @@ from hypothesis import strategies as hs
 
 from decdet import (
     HypothesisModel,
+    InducedModel,
     NotAProbability,
     Quantizer,
     ShapeMismatch,
@@ -270,6 +271,50 @@ def test_enumerate_all_tied_model_gives_every_partition(k):
 def test_enumerate_rejects_tiny_alphabet(table_model):
     with pytest.raises(ValueError):
         enumerate_quantizers(table_model, 1)
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (
+            lambda: HypothesisModel(pmf0=((0.5, 0.5),), pmf1=((0.5, 0.5),)),
+            ShapeMismatch,
+            "pmfs must be one-dimensional",
+        ),
+        (lambda: Quantizer(map=(0,), message_alphabet_size=0), ValueError, "message alphabet size must be positive"),
+        (lambda: Quantizer(map=(), message_alphabet_size=2), ShapeMismatch, "quantizer map must be nonempty"),
+        (
+            lambda: InducedModel(q0=np.array([0.5, 0.5]), q1=np.array([1.0]), llr=np.array([0.0])),
+            ShapeMismatch,
+            "q0, q1 and llr must be nonempty and equal length",
+        ),
+        (
+            lambda: induce(HypothesisModel(pmf0=(0.5, 0.5), pmf1=(0.25, 0.75)), Quantizer.from_labels([0, 1, 1])),
+            ShapeMismatch,
+            "quantizer maps 3 symbols but the model has 2",
+        ),
+        (
+            lambda: product_quantizer(Quantizer.from_labels([0, 1]), Quantizer.from_labels([0, 1, 1])),
+            ShapeMismatch,
+            "component quantizers must share the observation alphabet",
+        ),
+        (
+            lambda: enumerate_quantizers(HypothesisModel(pmf0=(0.5, 0.5), pmf1=(0.25, 0.75)), 2, "sorted"),
+            ValueError,
+            "unknown enumeration mode: 'sorted'",
+        ),
+        (
+            lambda: parse_model_text("2 2\n0.5 x\n0.25 0.75\n"),
+            ValueError,
+            "bad pmf line '0.5 x'",
+        ),
+    ],
+    ids=["pmf-2d", "size-0", "empty-map", "induced-lengths", "induce-length", "product-lengths", "mode", "pmf-line"],
+)
+def test_model_layer_names_each_malformed_input(call, error, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert (exc.type, str(exc.value)) == (error, message)
 
 
 def test_parse_model_text_roundtrip():
